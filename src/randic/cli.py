@@ -48,6 +48,7 @@ from .identities import (
     VerificationReport,
     classify_distinct_count,
     scan_small_graphs,
+    verify_all,
     verify_eigenvalue_correspondence,
     verify_k_distinct_identity,
     verify_local_conditions,
@@ -238,24 +239,29 @@ def cmd_energy(args) -> int:
     return 0
 
 
-def _run_verify_check(name: str, g: Graph) -> dict:
-    """One named check as a plain dict: name, passed, residuals, extras."""
-    if name == "classification":
-        cls = classify_distinct_count(g)
-        return {
-            "name": name,
-            "passed": cls.consistent,
-            "residuals": {},
-            "detail": cls.detail,
-        }
+def _run_verify_check(name: str, g: Graph):
+    """The outcome of one named check, solving what that check needs."""
     runner = {
         "charpoly": verify_subdivision_charpoly,
         "correspondence": verify_eigenvalue_correspondence,
         "energy": verify_subdivision_energy,
         "identity": verify_k_distinct_identity,
+        "classification": classify_distinct_count,
         "local": verify_local_conditions,
     }[name]
-    report: VerificationReport = runner(g)
+    return runner(g)
+
+
+def _verify_row(name: str, result) -> dict:
+    """One check's outcome as a plain dict: name, passed, residuals, extras."""
+    if name == "classification":
+        return {
+            "name": name,
+            "passed": result.consistent,
+            "residuals": {},
+            "detail": result.detail,
+        }
+    report: VerificationReport = result
     out = {
         "name": name,
         "passed": report.passed,
@@ -273,13 +279,10 @@ def cmd_verify(args) -> int:
     g = load_graph(args.graph, args.format)
     require_convention(g)
     if args.check == "all":
-        names = ["charpoly", "correspondence", "energy", "identity", "classification"]
-        distinct, _ = cluster_distinct(symmetric_eigenvalues(randic_matrix(g)), CLUSTER_TOL)
-        if len(distinct) == 3:
-            names.append("local")
+        results = verify_all(g)
     else:
-        names = [args.check]
-    rows = [_run_verify_check(name, g) for name in names]
+        results = {args.check: _run_verify_check(args.check, g)}
+    rows = [_verify_row(name, result) for name, result in results.items()]
     all_passed = all(row["passed"] for row in rows)
     if args.json:
         emit_json(

@@ -22,11 +22,18 @@ rho_1 = 1 > rho_2 > ... > rho_k,
     c = prod_{i=2..k} (1 - rho_i) / (2m),
 
 with the left side also required to be nonzero (no factor can be dropped).
+
+Each check is a report builder over already solved spectra: rho of R(G),
+theta of I + R(G), and rho_S of R(S).  The public ``verify_*`` functions
+check their preconditions, solve what their check needs once and call the
+builder; ``verify_all`` solves each of the three matrices once and runs
+every applicable check on the shared spectra.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
@@ -151,21 +158,30 @@ def _charpoly_residuals(
     return {"cross_multiplied": cross, "coefficient_positions": worst / largest}
 
 
+def _subdivision_spectra(
+    g: Graph, subdivided: Graph | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """theta of I + R(G), and the R-spectrum of the subdivision of G or of
+    the claimed ``subdivided`` graph standing in for it."""
+    if g.m == 0:
+        raise PreconditionError("subdivision checks need at least one edge")
+    s = subdivision(g) if subdivided is None else subdivided
+    return _signless_values(g), symmetric_eigenvalues(randic_matrix(s))
+
+
+def _charpoly_report(g: Graph, theta: np.ndarray, rho_s: np.ndarray) -> VerificationReport:
+    # a wrong-order claimed subdivision still compares cleanly: coefficient
+    # lookups past a polynomial's stored degree read as zero
+    return _report("subdivision-charpoly", CHARPOLY_TOL, _charpoly_residuals(g, theta, rho_s))
+
+
 def verify_subdivision_charpoly(
     g: Graph, subdivided: Graph | None = None
 ) -> VerificationReport:
     """Check the characteristic-polynomial identity between G and its
     subdivision.  ``subdivided`` substitutes a claimed subdivision graph in
     place of the constructed one (useful as a negative control)."""
-    if g.m == 0:
-        raise PreconditionError("subdivision checks need at least one edge")
-    s = subdivision(g) if subdivided is None else subdivided
-    theta = _signless_values(g)
-    rho_s = symmetric_eigenvalues(randic_matrix(s))
-    # a wrong-order claimed subdivision still compares cleanly: coefficient
-    # lookups past a polynomial's stored degree read as zero
-    residuals = _charpoly_residuals(g, theta, rho_s)
-    return _report("subdivision-charpoly", CHARPOLY_TOL, residuals)
+    return _charpoly_report(g, *_subdivision_spectra(g, subdivided))
 
 
 def _correspondence_residual(g: Graph, theta: np.ndarray, rho_s: np.ndarray) -> float:
@@ -187,16 +203,9 @@ def _correspondence_residual(g: Graph, theta: np.ndarray, rho_s: np.ndarray) -> 
     return float(np.max(np.abs(actual - np.array(expected))))
 
 
-def verify_eigenvalue_correspondence(
-    g: Graph, subdivided: Graph | None = None
+def _correspondence_report(
+    g: Graph, theta: np.ndarray, rho_s: np.ndarray
 ) -> VerificationReport:
-    """Check that R(S) has exactly the eigenvalues +-sqrt(theta/2), padded
-    with zeros, where theta runs over the spectrum of I + R(G)."""
-    if g.m == 0:
-        raise PreconditionError("subdivision checks need at least one edge")
-    s = subdivision(g) if subdivided is None else subdivided
-    theta = _signless_values(g)
-    rho_s = symmetric_eigenvalues(randic_matrix(s))
     if len(rho_s) != g.n + g.m:
         return _report(
             "subdivision-correspondence",
@@ -212,29 +221,34 @@ def verify_eigenvalue_correspondence(
     )
 
 
+def verify_eigenvalue_correspondence(
+    g: Graph, subdivided: Graph | None = None
+) -> VerificationReport:
+    """Check that R(S) has exactly the eigenvalues +-sqrt(theta/2), padded
+    with zeros, where theta runs over the spectrum of I + R(G)."""
+    return _correspondence_report(g, *_subdivision_spectra(g, subdivided))
+
+
 def _energy_residuals(theta: np.ndarray, rho_s: np.ndarray) -> dict[str, float]:
     direct = energy_of(rho_s)
     closed = math.sqrt(2.0) * math.fsum(math.sqrt(t) for t in theta.tolist())
     return {"energy_match": abs(direct - closed)}
 
 
+def _energy_report(theta: np.ndarray, rho_s: np.ndarray) -> VerificationReport:
+    return _report(
+        "subdivision-energy",
+        ENERGY_TOL,
+        _energy_residuals(theta, rho_s),
+        values={"energy": energy_of(rho_s)},
+    )
+
+
 def verify_subdivision_energy(
     g: Graph, subdivided: Graph | None = None
 ) -> VerificationReport:
     """Check sum |rho(S)| == sqrt(2) * sum sqrt(theta) for the subdivision."""
-    if g.m == 0:
-        raise PreconditionError("subdivision checks need at least one edge")
-    s = subdivision(g) if subdivided is None else subdivided
-    theta = _signless_values(g)
-    rho_s = symmetric_eigenvalues(randic_matrix(s))
-    residuals = _energy_residuals(theta, rho_s)
-    direct = energy_of(rho_s)
-    return _report(
-        "subdivision-energy",
-        ENERGY_TOL,
-        residuals,
-        values={"energy": direct},
-    )
+    return _energy_report(*_subdivision_spectra(g, subdivided))
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +489,8 @@ def _local_residuals(
     }
 
 
-def verify_local_conditions(g: Graph, cluster_tol: float = CLUSTER_TOL) -> VerificationReport:
-    """Report form of the three-eigenvalue local conditions.
-
-    The verdict covers the degree-sum condition and the two weighted
-    common-neighborhood conditions.  The raw-count variants are surfaced in
-    ``values`` and ``detail`` only, since they fail on ordinary graphs."""
-    res = local_condition_residuals(g, cluster_tol)
+def _local_report(res: dict[str, float]) -> VerificationReport:
+    """Report over the residuals of ``_local_residuals``."""
     verdict = {
         "degree_sums": res["degree_sums"],
         "adjacent_weighted": res["adjacent_weighted"],
@@ -501,6 +510,48 @@ def verify_local_conditions(g: Graph, cluster_tol: float = CLUSTER_TOL) -> Verif
             f"{max(info.values()):.3g} at worst (informational)"
         ),
     )
+
+
+def verify_local_conditions(g: Graph, cluster_tol: float = CLUSTER_TOL) -> VerificationReport:
+    """Report form of the three-eigenvalue local conditions.
+
+    The verdict covers the degree-sum condition and the two weighted
+    common-neighborhood conditions.  The raw-count variants are surfaced in
+    ``values`` and ``detail`` only, since they fail on ordinary graphs."""
+    return _local_report(local_condition_residuals(g, cluster_tol))
+
+
+# ---------------------------------------------------------------------------
+# Every applicable check on one graph, each matrix solved once
+# ---------------------------------------------------------------------------
+
+
+def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
+    """Run every check that applies to ``g``, keyed by check name in the
+    order of SCAN_CHECKS: the three subdivision checks, the rank-one
+    identity, the classification, and the local conditions when R has
+    exactly three distinct eigenvalues.
+
+    R(G), I + R(G) and R(S(G)) are each solved once, in that order, and
+    every check reads the shared spectra; the results equal those of the
+    single-check functions.  ``g`` must be connected with every degree
+    positive.
+    """
+    rho = symmetric_eigenvalues(randic_matrix(g))
+    if not is_connected(g):
+        raise PreconditionError("the rank-one identity needs a connected graph")
+    theta, rho_s = _subdivision_spectra(g, None)
+    results: dict[str, VerificationReport | Classification] = {
+        "charpoly": _charpoly_report(g, theta, rho_s),
+        "correspondence": _correspondence_report(g, theta, rho_s),
+        "energy": _energy_report(theta, rho_s),
+        "identity": _k_distinct_identity(g, rho),
+        "classification": _classify(g, rho),
+    }
+    distinct, _ = cluster_distinct(rho, CLUSTER_TOL)
+    if len(distinct) == 3:
+        results["local"] = _local_report(_local_residuals(g, rho))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -675,11 +726,11 @@ def scan_small_graphs(
     given order (2..7) and aggregate the outcome.
 
     The enumeration walks edge-subset masks in increasing order, so results
-    are deterministic; with ``jobs`` > 1 the mask range is split into
-    contiguous chunks whose partial results merge in range order, keeping
-    the output identical to a serial run.  ``rank_energy`` additionally
-    records the graphs of smallest and largest R-energy (first such graph
-    in mask order on ties).
+    are deterministic.  ``jobs`` is capped at the CPU count; with more than
+    one job the mask range is split into contiguous chunks whose partial
+    results merge in range order, keeping the output identical to a serial
+    run.  ``rank_energy`` additionally records the graphs of smallest and
+    largest R-energy (first such graph in mask order on ties).
     """
     checks = tuple(checks)
     unknown = [c for c in checks if c not in SCAN_CHECKS]
@@ -689,6 +740,8 @@ def scan_small_graphs(
         raise ValueError("jobs must be at least 1")
     if not 2 <= order <= 7:
         raise ValueError(f"scan supports orders 2..7, got {order}")
+    # more workers than CPUs only adds processes
+    jobs = min(jobs, os.cpu_count() or 1)
     total = edge_mask_count(order)
     if jobs == 1:
         parts = [_scan_range(order, 0, total, checks, rank_energy)]
@@ -709,7 +762,7 @@ def scan_small_graphs(
         count += part["count"]
         counterexamples.extend(part["counterexamples"])
         for key, value in part["worst"].items():
-            if value > worst.get(key, 0.0):
+            if key not in worst or value > worst[key]:
                 worst[key] = value
         if part["low"] is not None:
             low = _merge_extreme(low, part["low"], lambda a, b: a < b)
@@ -748,6 +801,7 @@ __all__ = [
     "verify_subdivision_energy",
     "verify_k_distinct_identity",
     "verify_local_conditions",
+    "verify_all",
     "local_condition_residuals",
     "classify_distinct_count",
     "is_strongly_regular",

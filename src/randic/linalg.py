@@ -2,11 +2,10 @@
 
 The eigensolver is a cyclic Jacobi iteration: full matrix storage, plane
 rotations applied in row-major pair order, convergence declared when the
-off-diagonal Frobenius mass drops below ``1e-12 * max(1, ||M||_F)``.  Three
-kernels implement it: a numba-compiled one (when numba is importable), a
-numpy one for a single matrix, and a numpy one that solves a stack of
-equal-order matrices in lockstep.  The two numpy kernels apply the same
-rotations with the same arithmetic, so their eigenvalues agree bit for bit.
+off-diagonal Frobenius mass drops below ``1e-12 * max(1, ||M||_F)``.  Two
+numpy kernels implement it: one for a single matrix, and one that solves a
+stack of equal-order matrices in lockstep.  They apply the same rotations
+with the same arithmetic, so their eigenvalues agree bit for bit.
 Failure to converge within the sweep cap raises ConvergenceError rather than
 returning junk.
 """
@@ -25,17 +24,10 @@ DEFAULT_MAX_SWEEPS = 100
 CONVERGENCE_RTOL = 1e-12
 CLUSTER_TOL = 1e-7
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional; the numpy kernels run without it
-    _HAVE_NUMBA = False
-
 
 def _off_norm(a: np.ndarray) -> float:
     """sqrt(2 * sum of squared strict-upper entries), the convergence measure
-    of both numpy kernels; the stack kernel evaluates the same expression
+    of both kernels; the stack kernel evaluates the same expression
     matrix by matrix, so a matrix stops at the same sweep in either."""
     return math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
 
@@ -154,70 +146,17 @@ def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
     return all(_off_norm(m) < t for m, t in zip(work, target[live]))
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_compiled(a, max_sweeps, target):  # pragma: no cover - jitted
-        n = a.shape[0]
-        if n < 2:
-            return True
-        for _ in range(max_sweeps):
-            off = 0.0
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    off += a[p, q] * a[p, q]
-            if math.sqrt(2.0 * off) < target:
-                return True
-            skip = target / n
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    app = a[p, p]
-                    aqq = a[q, q]
-                    theta = (aqq - app) / (2.0 * apq)
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                    else:
-                        t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    tau = s / (1.0 + c)
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    for k in range(n):
-                        if k != p and k != q:
-                            akp = a[k, p]
-                            akq = a[k, q]
-                            a[k, p] = akp - s * (akq + tau * akp)
-                            a[k, q] = akq + s * (akp - tau * akq)
-                            a[p, k] = a[k, p]
-                            a[q, k] = a[k, q]
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += a[p, q] * a[p, q]
-        return math.sqrt(2.0 * off) < target
-
-
 def symmetric_eigenvalues(
-    m: np.ndarray,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    use_compiled: bool | None = None,
+    m: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
     ``m`` is one matrix of shape (n, n), or a stack of shape (B, n, n) whose
-    result has shape (B, n), one descending row per matrix.  ``use_compiled``
-    picks the kernel for one matrix: None prefers the numba build when
-    importable, True insists on it, False forces the numpy path.  A stack is
-    always solved by the lockstep numpy kernel, which applies to each matrix
-    the rotations of the single-matrix numpy kernel, so a matrix gets the
-    same eigenvalue bits in a stack as alone on the numpy path.  Raises
-    ConvergenceError if the sweep cap is exhausted.
+    result has shape (B, n), one descending row per matrix.  A stack is
+    solved by the lockstep kernel, which applies to each matrix the
+    rotations of the single-matrix kernel, so a matrix gets the same
+    eigenvalue bits in a stack as alone.  Raises ConvergenceError if the
+    sweep cap is exhausted.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -239,12 +178,7 @@ def symmetric_eigenvalues(
     if a.ndim == 3:
         converged = _jacobi_stack(work, max_sweeps, target)
     else:
-        if use_compiled is None:
-            use_compiled = _HAVE_NUMBA
-        if use_compiled and not _HAVE_NUMBA:
-            raise RuntimeError("compiled eigensolver requested but numba is unavailable")
-        runner = _jacobi_compiled if use_compiled else _jacobi_numpy
-        converged = runner(work[0], max_sweeps, float(target[0]))
+        converged = _jacobi_numpy(work[0], max_sweeps, float(target[0]))
     if not converged:
         raise ConvergenceError(
             f"Jacobi sweep cap of {max_sweeps} reached without convergence "
@@ -252,11 +186,6 @@ def symmetric_eigenvalues(
         )
     values = np.sort(np.diagonal(work, axis1=1, axis2=2), axis=1)[:, ::-1]
     return np.ascontiguousarray(values.reshape(a.shape[:-1]))
-
-
-def warm_eigensolver() -> None:
-    """Force numba compilation up front so later timings exclude it."""
-    symmetric_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def cluster_distinct(

@@ -81,10 +81,12 @@ def randic_energy(g: Graph) -> float:
 
 
 def randic_index(g: Graph) -> float:
-    """Sum of 1/sqrt(d_u d_v) over the edges, straight from degrees."""
+    """Sum of 1/sqrt(d_u d_v) over the edges, straight from degrees.
+
+    Rejects an isolated vertex, or a graph without vertices, as
+    ``randic_matrix`` does."""
+    _inverse_sqrt_degrees(g)
     deg = g.degrees
-    if g.n and min(deg, default=1) == 0 and g.m:
-        raise IsolatedVertexError("graph has an isolated vertex")
     return math.fsum(1.0 / math.sqrt(deg[u] * deg[v]) for u, v in g.edges)
 
 

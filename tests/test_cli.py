@@ -88,6 +88,58 @@ class TestVerifyCommand:
         assert code == 5
         assert "three distinct" in err
 
+    # the orders of the solved matrices, in solve order: R(G) and I + R(G)
+    # have order n, R(S(G)) has order n + m
+    @pytest.mark.parametrize(
+        "argv,orders",
+        [
+            (("gen:petersen",), [10, 10, 25]),
+            (("gen:path:10",), [10, 10, 19]),
+            (("gen:petersen", "--check", "energy"), [10, 25]),
+            (("gen:petersen", "--check", "identity"), [10]),
+        ],
+    )
+    def test_one_solve_per_matrix(self, capsys, monkeypatch, argv, orders):
+        import randic.cli as cli_module
+        import randic.identities as identities_module
+
+        solved = []
+        solve = identities_module.symmetric_eigenvalues
+
+        def counting(m, *args, **kwargs):
+            solved.append(len(m))
+            return solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(identities_module, "symmetric_eigenvalues", counting)
+        monkeypatch.setattr(cli_module, "symmetric_eigenvalues", counting)
+        code, _, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert solved == orders
+
+    @pytest.mark.parametrize(
+        "token", ["gen:petersen", "gen:path:10", "gen:star:15", "gen:cycle:12", "gen:complete:5"]
+    )
+    def test_all_rows_equal_single_check_rows(self, capsys, token):
+        code, out, _ = run(capsys, "verify", token, "--json")
+        rows = json.loads(out)["checks"]
+        assert [row["name"] for row in rows][:5] == [
+            "charpoly",
+            "correspondence",
+            "energy",
+            "identity",
+            "classification",
+        ]
+        for row in rows:
+            _, single, _ = run(capsys, "verify", token, "--check", row["name"], "--json")
+            assert json.loads(single)["checks"] == [row]
+
+    def test_charpoly_false_fail_on_cycle_36_still_shows(self, capsys):
+        # cancellation in the expanded characteristic polynomials, not a
+        # false identity; the exact-certificate work is to mend it
+        code, out, _ = run(capsys, "verify", "gen:cycle:36")
+        assert code == 1
+        assert "check charpoly FAIL" in out
+
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         import randic.cli as cli_module
         from randic.identities import VerificationReport
@@ -138,6 +190,11 @@ class TestScanCommand:
         assert payload["graph_count"] == 38
         assert payload["passed"] is True
         assert payload["lowest_energy"]["value"] == pytest.approx(2.0)
+
+    def test_zero_worst_residual_is_printed(self, capsys):
+        code, out, _ = run(capsys, "scan", "--order", "4")
+        assert code == 0
+        assert "worst classification.consistent 0" in out.splitlines()
 
     def test_order_seven_needs_opt_in(self, capsys):
         code, _, err = run(capsys, "scan", "--order", "7")

@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from randic.identities import (
     is_strongly_regular,
     local_condition_residuals,
     scan_small_graphs,
+    verify_all,
     verify_eigenvalue_correspondence,
     verify_k_distinct_identity,
     verify_local_conditions,
@@ -179,6 +181,27 @@ class TestRankOneIdentity:
             verify_k_distinct_identity(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+class TestVerifyAll:
+    @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=lambda g: encode_graph6(g))
+    def test_equals_single_checks(self, g):
+        single = {
+            "charpoly": verify_subdivision_charpoly(g),
+            "correspondence": verify_eigenvalue_correspondence(g),
+            "energy": verify_subdivision_energy(g),
+            "identity": verify_k_distinct_identity(g),
+            "classification": classify_distinct_count(g),
+        }
+        if single["classification"].distinct_count == 3:
+            single["local"] = verify_local_conditions(g)
+        results = verify_all(g)
+        assert list(results) == list(single)
+        assert results == single
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(PreconditionError):
+            verify_all(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
 class TestClassification:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_complete_graphs_have_two_values(self, n):
@@ -281,6 +304,35 @@ class TestScan:
             elif not key.endswith("consistent"):
                 assert value < 1e-8, key
 
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(randic.identities, "ProcessPoolExecutor", InlinePool)
+        serial = scan_small_graphs(4, rank_energy=True)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert scan_small_graphs(4, rank_energy=True, jobs=5000) == serial
+        assert pools and all(size <= 2 for size in pools)
+        # a cap of one takes the serial path and starts no pool
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert scan_small_graphs(4, rank_energy=True, jobs=5000) == serial
+        assert pools == []
+
     def test_parallel_matches_serial(self):
         serial = scan_small_graphs(4, rank_energy=True)
         parallel = scan_small_graphs(4, rank_energy=True, jobs=3)
@@ -324,8 +376,8 @@ def per_graph_scan(order: int):
     worst: dict[str, float] = {}
     low = high = None
     for g in enumerate_connected_graphs(order):
-        rho = symmetric_eigenvalues(randic_matrix(g), use_compiled=False)
-        rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)), use_compiled=False)
+        rho = symmetric_eigenvalues(randic_matrix(g))
+        rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)))
         outcomes, energy = _scan_one(g, SCAN_CHECKS, rho, rho_s)
         count += 1
         code = encode_graph6(g)
@@ -339,10 +391,7 @@ def per_graph_scan(order: int):
             low = (code, energy)
         if high is None or energy > high[1]:
             high = (code, energy)
-    # scan_small_graphs merges its parts with "value > worst.get(key, 0.0)",
-    # so a label whose worst value is exactly 0.0 is not reported
-    reported = {k: worst[k] for k in sorted(worst) if worst[k] > 0.0}
-    return count, tuple(counterexamples), reported, low, high
+    return count, tuple(counterexamples), {k: worst[k] for k in sorted(worst)}, low, high
 
 
 class TestBatchedScan:

@@ -1,4 +1,3 @@
-import importlib.util
 import math
 
 import numpy as np
@@ -54,32 +53,12 @@ class TestEigensolver:
         scale = max(1.0, float(np.linalg.norm(m)))
         assert np.max(np.abs(mine - oracle)) < 1e-11 * scale
 
-    @pytest.mark.parametrize(
-        "use_compiled",
-        [
-            pytest.param(
-                True,
-                marks=pytest.mark.skipif(
-                    importlib.util.find_spec("numba") is None,
-                    reason="numba not installed",
-                ),
-            ),
-            False,
-        ],
-    )
-    def test_both_kernels_agree(self, use_compiled):
+    def test_both_kernels_agree(self):
+        # the single-matrix kernel, and the stack kernel on a stack of one
         m = random_symmetric(np.random.default_rng(5), 12)
-        vals = symmetric_eigenvalues(m, use_compiled=use_compiled)
         oracle = np.linalg.eigvalsh(m)[::-1]
-        assert np.max(np.abs(vals - oracle)) < 1e-11 * float(np.linalg.norm(m))
-
-    def test_kernels_give_same_result(self):
-        pytest.importorskip("numba")
-        m = random_symmetric(np.random.default_rng(17), 15)
-        a = symmetric_eigenvalues(m, use_compiled=True)
-        b = symmetric_eigenvalues(m, use_compiled=False)
-        # identical algorithm, identical rotation sequence
-        assert np.array_equal(a, b)
+        for vals in (symmetric_eigenvalues(m), symmetric_eigenvalues(m[None])[0]):
+            assert np.max(np.abs(vals - oracle)) < 1e-11 * float(np.linalg.norm(m))
 
     def test_input_is_not_mutated(self):
         m = random_symmetric(np.random.default_rng(3), 6)
@@ -162,7 +141,7 @@ class TestRotationSequence:
         stack = np.array([random_symmetric(rng, n) for _ in range(3)])
         expected = [reference_jacobi(m)[0] for m in stack]
         for m, want in zip(stack, expected):
-            assert same_bits(symmetric_eigenvalues(m, use_compiled=False), want)
+            assert same_bits(symmetric_eigenvalues(m), want)
         got = symmetric_eigenvalues(stack)
         assert got.shape == (3, n)
         for row, want in zip(got, expected):
@@ -173,7 +152,7 @@ class TestRotationSequence:
         for n in range(3, 51):
             m = randic_matrix(subdivision(generate("star", n)))
             want, _ = reference_jacobi(m)
-            assert same_bits(symmetric_eigenvalues(m, use_compiled=False), want), n
+            assert same_bits(symmetric_eigenvalues(m), want), n
 
     def test_mixed_stack(self):
         rng = np.random.default_rng(4)

@@ -136,6 +136,10 @@ class TestEnergy:
     def test_index_rejects_isolated(self):
         with pytest.raises(IsolatedVertexError):
             randic_index(Graph.from_edges(3, [(0, 1)]))
+        with pytest.raises(IsolatedVertexError):
+            randic_index(Graph(3, ()))
+        with pytest.raises(IsolatedVertexError):
+            randic_index(Graph.from_edges(0, []))
 
 
 class TestPerron:

@@ -37,7 +37,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -229,18 +229,20 @@ def verify_eigenvalue_correspondence(
     return _correspondence_report(g, *_subdivision_spectra(g, subdivided))
 
 
-def _energy_residuals(theta: np.ndarray, rho_s: np.ndarray) -> dict[str, float]:
-    direct = energy_of(rho_s)
+def _energy_residuals(theta: np.ndarray, direct: float) -> dict[str, float]:
+    """Residual of the direct energy ``direct`` of R(S) against the closed
+    form over ``theta``."""
     closed = math.sqrt(2.0) * math.fsum(math.sqrt(t) for t in theta.tolist())
     return {"energy_match": abs(direct - closed)}
 
 
 def _energy_report(theta: np.ndarray, rho_s: np.ndarray) -> VerificationReport:
+    direct = energy_of(rho_s)
     return _report(
         "subdivision-energy",
         ENERGY_TOL,
-        _energy_residuals(theta, rho_s),
-        values={"energy": energy_of(rho_s)},
+        _energy_residuals(theta, direct),
+        values={"energy": direct},
     )
 
 
@@ -526,6 +528,47 @@ def verify_local_conditions(g: Graph, cluster_tol: float = CLUSTER_TOL) -> Verif
 # ---------------------------------------------------------------------------
 
 
+SCAN_CHECKS = (
+    "charpoly",
+    "correspondence",
+    "energy",
+    "identity",
+    "classification",
+    "local",
+)
+
+
+def _check_reports(
+    g: Graph,
+    checks: Sequence[str],
+    rho: np.ndarray,
+    theta: np.ndarray | None,
+    rho_s: np.ndarray | None,
+) -> Iterator[tuple[str, VerificationReport | Classification]]:
+    """(name, outcome) of each requested check on ``g``, in the order of
+    ``checks``, from its solved spectra: ``rho`` of R(G), ``theta`` of
+    I + R(G) and ``rho_s`` of R(S(G)); the last two may be None when no
+    subdivision check is requested.  ``local`` yields nothing unless R has
+    exactly three distinct eigenvalues."""
+    for name in checks:
+        if name == "charpoly":
+            yield name, _charpoly_report(g, theta, rho_s)
+        elif name == "correspondence":
+            yield name, _correspondence_report(g, theta, rho_s)
+        elif name == "energy":
+            yield name, _energy_report(theta, rho_s)
+        elif name == "identity":
+            yield name, _k_distinct_identity(g, rho)
+        elif name == "classification":
+            yield name, _classify(g, rho)
+        elif name == "local":
+            distinct, _ = cluster_distinct(rho, CLUSTER_TOL)
+            if len(distinct) == 3:
+                yield name, _local_report(_local_residuals(g, rho))
+        else:
+            raise ValueError(f"unknown check {name!r}")
+
+
 def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     """Run every check that applies to ``g``, keyed by check name in the
     order of SCAN_CHECKS: the three subdivision checks, the rank-one
@@ -541,17 +584,7 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
     theta, rho_s = _subdivision_spectra(g, None)
-    results: dict[str, VerificationReport | Classification] = {
-        "charpoly": _charpoly_report(g, theta, rho_s),
-        "correspondence": _correspondence_report(g, theta, rho_s),
-        "energy": _energy_report(theta, rho_s),
-        "identity": _k_distinct_identity(g, rho),
-        "classification": _classify(g, rho),
-    }
-    distinct, _ = cluster_distinct(rho, CLUSTER_TOL)
-    if len(distinct) == 3:
-        results["local"] = _local_report(_local_residuals(g, rho))
-    return results
+    return dict(_check_reports(g, SCAN_CHECKS, rho, theta, rho_s))
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +614,6 @@ class ScanSummary:
         return not self.counterexamples
 
 
-SCAN_CHECKS = (
-    "charpoly",
-    "correspondence",
-    "energy",
-    "identity",
-    "classification",
-    "local",
-)
-
-
 def _scan_one(
     g: Graph, checks: Sequence[str], rho: np.ndarray, rho_s: np.ndarray | None
 ) -> tuple[list[tuple[str, bool, dict[str, float]]], float]:
@@ -603,35 +626,12 @@ def _scan_one(
     energy = energy_of(rho)
     theta = None if rho_s is None else _clamp_small(1.0 + rho)
     outcomes: list[tuple[str, bool, dict[str, float]]] = []
-    for name in checks:
-        if name == "charpoly":
-            res = _charpoly_residuals(g, theta, rho_s)
-            outcomes.append((name, all(v < CHARPOLY_TOL for v in res.values()), res))
-        elif name == "correspondence":
-            res = {"eigenvalue_match": _correspondence_residual(g, theta, rho_s)}
-            outcomes.append((name, res["eigenvalue_match"] < CORRESPONDENCE_TOL, res))
-        elif name == "energy":
-            res = _energy_residuals(theta, rho_s)
-            outcomes.append((name, res["energy_match"] < ENERGY_TOL, res))
-        elif name == "identity":
-            report = _k_distinct_identity(g, rho)
-            outcomes.append((name, report.passed, report.residuals))
-        elif name == "classification":
-            cls = _classify(g, rho)
-            outcomes.append(
-                (name, cls.consistent, {"consistent": 0.0 if cls.consistent else 1.0})
-            )
-        elif name == "local":
-            distinct, _ = cluster_distinct(rho, CLUSTER_TOL)
-            if len(distinct) == 3:
-                res = _local_residuals(g, rho)
-                verdict = {
-                    k: res[k]
-                    for k in ("degree_sums", "adjacent_weighted", "nonadjacent_weighted")
-                }
-                outcomes.append((name, all(v < LOCAL_TOL for v in verdict.values()), verdict))
+    for name, result in _check_reports(g, checks, rho, theta, rho_s):
+        if isinstance(result, Classification):
+            consistent = result.consistent
+            outcomes.append((name, consistent, {"consistent": 0.0 if consistent else 1.0}))
         else:
-            raise ValueError(f"unknown scan check {name!r}")
+            outcomes.append((name, result.passed, result.residuals))
     return outcomes, energy
 
 

@@ -20,6 +20,7 @@ digits and no timing or environment data is printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -165,12 +166,15 @@ def require_convention(g: Graph) -> None:
         raise DisconnectedGraphError("graph is not connected")
 
 
-def _graph_header(g: Graph) -> list[str]:
-    return [f"order {g.n}", f"size {g.m}", f"graph6 {encode_graph6(g)}"]
-
-
 def _graph_payload(g: Graph) -> dict:
+    """Order, size and graph6 of ``g``; raises GraphFormatError when ``g``
+    is too large for graph6, so commands call it before any solve."""
     return {"order": g.n, "size": g.m, "graph6": encode_graph6(g)}
+
+
+def _graph_header(graph: dict) -> list[str]:
+    """Text header lines of a ``_graph_payload``."""
+    return [f"order {graph['order']}", f"size {graph['size']}", f"graph6 {graph['graph6']}"]
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +208,9 @@ def cmd_spectrum(args) -> int:
         "signless": normalized_signless_laplacian,
     }
     names = list(builders) if args.matrix == "all" else [args.matrix]
-    lines = _graph_header(g)
-    payload: dict = {"graph": _graph_payload(g), "spectra": {}}
+    graph = _graph_payload(g)
+    lines = _graph_header(graph)
+    payload: dict = {"graph": graph, "spectra": {}}
     for name in names:
         block, data = _spectrum_block(name, builders[name](g))
         lines.extend(block)
@@ -220,19 +225,20 @@ def cmd_spectrum(args) -> int:
 def cmd_energy(args) -> int:
     g = load_graph(args.graph, args.format)
     require_convention(g)
+    graph = _graph_payload(g)
     energy = randic_energy(g)
     index = randic_index(g)
     if args.json:
         emit_json(
             {
                 "command": "energy",
-                "graph": _graph_payload(g),
+                "graph": graph,
                 "randic_energy": energy,
                 "randic_index": index,
             }
         )
     else:
-        lines = _graph_header(g)
+        lines = _graph_header(graph)
         lines.append(f"randic_energy {fmt(energy)}")
         lines.append(f"randic_index {fmt(index)}")
         print("\n".join(lines))
@@ -278,6 +284,7 @@ def _verify_row(name: str, result) -> dict:
 def cmd_verify(args) -> int:
     g = load_graph(args.graph, args.format)
     require_convention(g)
+    graph = _graph_payload(g)
     if args.check == "all":
         results = verify_all(g)
     else:
@@ -288,13 +295,13 @@ def cmd_verify(args) -> int:
         emit_json(
             {
                 "command": "verify",
-                "graph": _graph_payload(g),
+                "graph": graph,
                 "checks": rows,
                 "passed": all_passed,
             }
         )
     else:
-        lines = _graph_header(g)
+        lines = _graph_header(graph)
         for row in rows:
             lines.append(f"check {row['name']} {'PASS' if row['passed'] else 'FAIL'}")
             for key in sorted(row["residuals"]):
@@ -408,7 +415,9 @@ def _add_graph_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``randic`` parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="randic",
         description="Spectra and verified identities of the degree-normalized "

@@ -273,31 +273,6 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def common_neighbor_stats(g: Graph, i: int, j: int) -> tuple[int, float]:
-    """Common-neighbor count of i and j plus the reciprocal-degree sum over
-    that common neighborhood."""
-    if i == j:
-        raise ValueError("common neighbors are defined for distinct vertices")
-    common = g.neighbors(i) & g.neighbors(j)
-    weighted = sum(1.0 / g.degrees[k] for k in common)
-    return len(common), weighted
-
-
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """n x m vertex-edge incidence matrix over the canonical edge order.
-
-    Each column has exactly two 1-entries, at the endpoints of its edge, so
-    B @ B.T equals D + A entrywise in integer arithmetic.
-    """
-    if g.m == 0:
-        raise ValueError("incidence matrix needs at least one edge")
-    b = np.zeros((g.n, g.m), dtype=np.int64)
-    for col, (u, v) in enumerate(g.edges):
-        b[u, col] = 1
-        b[v, col] = 1
-    return b
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of small connected graphs
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -635,14 +635,6 @@ def _scan_one(
     return outcomes, energy
 
 
-def _merge_extreme(
-    current: tuple[str, float] | None, candidate: tuple[str, float], better: Callable
-) -> tuple[str, float]:
-    if current is None or better(candidate[1], current[1]):
-        return candidate
-    return current
-
-
 def _scan_spectra(
     order: int, edge_sets: list[tuple[tuple[int, int], ...]], subdivided: bool
 ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
@@ -672,48 +664,74 @@ def _scan_spectra(
     return rhos, rho_ss
 
 
-def _scan_range(
-    order: int, start: int, stop: int, checks: tuple[str, ...], rank_energy: bool
-) -> dict:
-    """Scan the masks in [start, stop): graphs are taken in mask order, in
-    chunks of SCAN_CHUNK, and each chunk's spectra are solved as stacks
-    before the per-graph checks run on them."""
-    need_subdivision = any(c in checks for c in ("charpoly", "correspondence", "energy"))
-    masks = _connected_masks(order, start, stop)
+def _merge(
+    order: int, checks: tuple[str, ...], parts: Iterable[ScanSummary]
+) -> ScanSummary:
+    """Fold the summaries of consecutive mask ranges, taken in mask order,
+    into one: graph counts add, counterexamples keep mask order, each worst
+    residual is the largest seen (a worst of exactly 0 is kept), and the
+    lowest and highest energy go to the first graph in mask order on ties."""
     count = 0
     counterexamples: list[Counterexample] = []
     worst: dict[str, float] = {}
     low = high = None
-    while True:
-        edge_sets = [edges for _, edges in islice(masks, SCAN_CHUNK)]
-        if not edge_sets:
-            break
-        rhos, rho_ss = _scan_spectra(order, edge_sets, need_subdivision)
-        for edges, rho, rho_s in zip(edge_sets, rhos, rho_ss):
-            g = Graph(order, edges)
-            outcomes, energy = _scan_one(g, checks, rho, rho_s)
-            count += 1
-            code = None
-            for name, passed, residuals in outcomes:
-                for key, value in residuals.items():
-                    label = f"{name}.{key}"
-                    if label not in worst or value > worst[label]:
-                        worst[label] = value
-                if not passed:
-                    if code is None:
-                        code = encode_graph6(g)
-                    counterexamples.append(Counterexample(code, name, dict(residuals)))
-            if rank_energy:
-                code = code or encode_graph6(g)
-                low = _merge_extreme(low, (code, energy), lambda a, b: a < b)
-                high = _merge_extreme(high, (code, energy), lambda a, b: a > b)
-    return {
-        "count": count,
-        "counterexamples": counterexamples,
-        "worst": worst,
-        "low": low,
-        "high": high,
-    }
+    for part in parts:
+        count += part.graph_count
+        counterexamples.extend(part.counterexamples)
+        for key, value in part.worst_residuals.items():
+            if key not in worst or value > worst[key]:
+                worst[key] = value
+        if part.lowest_energy is not None and (low is None or part.lowest_energy[1] < low[1]):
+            low = part.lowest_energy
+        if part.highest_energy is not None and (high is None or part.highest_energy[1] > high[1]):
+            high = part.highest_energy
+    return ScanSummary(
+        order=order,
+        checks=checks,
+        graph_count=count,
+        counterexamples=tuple(counterexamples),
+        worst_residuals={k: worst[k] for k in sorted(worst)},
+        lowest_energy=low,
+        highest_energy=high,
+    )
+
+
+def _scan_range(
+    order: int, start: int, stop: int, checks: tuple[str, ...], rank_energy: bool
+) -> ScanSummary:
+    """Scan the masks in [start, stop): graphs are taken in mask order, in
+    chunks of SCAN_CHUNK, and each chunk's spectra are solved as stacks
+    before the per-graph checks run on them.  Each graph becomes a summary
+    of one graph, and ``_merge`` folds those in mask order."""
+    need_subdivision = any(c in checks for c in ("charpoly", "correspondence", "energy"))
+    masks = _connected_masks(order, start, stop)
+
+    def graph_summaries() -> Iterator[ScanSummary]:
+        while edge_sets := [edges for _, edges in islice(masks, SCAN_CHUNK)]:
+            rhos, rho_ss = _scan_spectra(order, edge_sets, need_subdivision)
+            for edges, rho, rho_s in zip(edge_sets, rhos, rho_ss):
+                g = Graph(order, edges)
+                outcomes, energy = _scan_one(g, checks, rho, rho_s)
+                failed = [(name, res) for name, passed, res in outcomes if not passed]
+                code = encode_graph6(g) if failed or rank_energy else None
+                extreme = (code, energy) if rank_energy else None
+                yield ScanSummary(
+                    order=order,
+                    checks=checks,
+                    graph_count=1,
+                    counterexamples=tuple(
+                        Counterexample(code, name, dict(res)) for name, res in failed
+                    ),
+                    worst_residuals={
+                        f"{name}.{key}": value
+                        for name, _, res in outcomes
+                        for key, value in res.items()
+                    },
+                    lowest_energy=extreme,
+                    highest_energy=extreme,
+                )
+
+    return _merge(order, checks, graph_summaries())
 
 
 def scan_small_graphs(
@@ -727,10 +745,10 @@ def scan_small_graphs(
 
     The enumeration walks edge-subset masks in increasing order, so results
     are deterministic.  ``jobs`` is capped at the CPU count; with more than
-    one job the mask range is split into contiguous chunks whose partial
-    results merge in range order, keeping the output identical to a serial
-    run.  ``rank_energy`` additionally records the graphs of smallest and
-    largest R-energy (first such graph in mask order on ties).
+    one job the mask range is split into contiguous chunks whose summaries
+    ``_merge`` folds in range order, keeping the output identical to a
+    serial run.  ``rank_energy`` additionally records the graphs of smallest
+    and largest R-energy (first such graph in mask order on ties).
     """
     checks = tuple(checks)
     unknown = [c for c in checks if c not in SCAN_CHECKS]
@@ -744,42 +762,18 @@ def scan_small_graphs(
     jobs = min(jobs, os.cpu_count() or 1)
     total = edge_mask_count(order)
     if jobs == 1:
-        parts = [_scan_range(order, 0, total, checks, rank_energy)]
-    else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        spans = [
-            (order, bounds[i], bounds[i + 1], checks, rank_energy)
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(pool.map(_scan_range_star, spans))
-    count = 0
-    counterexamples: list[Counterexample] = []
-    worst: dict[str, float] = {}
-    low = high = None
-    for part in parts:
-        count += part["count"]
-        counterexamples.extend(part["counterexamples"])
-        for key, value in part["worst"].items():
-            if key not in worst or value > worst[key]:
-                worst[key] = value
-        if part["low"] is not None:
-            low = _merge_extreme(low, part["low"], lambda a, b: a < b)
-        if part["high"] is not None:
-            high = _merge_extreme(high, part["high"], lambda a, b: a > b)
-    return ScanSummary(
-        order=order,
-        checks=checks,
-        graph_count=count,
-        counterexamples=tuple(counterexamples),
-        worst_residuals={k: worst[k] for k in sorted(worst)},
-        lowest_energy=low,
-        highest_energy=high,
-    )
+        return _scan_range(order, 0, total, checks, rank_energy)
+    bounds = [total * i // jobs for i in range(jobs + 1)]
+    spans = [
+        (order, bounds[i], bounds[i + 1], checks, rank_energy)
+        for i in range(jobs)
+        if bounds[i] < bounds[i + 1]
+    ]
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        return _merge(order, checks, pool.map(_scan_range_star, spans))
 
 
-def _scan_range_star(args: tuple) -> dict:
+def _scan_range_star(args: tuple) -> ScanSummary:
     return _scan_range(*args)
 
 

@@ -10,7 +10,6 @@ at matrix construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,30 +43,8 @@ def normalized_signless_laplacian(g: Graph) -> np.ndarray:
     return np.eye(g.n) + randic_matrix(g)
 
 
-@dataclass(frozen=True)
-class GraphSpectra:
-    """Spectra of R, I - R and I + R, each solved independently.
-
-    Solving all three from scratch (instead of deriving two from one) keeps
-    a consistency check available: the value lists must match under
-    mu = 1 - rho and theta = 1 + rho up to solver noise.
-    """
-
-    randic: Spectrum
-    laplacian: Spectrum
-    signless: Spectrum
-
-
 def randic_spectrum(g: Graph, tol: float = CLUSTER_TOL) -> Spectrum:
     return eigenvalues(randic_matrix(g), tol)
-
-
-def spectra(g: Graph, tol: float = CLUSTER_TOL) -> GraphSpectra:
-    return GraphSpectra(
-        randic=eigenvalues(randic_matrix(g), tol),
-        laplacian=eigenvalues(normalized_laplacian(g), tol),
-        signless=eigenvalues(normalized_signless_laplacian(g), tol),
-    )
 
 
 def energy_of(values) -> float:
@@ -105,36 +82,3 @@ def perron_residual(g: Graph) -> float:
     """max |R x - x| for the degree square-root vector x."""
     x = perron_vector(g)
     return float(np.max(np.abs(randic_matrix(g) @ x - x)))
-
-
-def relation_residuals(gs: GraphSpectra) -> dict[str, float]:
-    """Worst mismatch of the eigenvalue correspondences between the three
-    independently solved spectra.
-
-    The multiset identities are mu = 1 - rho and theta = 1 + rho, checked
-    after sorting both sides.
-    """
-    rho = np.array(gs.randic.values)
-    mu = np.sort(np.array(gs.laplacian.values))
-    theta = np.sort(np.array(gs.signless.values))
-    return {
-        "laplacian": float(np.max(np.abs(mu - np.sort(1.0 - rho)))),
-        "signless": float(np.max(np.abs(theta - np.sort(1.0 + rho)))),
-    }
-
-
-def bounds_residuals(gs: GraphSpectra) -> dict[str, float]:
-    """How far each spectrum leaks outside its interval: rho within
-    [-1, 1], mu and theta within [0, 2].  Zero means fully inside."""
-
-    def leak(values, low, high):
-        worst = 0.0
-        for v in values:
-            worst = max(worst, low - v, v - high)
-        return max(0.0, worst)
-
-    return {
-        "randic": leak(gs.randic.values, -1.0, 1.0),
-        "laplacian": leak(gs.laplacian.values, 0.0, 2.0),
-        "signless": leak(gs.signless.values, 0.0, 2.0),
-    }

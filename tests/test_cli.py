@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -168,6 +169,37 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "gen:path:4", "--check", "charpoly")
         assert code == 4
         assert "sweep cap" in err
+
+
+class TestRequestCost:
+    def test_repeated_requests_leave_little_garbage(self, capsys):
+        # a parser built per request leaves its reference cycles behind;
+        # the first request builds the shared one
+        assert main(["verify", "gen:petersen", "--json"]) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                assert main(["verify", "gen:petersen", "--json"]) == 0
+            left = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert left < 50
+
+    @pytest.mark.parametrize("command", ["verify", "energy"])
+    def test_graph6_limit_checked_before_any_solve(self, capsys, monkeypatch, command):
+        import randic.cli as cli_module
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a graph that graph6 cannot encode")
+
+        monkeypatch.setattr(cli_module, "verify_all", no_solve)
+        monkeypatch.setattr(cli_module, "randic_energy", no_solve)
+        code, out, err = run(capsys, command, "gen:path:63")
+        assert code == 2
+        assert out == ""
+        assert "graph6" in err
 
 
 class TestScanCommand:

@@ -14,9 +14,7 @@ from randic.graphs import (
     enumerate_connected_graphs,
     format_edge_list,
     generate,
-    incidence_matrix,
     is_connected,
-    common_neighbor_stats,
     parse_edge_list,
     parse_graph6,
     subdivision,
@@ -264,26 +262,3 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_connected_graphs(n))
 
-
-class TestStructuralHelpers:
-    def test_incidence_product_is_degree_plus_adjacency(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(2, 10), 0.6)
-            if g.m == 0:
-                continue
-            b = incidence_matrix(g)
-            expected = np.diag(np.array(g.degrees)) + g.adjacency
-            assert np.array_equal(b @ b.T, expected)
-
-    def test_incidence_needs_an_edge(self):
-        with pytest.raises(ValueError):
-            incidence_matrix(Graph.from_edges(3, []))
-
-    def test_common_neighbor_stats(self):
-        g = generate("complete", 4)
-        count, weighted = common_neighbor_stats(g, 0, 1)
-        assert count == 2
-        assert weighted == pytest.approx(2 / 3)
-        with pytest.raises(ValueError):
-            common_neighbor_stats(g, 2, 2)

@@ -22,6 +22,8 @@ from randic.identities import (
     LOCAL_TOL,
     SCAN_CHECKS,
     Counterexample,
+    ScanSummary,
+    _merge,
     _scan_one,
     classify_distinct_count,
     is_strongly_regular,
@@ -286,6 +288,29 @@ class TestLocalConditions:
             verify_local_conditions(generate("path", 4))
 
 
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace the scan's process pool with one that maps in this process;
+    returns the list of the sizes of the pools opened."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(randic.identities, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
 class TestScan:
     def test_order_three(self):
         summary = scan_small_graphs(3)
@@ -304,34 +329,55 @@ class TestScan:
             elif not key.endswith("consistent"):
                 assert value < 1e-8, key
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            """Records its size and maps in this process."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(randic.identities, "ProcessPoolExecutor", InlinePool)
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, inline_pools):
         serial = scan_small_graphs(4, rank_energy=True)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert scan_small_graphs(4, rank_energy=True, jobs=5000) == serial
-        assert pools and all(size <= 2 for size in pools)
+        assert inline_pools and all(size <= 2 for size in inline_pools)
         # a cap of one takes the serial path and starts no pool
-        pools.clear()
+        inline_pools.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert scan_small_graphs(4, rank_energy=True, jobs=5000) == serial
-        assert pools == []
+        assert inline_pools == []
+
+    def test_parts_without_graphs_merge_like_a_serial_run(self, monkeypatch, inline_pools):
+        parts = []
+        scan_part = randic.identities._scan_range_star
+
+        def recorded(args):
+            parts.append(scan_part(args))
+            return parts[-1]
+
+        monkeypatch.setattr(randic.identities, "_scan_range_star", recorded)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for order in (2, 3, 4):
+            serial = scan_small_graphs(order, rank_energy=True)
+            for jobs in range(2, 9):
+                assert scan_small_graphs(order, rank_energy=True, jobs=jobs) == serial
+        empty = [part for part in parts if part.graph_count == 0]
+        assert empty
+        assert all(p.lowest_energy is None and p.highest_energy is None for p in empty)
+
+    def test_merge_rules(self):
+        def part(count, found, worst, low=None, high=None):
+            return ScanSummary(4, ("energy",), count, tuple(found), worst, low, high)
+
+        a = Counterexample("A", "energy", {"energy_match": 1.0})
+        b = Counterexample("B", "energy", {"energy_match": 2.0})
+        merged = _merge(
+            4,
+            ("energy",),
+            [
+                part(0, [], {}),
+                part(2, [b], {"z.max": 0.0, "a.zero": 0.0}, ("B", 2.0), ("B", 2.5)),
+                part(1, [a], {"z.max": 0.5, "a.zero": 0.0}, ("A", 1.5), ("A", 3.0)),
+                part(1, [], {"z.max": 0.25}, ("C", 1.5), ("C", 3.0)),
+            ],
+        )
+        # counts add, counterexamples keep part order, zero worsts are kept
+        # and keys come out sorted, energy ties go to the earlier part
+        assert merged == part(4, [b, a], {"a.zero": 0.0, "z.max": 0.5}, ("A", 1.5), ("A", 3.0))
+        assert list(merged.worst_residuals) == ["a.zero", "z.max"]
 
     def test_parallel_matches_serial(self):
         serial = scan_small_graphs(4, rank_energy=True)

@@ -10,7 +10,6 @@ from randic.errors import IsolatedVertexError
 from randic.graphs import Graph, generate, is_connected
 from randic.linalg import symmetric_eigenvalues
 from randic.spectra import (
-    bounds_residuals,
     energy_of,
     normalized_laplacian,
     normalized_signless_laplacian,
@@ -20,8 +19,6 @@ from randic.spectra import (
     randic_index,
     randic_matrix,
     randic_spectrum,
-    relation_residuals,
-    spectra,
 )
 
 
@@ -84,22 +81,37 @@ class TestSpectra:
         s = randic_spectrum(generate("path", 4))
         assert np.allclose(s.values, [1.0, 0.5, -0.5, -1.0], atol=1e-12)
 
+    @staticmethod
+    def three_spectra(g):
+        """Spectra of R, I - R and I + R, each solved on its own matrix."""
+        return (
+            symmetric_eigenvalues(randic_matrix(g)),
+            symmetric_eigenvalues(normalized_laplacian(g)),
+            symmetric_eigenvalues(normalized_signless_laplacian(g)),
+        )
+
     def test_relations_between_the_three_spectra(self):
+        # mu = 1 - rho and theta = 1 + rho as multisets
         rng = random.Random(31)
         for _ in range(15):
             g = random_connected(rng, rng.randint(2, 12))
-            res = relation_residuals(spectra(g))
-            assert res["laplacian"] < 1e-12
-            assert res["signless"] < 1e-12
+            rho, mu, theta = self.three_spectra(g)
+            assert np.max(np.abs(np.sort(mu) - np.sort(1.0 - rho))) < 1e-12
+            assert np.max(np.abs(np.sort(theta) - np.sort(1.0 + rho))) < 1e-12
 
     def test_bounds(self):
+        # how far each spectrum leaks outside its interval: rho within
+        # [-1, 1], mu and theta within [0, 2]
+        def leak(values, low, high):
+            return max(0.0, float(np.max(low - values)), float(np.max(values - high)))
+
         rng = random.Random(37)
         for _ in range(15):
             g = random_connected(rng, rng.randint(2, 12))
-            res = bounds_residuals(spectra(g))
-            assert res["randic"] < 1e-12
-            assert res["laplacian"] < 1e-12
-            assert res["signless"] < 1e-12
+            rho, mu, theta = self.three_spectra(g)
+            assert leak(rho, -1.0, 1.0) < 1e-12
+            assert leak(mu, 0.0, 2.0) < 1e-12
+            assert leak(theta, 0.0, 2.0) < 1e-12
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)

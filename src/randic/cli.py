@@ -146,7 +146,12 @@ def load_graph(token: str, fmt_name: str = "auto") -> Graph:
     if token.startswith("gen:"):
         return _generate_from_token(token)
     path = Path(token)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:
+        # e.g. a graph6 literal of order 56..62 is longer than a file name may be
+        is_file = False
+    if is_file:
         try:
             text = path.read_text()
         except OSError as exc:

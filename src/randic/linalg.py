@@ -1,12 +1,23 @@
 """Dense symmetric eigensolver and small polynomial utilities.
 
 The eigensolver is a cyclic Jacobi iteration: full matrix storage, plane
-rotations applied in row-major pair order, convergence declared when the
-off-diagonal Frobenius mass drops below ``1e-12 * max(1, ||M||_F)``.  Two
-numpy kernels implement it: one for a single matrix, and one that solves a
-stack of equal-order matrices in lockstep.  They apply the same rotations
-with the same arithmetic, so their eigenvalues agree bit for bit.
-Failure to converge within the sweep cap raises ConvergenceError rather than
+rotations, convergence declared when the off-diagonal Frobenius mass drops
+below ``1e-12 * max(1, ||M||_F)``.  The order in which a sweep visits the
+pairs is chosen by the matrix order n:
+
+* row-major pair order outside ``ROUND_ROBIN_ORDERS``, by two numpy kernels:
+  one for a single matrix, and one that solves a stack of equal-order
+  matrices in lockstep.  They apply the same rotations with the same
+  arithmetic, so their eigenvalues agree bit for bit;
+* the round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
+  1985) for n inside the band, one matrix at a time.  Its rounds of disjoint
+  pairs are applied one round per set of numpy calls, where row-major order
+  needs one set per rotation.  It converges more slowly on highly degenerate
+  spectra, which is where the band ends.
+
+Both orderings share the skip rule, the target and the sweep cap, and a
+matrix gets the same bits alone or in a stack.  Failure to converge within
+the sweep cap raises ConvergenceError, naming the ordering, rather than
 returning junk.
 """
 
@@ -23,11 +34,16 @@ from .errors import ConvergenceError
 DEFAULT_MAX_SWEEPS = 100
 CONVERGENCE_RTOL = 1e-12
 CLUSTER_TOL = 1e-7
+# matrix orders solved in round-robin order, set from per-order timings of
+# both orderings (CHANGES.md): below 32 row-major order is about as fast, and
+# above 128 complete-graph subdivisions, whose spectra are highly degenerate,
+# take round-robin order twice the sweeps and run slower
+ROUND_ROBIN_ORDERS = (32, 128)
 
 
 def _off_norm(a: np.ndarray) -> float:
     """sqrt(2 * sum of squared strict-upper entries), the convergence measure
-    of both kernels; the stack kernel evaluates the same expression
+    of every kernel; the stack kernel evaluates the same expression
     matrix by matrix, so a matrix stops at the same sweep in either."""
     return math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
 
@@ -146,15 +162,110 @@ def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
     return all(_off_norm(m) < t for m, t in zip(work, target[live]))
 
 
+def _rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows i and k + i of ``x`` (2k rows) rotated by column vectors c and s:
+    c x_i - s x_(k+i) and s x_i + c x_(k+i)."""
+    k = c.shape[0]
+    out = np.empty_like(x)
+    np.multiply(c, x[:k], out=out[:k])
+    out[:k] -= s * x[k:]
+    np.multiply(c, x[k:], out=out[k:])
+    out[k:] += s * x[:k]
+    return out
+
+
+def _round_robin_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Round-robin pairs of one sweep over order n >= 2, as arrays p < q of
+    shape (m - 1, n // 2), one row per round, m being n rounded up to even.
+
+    Circle method: slot m - 1 stays put and the other slots turn one place
+    per round, so every pair meets once and each round's pairs are disjoint.
+    For odd n slot m - 1 is padding, and its pairs are left out.
+    """
+    m = n + (n & 1)
+    # in round r slot r + i meets slot r - i (mod m - 1), i = 1 .. m/2 - 1,
+    # and slot r meets slot m - 1
+    rounds = np.arange(m - 1)[:, None]
+    step = np.arange(1, m // 2)
+    up = (rounds + step) % (m - 1)
+    down = (rounds - step) % (m - 1)
+    ps, qs = np.minimum(up, down), np.maximum(up, down)
+    if m == n:
+        ps = np.hstack((ps, rounds))
+        qs = np.hstack((qs, np.full_like(rounds, n - 1)))
+    return ps, qs
+
+
+def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
+    """Single-matrix kernel in round-robin order; mutates ``a`` toward
+    diagonal form.
+
+    A sweep runs the rounds of ``_round_robin_schedule``.  Disjoint
+    rotations commute, so a round rotates all its pairs above the skip
+    threshold at once: their rows are gathered, rotated, and written back as
+    rows and, ``a`` being exactly symmetric, as columns.  The schedule is
+    derived per call, not cached: it is small beside one sweep.
+    """
+    n = a.shape[0]
+    if n < 2:
+        return True
+    ps, qs = _round_robin_schedule(n)
+    skip = target / n
+    lower = np.tri(n, k=-1, dtype=bool)
+    diag = a.diagonal()  # a read-only view: it follows the rotations
+    for _ in range(max_sweeps):
+        if _off_norm(a) < target:
+            return True
+        for p, q in zip(ps, qs):
+            apq = a[p, q]
+            # a NaN entry is not small, so it is rotated, as in the row-major
+            # kernels
+            small = np.abs(apq) <= skip
+            if small.any():
+                if small.all():
+                    continue
+                hit = ~small
+                p, q, apq = p[hit], q[hit], apq[hit]
+            k = p.size
+            app = diag[p]
+            aqq = diag[q]
+            # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with
+            # theta = (aqq - app) / (2 apq), multiplied through by 2 apq
+            d = aqq - app
+            twice = 2.0 * apq
+            t = twice / (d + np.copysign(np.hypot(d, twice), d))
+            c = 1.0 / np.hypot(t, 1.0)
+            c_col = c[:, None]
+            s_col = (t * c)[:, None]
+            idx = np.concatenate((p, q))
+            rows = _rotate_pairs(a[idx], c_col, s_col)
+            # the block of the pairs' own columns still needs its column
+            # rotation; rotating the rows of its transpose does that on
+            # contiguous halves
+            block = _rotate_pairs(rows.T[idx], c_col, s_col)
+            shift = t * apq
+            np.fill_diagonal(block, np.concatenate((app - shift, aqq + shift)))
+            np.fill_diagonal(block[:k, k:], 0.0)
+            # the two products round differently; mirroring the upper
+            # triangle keeps ``a`` exactly symmetric
+            np.copyto(block, block.T, where=lower[: 2 * k, : 2 * k])
+            rows[:, idx] = block
+            a[idx] = rows
+            a[:, idx] = rows.T
+    return _off_norm(a) < target
+
+
 def symmetric_eigenvalues(
     m: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
     ``m`` is one matrix of shape (n, n), or a stack of shape (B, n, n) whose
-    result has shape (B, n), one descending row per matrix.  A stack is
-    solved by the lockstep kernel, which applies to each matrix the
-    rotations of the single-matrix kernel, so a matrix gets the same
+    result has shape (B, n), one descending row per matrix.  For n inside
+    ``ROUND_ROBIN_ORDERS`` each matrix, alone or in a stack, is solved by
+    the round-robin kernel.  Otherwise one matrix is solved by the row-major
+    kernel and a stack by the lockstep kernel, which applies to each matrix
+    the rotations of the row-major kernel.  Either way a matrix gets the same
     eigenvalue bits in a stack as alone.  Raises ConvergenceError if the
     sweep cap is exhausted.
     """
@@ -175,14 +286,21 @@ def symmetric_eigenvalues(
             raise ValueError(f"matrix is not symmetric (max asymmetry {worst:.3e})")
     work = np.ascontiguousarray(0.5 * (stack + stack.swapaxes(1, 2)))
     target = CONVERGENCE_RTOL * np.maximum(1.0, scale)
-    if a.ndim == 3:
+    n = a.shape[-1]
+    round_robin = ROUND_ROBIN_ORDERS[0] <= n <= ROUND_ROBIN_ORDERS[1]
+    if round_robin:
+        converged = all(
+            _jacobi_round_robin(w, max_sweeps, float(t)) for w, t in zip(work, target)
+        )
+    elif a.ndim == 3:
         converged = _jacobi_stack(work, max_sweeps, target)
     else:
         converged = _jacobi_numpy(work[0], max_sweeps, float(target[0]))
     if not converged:
+        ordering = "round-robin" if round_robin else "row-major"
         raise ConvergenceError(
             f"Jacobi sweep cap of {max_sweeps} reached without convergence "
-            f"(order {a.shape[-1]})"
+            f"({ordering} ordering, order {n})"
         )
     values = np.sort(np.diagonal(work, axis1=1, axis2=2), axis=1)[:, ::-1]
     return np.ascontiguousarray(values.reshape(a.shape[:-1]))

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from randic.cli import main
+from randic.cli import load_graph, main
 from randic.errors import ConvergenceError
+from randic.graphs import encode_graph6
 
 
 def run(capsys, *argv):
@@ -302,6 +303,14 @@ class TestInputResolution:
         code, out, _ = run(capsys, "energy", "3 0 1 1 2 0 2")
         assert code == 0
         assert "graph6 Bw" in out
+
+    @pytest.mark.parametrize("command", ["energy", "spectrum"])
+    @pytest.mark.parametrize("token", ["gen:path:62", "gen:star:56"])
+    def test_long_graph6_literal(self, capsys, command, token):
+        # over 255 characters, so probing it as a file name raises OSError
+        literal = encode_graph6(load_graph(token))
+        assert len(literal) > 255
+        assert run(capsys, command, literal) == run(capsys, command, token)
 
     @pytest.mark.parametrize(
         "token",

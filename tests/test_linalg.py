@@ -2,23 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randic.errors import ConvergenceError
 from randic.graphs import generate, subdivision
 from randic.linalg import (
+    ROUND_ROBIN_ORDERS,
     Polynomial,
     Spectrum,
     charpoly_from_eigenvalues,
     cluster_distinct,
     coefficient_residual,
     eigenvalues,
+    _jacobi_numpy,
+    _jacobi_round_robin,
+    _round_robin_schedule,
     product_over_roots,
     substitute_quadratic,
     symmetric_eigenvalues,
 )
 from randic.spectra import randic_matrix
+
+T_LO, T_HI = ROUND_ROBIN_ORDERS
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -53,6 +59,34 @@ class TestEigensolver:
         scale = max(1.0, float(np.linalg.norm(m)))
         assert np.max(np.abs(mine - oracle)) < 1e-11 * scale
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=T_LO, max_value=T_HI),
+    )
+    @example(seed=0, n=T_LO)
+    @example(seed=1, n=T_LO + 1)
+    @example(seed=2, n=T_HI - 1)
+    @example(seed=3, n=T_HI)
+    @settings(max_examples=12, deadline=None)
+    def test_round_robin_matches_lapack_oracle(self, seed, n):
+        m = random_symmetric(np.random.default_rng(seed), n)
+        mine = symmetric_eigenvalues(m)
+        oracle = np.linalg.eigvalsh(m)[::-1]
+        scale = max(1.0, float(np.linalg.norm(m)))
+        assert np.max(np.abs(mine - oracle)) < 1e-11 * scale
+
+    @pytest.mark.parametrize(
+        "kind,orders",
+        [("star", range(3, 51)), ("path", range(2, 63, 3)), ("cycle", [*range(3, 61, 3), 62])],
+    )
+    def test_subdivisions_match_lapack_oracle(self, kind, orders):
+        # N = n + m runs through both orderings, both parities and up to 124
+        for n in orders:
+            m = randic_matrix(subdivision(generate(kind, n)))
+            oracle = np.linalg.eigvalsh(m)[::-1]
+            scale = max(1.0, float(np.linalg.norm(m)))
+            assert np.max(np.abs(symmetric_eigenvalues(m) - oracle)) < 1e-11 * scale, n
+
     def test_both_kernels_agree(self):
         # the single-matrix kernel, and the stack kernel on a stack of one
         m = random_symmetric(np.random.default_rng(5), 12)
@@ -67,9 +101,39 @@ class TestEigensolver:
         assert np.array_equal(m, before)
 
     def test_sweep_cap_raises(self):
-        m = random_symmetric(np.random.default_rng(8), 10)
-        with pytest.raises(ConvergenceError):
-            symmetric_eigenvalues(m, max_sweeps=0)
+        # the message names the ordering that ran out of sweeps, in the band
+        # and outside it, for one matrix and for a stack
+        rng = np.random.default_rng(8)
+        for n, ordering in [(10, "row-major"), (T_LO, "round-robin"), (T_HI + 1, "row-major")]:
+            m = random_symmetric(rng, n)
+            for arg in (m, np.array([m, random_symmetric(rng, n)])):
+                with pytest.raises(ConvergenceError, match=f"{ordering} ordering, order {n}"):
+                    symmetric_eigenvalues(arg, max_sweeps=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, T_LO, T_LO + 1, T_HI])
+    def test_round_robin_schedule(self, n):
+        ps, qs = _round_robin_schedule(n)
+        assert ps.shape == qs.shape == (n - 1 + n % 2, n // 2)
+        assert np.all(ps < qs) and np.all(qs < n)
+        for row in np.hstack((ps, qs)):
+            assert len(set(row.tolist())) == row.size  # a round's pairs are disjoint
+        pairs = {(int(p), int(q)) for p, q in zip(ps.ravel(), qs.ravel())}
+        assert len(pairs) == ps.size == n * (n - 1) // 2
+
+    def test_round_robin_keeps_symmetry(self):
+        a = random_symmetric(np.random.default_rng(9), T_LO + 1)
+        target = 1e-12 * float(np.linalg.norm(a))
+        assert not _jacobi_round_robin(a, 1, target)
+        assert same_bits(a, a.T.copy())
+
+    @pytest.mark.parametrize("n", [T_LO, T_LO + 1, T_HI])
+    def test_diagonal_input_returns_at_once(self, n):
+        m = np.diag(np.arange(n, dtype=np.float64))
+        before = m.copy()
+        vals = symmetric_eigenvalues(m, max_sweeps=0)
+        assert same_bits(vals, np.arange(n, dtype=np.float64)[::-1])
+        assert same_bits(m, before)
+
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -148,11 +212,25 @@ class TestRotationSequence:
             assert same_bits(row, want)
 
     def test_star_subdivisions(self):
-        # the acceptance-01 matrices, N = 5..99
+        # the acceptance-01 matrices, N = 5..99: the row-major kernel itself
+        # for all of them, and symmetric_eigenvalues below the round-robin band
         for n in range(3, 51):
             m = randic_matrix(subdivision(generate("star", n)))
             want, _ = reference_jacobi(m)
-            assert same_bits(symmetric_eigenvalues(m), want), n
+            a = m.copy()
+            target = 1e-12 * max(1.0, float(np.linalg.norm(m)))
+            assert _jacobi_numpy(a, 100, target)
+            assert same_bits(np.sort(np.diagonal(a))[::-1], want), n
+            if m.shape[0] < T_LO:
+                assert same_bits(symmetric_eigenvalues(m), want), n
+
+    @pytest.mark.parametrize("n", [T_LO, T_LO + 3])
+    def test_round_robin_stack_matches_single(self, n):
+        rng = np.random.default_rng(n)
+        stack = np.array([random_symmetric(rng, n) for _ in range(3)])
+        got = symmetric_eigenvalues(stack)
+        for row, m in zip(got, stack):
+            assert same_bits(row, symmetric_eigenvalues(m))
 
     def test_mixed_stack(self):
         rng = np.random.default_rng(4)

@@ -35,6 +35,7 @@ from .errors import (
 from .graphs import (
     ENUMERATION_MAX_ORDER,
     GENERATOR_KINDS,
+    GRAPH6_MAX_ORDER,
     Graph,
     encode_graph6,
     format_edge_list,
@@ -57,13 +58,7 @@ from .identities import (
     verify_subdivision_energy,
 )
 from .linalg import CLUSTER_TOL, cluster_distinct, symmetric_eigenvalues
-from .spectra import (
-    normalized_laplacian,
-    normalized_signless_laplacian,
-    randic_energy,
-    randic_index,
-    randic_matrix,
-)
+from .spectra import randic_energy, randic_index, randic_matrix
 
 MATRIX_CHOICES = ("randic", "laplacian", "signless", "all")
 VERIFY_CHOICES = SCAN_CHECKS + ("all",)
@@ -118,6 +113,13 @@ def _generate_from_token(token: str) -> Graph:
         n = int(parts[2])
     except ValueError:
         raise GraphFormatError(f"generator order {parts[2]!r} is not an integer") from None
+    # the short graph6 limit, checked before building: a generator order
+    # has no other bound, and a huge graph exhausts memory long before
+    # encode_graph6 would reject it
+    if n > GRAPH6_MAX_ORDER:
+        raise GraphFormatError(
+            f"order {n} exceeds the short graph6 limit of {GRAPH6_MAX_ORDER}"
+        )
     try:
         return generate(kind, n)
     except ValueError as exc:
@@ -164,9 +166,12 @@ def require_convention(g: Graph) -> None:
     """Connected with all degrees positive; everything here assumes it."""
     if g.n == 0:
         raise IsolatedVertexError("graph has no vertices")
-    for i, d in enumerate(g.degrees):
-        if d == 0:
-            raise IsolatedVertexError(f"vertex {i} has degree zero")
+    # at most 2m + 1 vertices are looked at, so an edge list of huge order
+    # and few edges is rejected without per-vertex arrays
+    touched = {v for edge in g.edges for v in edge}
+    isolated = next((i for i in range(g.n) if i not in touched), None)
+    if isolated is not None:
+        raise IsolatedVertexError(f"vertex {isolated} has degree zero")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
 
@@ -187,8 +192,7 @@ def _graph_header(graph: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_block(name: str, matrix) -> tuple[list[str], dict]:
-    values = symmetric_eigenvalues(matrix)
+def _spectrum_block(name: str, values) -> tuple[list[str], dict]:
     distinct, mults = cluster_distinct(values, CLUSTER_TOL)
     lines = [
         f"matrix {name}",
@@ -207,17 +211,16 @@ def _spectrum_block(name: str, matrix) -> tuple[list[str], dict]:
 def cmd_spectrum(args) -> int:
     g = load_graph(args.graph, args.format)
     require_convention(g)
-    builders = {
-        "randic": randic_matrix,
-        "laplacian": normalized_laplacian,
-        "signless": normalized_signless_laplacian,
-    }
-    names = list(builders) if args.matrix == "all" else [args.matrix]
     graph = _graph_payload(g)
+    # I - R and I + R share R's eigenvectors: their spectra are 1 - rho,
+    # reversed to stay descending, and 1 + rho
+    rho = symmetric_eigenvalues(randic_matrix(g))
+    spectra = {"randic": rho, "laplacian": (1.0 - rho)[::-1], "signless": 1.0 + rho}
+    names = list(spectra) if args.matrix == "all" else [args.matrix]
     lines = _graph_header(graph)
     payload: dict = {"graph": graph, "spectra": {}}
     for name in names:
-        block, data = _spectrum_block(name, builders[name](g))
+        block, data = _spectrum_block(name, spectra[name])
         lines.extend(block)
         payload["spectra"][name] = data
     if args.json:

@@ -23,11 +23,12 @@ rho_1 = 1 > rho_2 > ... > rho_k,
 
 with the left side also required to be nonzero (no factor can be dropped).
 
-Each check is a report builder over already solved spectra: rho of R(G),
-theta of I + R(G), and rho_S of R(S).  The public ``verify_*`` functions
-check their preconditions, solve what their check needs once and call the
-builder; ``verify_all`` solves each of the three matrices once and runs
-every applicable check on the shared spectra.
+Each check is a report builder over already solved spectra: rho of R(G)
+and rho_S of R(S).  The spectrum of I + R(G) is theta = 1 + rho, read off
+rho, never solved.  The public ``verify_*`` functions check their
+preconditions, solve what their check needs once and call the builder;
+``verify_all`` solves R(G) and R(S) once each and runs every applicable
+check on the shared spectra.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .linalg import (
     substitute_quadratic,
     symmetric_eigenvalues,
 )
-from .spectra import energy_of, normalized_signless_laplacian, randic_matrix
+from .spectra import energy_of, randic_matrix
 
 CHARPOLY_TOL = 1e-8
 CORRESPONDENCE_TOL = 1e-8
@@ -125,11 +126,6 @@ def _clamp_small(values: np.ndarray, slack: float = ZERO_EIGENVALUE_SLACK) -> np
     return out
 
 
-def _signless_values(g: Graph) -> np.ndarray:
-    """Spectrum of I + R(G), descending, with near-zeros clamped to zero."""
-    return _clamp_small(symmetric_eigenvalues(normalized_signless_laplacian(g)))
-
-
 # ---------------------------------------------------------------------------
 # Subdivision checks
 # ---------------------------------------------------------------------------
@@ -158,15 +154,18 @@ def _charpoly_residuals(
     return {"cross_multiplied": cross, "coefficient_positions": worst / largest}
 
 
-def _subdivision_spectra(
-    g: Graph, subdivided: Graph | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """theta of I + R(G), and the R-spectrum of the subdivision of G or of
-    the claimed ``subdivided`` graph standing in for it."""
+def _subdivision_report(
+    name: str, g: Graph, subdivided: Graph | None
+) -> VerificationReport:
+    """Report of the subdivision check ``name`` on G, from the R-spectra of
+    G and of its subdivision or the claimed ``subdivided`` graph standing
+    in for it."""
     if g.m == 0:
         raise PreconditionError("subdivision checks need at least one edge")
     s = subdivision(g) if subdivided is None else subdivided
-    return _signless_values(g), symmetric_eigenvalues(randic_matrix(s))
+    rho = symmetric_eigenvalues(randic_matrix(g))
+    ((_, report),) = _check_reports(g, (name,), rho, symmetric_eigenvalues(randic_matrix(s)))
+    return report
 
 
 def _charpoly_report(g: Graph, theta: np.ndarray, rho_s: np.ndarray) -> VerificationReport:
@@ -181,7 +180,7 @@ def verify_subdivision_charpoly(
     """Check the characteristic-polynomial identity between G and its
     subdivision.  ``subdivided`` substitutes a claimed subdivision graph in
     place of the constructed one (useful as a negative control)."""
-    return _charpoly_report(g, *_subdivision_spectra(g, subdivided))
+    return _subdivision_report("charpoly", g, subdivided)
 
 
 def _correspondence_residual(g: Graph, theta: np.ndarray, rho_s: np.ndarray) -> float:
@@ -226,7 +225,7 @@ def verify_eigenvalue_correspondence(
 ) -> VerificationReport:
     """Check that R(S) has exactly the eigenvalues +-sqrt(theta/2), padded
     with zeros, where theta runs over the spectrum of I + R(G)."""
-    return _correspondence_report(g, *_subdivision_spectra(g, subdivided))
+    return _subdivision_report("correspondence", g, subdivided)
 
 
 def _energy_residuals(theta: np.ndarray, direct: float) -> dict[str, float]:
@@ -250,7 +249,7 @@ def verify_subdivision_energy(
     g: Graph, subdivided: Graph | None = None
 ) -> VerificationReport:
     """Check sum |rho(S)| == sqrt(2) * sum sqrt(theta) for the subdivision."""
-    return _energy_report(*_subdivision_spectra(g, subdivided))
+    return _subdivision_report("energy", g, subdivided)
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +541,15 @@ def _check_reports(
     g: Graph,
     checks: Sequence[str],
     rho: np.ndarray,
-    theta: np.ndarray | None,
     rho_s: np.ndarray | None,
 ) -> Iterator[tuple[str, VerificationReport | Classification]]:
     """(name, outcome) of each requested check on ``g``, in the order of
-    ``checks``, from its solved spectra: ``rho`` of R(G), ``theta`` of
-    I + R(G) and ``rho_s`` of R(S(G)); the last two may be None when no
-    subdivision check is requested.  ``local`` yields nothing unless R has
-    exactly three distinct eigenvalues."""
+    ``checks``, from its solved spectra: ``rho`` of R(G) and ``rho_s`` of
+    R(S(G)), which may be None when no subdivision check is requested.  The
+    subdivision checks read the spectrum of I + R(G) as theta = 1 + rho,
+    near-zeros clamped.  ``local`` yields nothing unless R has exactly three
+    distinct eigenvalues."""
+    theta = None if rho_s is None else _clamp_small(1.0 + rho)
     for name in checks:
         if name == "charpoly":
             yield name, _charpoly_report(g, theta, rho_s)
@@ -575,16 +575,16 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     identity, the classification, and the local conditions when R has
     exactly three distinct eigenvalues.
 
-    R(G), I + R(G) and R(S(G)) are each solved once, in that order, and
-    every check reads the shared spectra; the results equal those of the
-    single-check functions.  ``g`` must be connected with every degree
+    R(G) and R(S(G)) are each solved once, in that order, and every check
+    reads the shared spectra; the results equal those of the single-check
+    functions and of a scan.  ``g`` must be connected with every degree
     positive.
     """
     rho = symmetric_eigenvalues(randic_matrix(g))
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
-    theta, rho_s = _subdivision_spectra(g, None)
-    return dict(_check_reports(g, SCAN_CHECKS, rho, theta, rho_s))
+    rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)))
+    return dict(_check_reports(g, SCAN_CHECKS, rho, rho_s))
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +624,8 @@ def _scan_one(
     Returns (per-check outcomes, direct R-energy of the graph).
     """
     energy = energy_of(rho)
-    theta = None if rho_s is None else _clamp_small(1.0 + rho)
     outcomes: list[tuple[str, bool, dict[str, float]]] = []
-    for name, result in _check_reports(g, checks, rho, theta, rho_s):
+    for name, result in _check_reports(g, checks, rho, rho_s):
         if isinstance(result, Classification):
             consistent = result.consistent
             outcomes.append((name, consistent, {"consistent": 0.0 if consistent else 1.0}))

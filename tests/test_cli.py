@@ -90,15 +90,19 @@ class TestVerifyCommand:
         assert code == 5
         assert "three distinct" in err
 
-    # the orders of the solved matrices, in solve order: R(G) and I + R(G)
-    # have order n, R(S(G)) has order n + m
+    # the orders of the solved matrices, in solve order: R(G) has order n,
+    # R(S(G)) has order n + m; I - R and I + R are never solved, their
+    # spectra are read off R's
     @pytest.mark.parametrize(
         "argv,orders",
         [
-            (("gen:petersen",), [10, 10, 25]),
-            (("gen:path:10",), [10, 10, 19]),
-            (("gen:petersen", "--check", "energy"), [10, 25]),
-            (("gen:petersen", "--check", "identity"), [10]),
+            (("verify", "gen:petersen"), [10, 25]),
+            (("verify", "gen:path:10"), [10, 19]),
+            (("verify", "gen:petersen", "--check", "energy"), [10, 25]),
+            (("verify", "gen:petersen", "--check", "identity"), [10]),
+            (("spectrum", "gen:petersen", "--matrix", "all"), [10]),
+            (("spectrum", "gen:petersen", "--matrix", "laplacian"), [10]),
+            (("spectrum", "gen:petersen", "--matrix", "signless"), [10]),
         ],
     )
     def test_one_solve_per_matrix(self, capsys, monkeypatch, argv, orders):
@@ -114,7 +118,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(identities_module, "symmetric_eigenvalues", counting)
         monkeypatch.setattr(cli_module, "symmetric_eigenvalues", counting)
-        code, _, _ = run(capsys, "verify", *argv)
+        code, _, _ = run(capsys, *argv)
         assert code == 0
         assert solved == orders
 
@@ -201,6 +205,27 @@ class TestRequestCost:
         assert code == 2
         assert out == ""
         assert "graph6" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("energy", "gen:path:99999999999"),
+            ("verify", "gen:complete:3000"),
+            ("spectrum", "gen:star:100000"),
+            ("subdivide", "gen:path:100", "--output", "edges"),
+        ],
+    )
+    def test_generator_order_checked_before_any_build(self, capsys, monkeypatch, argv):
+        import randic.cli as cli_module
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a graph that graph6 cannot encode")
+
+        monkeypatch.setattr(cli_module, "generate", no_build)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the short graph6 limit of 62" in err
 
 
 class TestScanCommand:
@@ -330,6 +355,15 @@ class TestInputResolution:
         code, _, err = run(capsys, "energy", "3 0 1")
         assert code == 3
         assert "degree zero" in err
+
+    @pytest.mark.parametrize("command", ["energy", "subdivide"])
+    @pytest.mark.parametrize("token,vertex", [("1000000000000 0 1", 2), ("1000000000000", 0)])
+    def test_huge_order_edge_list_exits_three(self, capsys, command, token, vertex):
+        # naming the isolated vertex must not allocate per-vertex arrays
+        code, out, err = run(capsys, command, token)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: vertex {vertex} has degree zero\n"
 
     def test_float_rendering_is_12_digits(self, capsys):
         code, out, _ = run(capsys, "energy", "gen:path:3")

@@ -203,6 +203,26 @@ class TestVerifyAll:
         with pytest.raises(PreconditionError):
             verify_all(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_equals_scan_bit_for_bit(self, order):
+        # both paths read theta = 1 + rho off the same R solve, so every
+        # residual agrees exactly, not just within tolerance
+        mismatched = []
+        for g in enumerate_connected_graphs(order):
+            rho = symmetric_eigenvalues(randic_matrix(g))
+            rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)))
+            outcomes, _ = _scan_one(g, SCAN_CHECKS, rho, rho_s)
+            results = verify_all(g)
+            verified = [
+                (name, r.consistent, {"consistent": 0.0 if r.consistent else 1.0})
+                if name == "classification"
+                else (name, r.passed, r.residuals)
+                for name, r in results.items()
+            ]
+            if outcomes != verified:
+                mismatched.append(encode_graph6(g))
+        assert mismatched == []
+
 
 class TestClassification:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])

@@ -12,6 +12,7 @@ Exit codes:
     3  convention violation: isolated vertex or disconnected graph
     4  numerical failure inside the eigensolver
     5  a check's precondition does not hold for the given graph
+  141  stdout closed before the output was written (128 + SIGPIPE)
 
 Output is deterministic byte for byte: floats render at 12 significant
 digits and no timing or environment data is printed.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -156,7 +158,7 @@ def load_graph(token: str, fmt_name: str = "auto") -> Graph:
     if is_file:
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"cannot read {token}: {exc}") from None
         return _parse_text(text, fmt_name)
     return _parse_text(token, fmt_name)
@@ -489,7 +491,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; point fd 1 at devnull so the flush at exit
+        # stays quiet, and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,10 +25,14 @@ with the left side also required to be nonzero (no factor can be dropped).
 
 Each check is a report builder over already solved spectra: rho of R(G)
 and rho_S of R(S).  The spectrum of I + R(G) is theta = 1 + rho, read off
-rho, never solved.  The public ``verify_*`` functions check their
-preconditions, solve what their check needs once and call the builder;
-``verify_all`` solves R(G) and R(S) once each and runs every applicable
-check on the shared spectra.
+rho, never solved.  The number k of distinct eigenvalues, which the
+rank-one identity, the classification and the local conditions read, is
+decided once per graph by clustering rho at CLUSTER_TOL: in
+``_check_reports`` for ``verify_all`` and scans, and in
+``_distinct_values`` for the single-check functions.  The public
+``verify_*`` functions check their preconditions, solve what their check
+needs once and call the builder; ``verify_all`` solves R(G) and R(S) once
+each and runs every applicable check on the shared spectra.
 """
 
 from __future__ import annotations
@@ -113,17 +117,25 @@ def _report(
     )
 
 
-def _clamp_small(values: np.ndarray, slack: float = ZERO_EIGENVALUE_SLACK) -> np.ndarray:
-    """Zero out entries within ``slack`` of zero; reject anything below
-    -slack, which would mean the solver returned a nonsense spectrum for a
-    positive semidefinite matrix."""
-    out = np.where(np.abs(values) <= slack, 0.0, values)
+def _clamp_small(values: np.ndarray) -> np.ndarray:
+    """Zero out entries within ZERO_EIGENVALUE_SLACK of zero; reject anything
+    below minus that slack, which would mean the solver returned a nonsense
+    spectrum for a positive semidefinite matrix."""
+    out = np.where(np.abs(values) <= ZERO_EIGENVALUE_SLACK, 0.0, values)
     if np.any(out < 0.0):
         worst = float(np.min(out))
         raise ConvergenceError(
-            f"eigenvalue {worst:.3e} of I + R is negative beyond slack {slack:g}"
+            f"eigenvalue {worst:.3e} of I + R is negative beyond slack "
+            f"{ZERO_EIGENVALUE_SLACK:g}"
         )
     return out
+
+
+def _distinct_values(g: Graph) -> tuple[float, ...]:
+    """Distinct R-eigenvalues of ``g``, descending: R solved once and its
+    spectrum clustered once, as ``_check_reports`` does."""
+    distinct, _ = cluster_distinct(symmetric_eigenvalues(randic_matrix(g)), CLUSTER_TOL)
+    return distinct
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +273,6 @@ def verify_k_distinct_identity(
     g: Graph,
     roots: Sequence[float] | None = None,
     constant: float | None = None,
-    cluster_tol: float = CLUSTER_TOL,
 ) -> VerificationReport:
     """Check prod_{i>=2} (R - rho_i I) == c a a^T on a connected graph.
 
@@ -278,23 +289,21 @@ def verify_k_distinct_identity(
         raise PreconditionError("the rank-one identity needs a connected graph")
     if g.m == 0:
         raise PreconditionError("the rank-one identity needs at least one edge")
-    rho = symmetric_eigenvalues(randic_matrix(g)) if roots is None else None
-    return _k_distinct_identity(g, rho, roots, constant, cluster_tol)
+    distinct = _distinct_values(g) if roots is None else None
+    return _k_distinct_identity(g, distinct, roots, constant)
 
 
 def _k_distinct_identity(
     g: Graph,
-    rho: np.ndarray | None,
+    distinct: tuple[float, ...] | None,
     roots: Sequence[float] | None = None,
     constant: float | None = None,
-    cluster_tol: float = CLUSTER_TOL,
 ) -> VerificationReport:
     """``verify_k_distinct_identity`` on a connected graph with at least one
-    edge, given its R-spectrum ``rho`` (unused when ``roots`` is given)."""
+    edge, given its distinct R-eigenvalues (unused when ``roots`` is given)."""
     r = randic_matrix(g)
     tolerance = IDENTITY_TOL_SCALE * g.n * g.n
     if roots is None:
-        distinct, _ = cluster_distinct(rho, cluster_tol)
         if abs(distinct[0] - 1.0) > tolerance:
             raise ConvergenceError(
                 f"largest eigenvalue {distinct[0]!r} is not 1 within tolerance"
@@ -378,7 +387,7 @@ class Classification:
     detail: str
 
 
-def classify_distinct_count(g: Graph, cluster_tol: float = CLUSTER_TOL) -> Classification:
+def classify_distinct_count(g: Graph) -> Classification:
     """Count distinct R-eigenvalues and test the structural equivalences:
     two distinct values exactly for complete graphs, and, among regular
     graphs, three distinct values exactly for strongly regular ones."""
@@ -386,15 +395,12 @@ def classify_distinct_count(g: Graph, cluster_tol: float = CLUSTER_TOL) -> Class
         raise PreconditionError("classification needs a connected graph")
     if g.n < 2:
         raise PreconditionError("classification needs at least two vertices")
-    return _classify(g, symmetric_eigenvalues(randic_matrix(g)), cluster_tol)
+    return _classify(g, _distinct_values(g))
 
 
-def _classify(
-    g: Graph, rho: np.ndarray, cluster_tol: float = CLUSTER_TOL
-) -> Classification:
+def _classify(g: Graph, distinct: tuple[float, ...]) -> Classification:
     """``classify_distinct_count`` on a connected graph of order at least 2,
-    given its R-spectrum ``rho``."""
-    distinct, _ = cluster_distinct(rho, cluster_tol)
+    given its distinct R-eigenvalues ``distinct``."""
     k = len(distinct)
     complete = g.m == g.n * (g.n - 1) // 2
     regular = g.is_regular()
@@ -422,9 +428,7 @@ def _classify(
 # ---------------------------------------------------------------------------
 
 
-def local_condition_residuals(
-    g: Graph, cluster_tol: float = CLUSTER_TOL
-) -> dict[str, float]:
+def local_condition_residuals(g: Graph) -> dict[str, float]:
     """Residuals of the entrywise conditions on a connected graph with
     exactly three distinct R-eigenvalues 1 > rho_2 > rho_3.
 
@@ -444,15 +448,12 @@ def local_condition_residuals(
     """
     if not is_connected(g):
         raise PreconditionError("local conditions need a connected graph")
-    return _local_residuals(g, symmetric_eigenvalues(randic_matrix(g)), cluster_tol)
+    return _local_residuals(g, _distinct_values(g))
 
 
-def _local_residuals(
-    g: Graph, rho: np.ndarray, cluster_tol: float = CLUSTER_TOL
-) -> dict[str, float]:
+def _local_residuals(g: Graph, distinct: tuple[float, ...]) -> dict[str, float]:
     """``local_condition_residuals`` on a connected graph, given its
-    R-spectrum ``rho``."""
-    distinct, _ = cluster_distinct(rho, cluster_tol)
+    distinct R-eigenvalues ``distinct``, descending."""
     if len(distinct) != 3:
         raise PreconditionError(
             f"local conditions need exactly three distinct eigenvalues, got {len(distinct)}"
@@ -513,13 +514,13 @@ def _local_report(res: dict[str, float]) -> VerificationReport:
     )
 
 
-def verify_local_conditions(g: Graph, cluster_tol: float = CLUSTER_TOL) -> VerificationReport:
+def verify_local_conditions(g: Graph) -> VerificationReport:
     """Report form of the three-eigenvalue local conditions.
 
     The verdict covers the degree-sum condition and the two weighted
     common-neighborhood conditions.  The raw-count variants are surfaced in
     ``values`` and ``detail`` only, since they fail on ordinary graphs."""
-    return _local_report(local_condition_residuals(g, cluster_tol))
+    return _local_report(local_condition_residuals(g))
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +548,12 @@ def _check_reports(
     ``checks``, from its solved spectra: ``rho`` of R(G) and ``rho_s`` of
     R(S(G)), which may be None when no subdivision check is requested.  The
     subdivision checks read the spectrum of I + R(G) as theta = 1 + rho,
-    near-zeros clamped.  ``local`` yields nothing unless R has exactly three
-    distinct eigenvalues."""
+    near-zeros clamped.  This is where k is decided: rho is clustered once,
+    at CLUSTER_TOL, and the identity, the classification and the local
+    conditions all read those distinct values.  ``local`` yields nothing
+    unless there are exactly three."""
     theta = None if rho_s is None else _clamp_small(1.0 + rho)
+    distinct, _ = cluster_distinct(rho, CLUSTER_TOL)
     for name in checks:
         if name == "charpoly":
             yield name, _charpoly_report(g, theta, rho_s)
@@ -558,13 +562,12 @@ def _check_reports(
         elif name == "energy":
             yield name, _energy_report(theta, rho_s)
         elif name == "identity":
-            yield name, _k_distinct_identity(g, rho)
+            yield name, _k_distinct_identity(g, distinct)
         elif name == "classification":
-            yield name, _classify(g, rho)
+            yield name, _classify(g, distinct)
         elif name == "local":
-            distinct, _ = cluster_distinct(rho, CLUSTER_TOL)
             if len(distinct) == 3:
-                yield name, _local_report(_local_residuals(g, rho))
+                yield name, _local_report(_local_residuals(g, distinct))
         else:
             raise ValueError(f"unknown check {name!r}")
 
@@ -635,29 +638,28 @@ def _scan_one(
 
 
 def _scan_spectra(
-    order: int, edge_sets: list[tuple[tuple[int, int], ...]], subdivided: bool
+    graphs: list[Graph], subdivided: bool
 ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-    """Spectra of R(G), and of R(S(G)) when ``subdivided``, for the graph of
-    order ``order`` on each edge set, in input order.
+    """Spectra of R(G), and of R(S(G)) when ``subdivided``, for each graph
+    of ``graphs``, all of one order, in input order.
 
     Graphs with equal edge counts m share both matrix orders, n and n + m, so
-    each such group is solved as one stack per matrix.  Graphs are rebuilt
-    from their edges where needed rather than held, which keeps a chunk's
-    memory to its edge sets and one group's matrices.
+    each such group is solved as one stack per matrix.  The caller holds a
+    chunk's graphs, with their cached degrees and adjacency, until the checks
+    have run on them: built once, not three times, at a cost of about 1 MB of
+    peak RSS on the orders 2..5 scan (41.6 against 40.6 MB).
     """
     by_size: dict[int, list[int]] = {}
-    for i, edges in enumerate(edge_sets):
-        by_size.setdefault(len(edges), []).append(i)
-    rhos: list = [None] * len(edge_sets)
-    rho_ss: list = [None] * len(edge_sets)
+    for i, g in enumerate(graphs):
+        by_size.setdefault(g.m, []).append(i)
+    rhos: list = [None] * len(graphs)
+    rho_ss: list = [None] * len(graphs)
     for members in by_size.values():
-        stack = np.stack([randic_matrix(Graph(order, edge_sets[i])) for i in members])
+        stack = np.stack([randic_matrix(graphs[i]) for i in members])
         for i, row in zip(members, symmetric_eigenvalues(stack)):
             rhos[i] = row
         if subdivided:
-            stack = np.stack(
-                [randic_matrix(subdivision(Graph(order, edge_sets[i]))) for i in members]
-            )
+            stack = np.stack([randic_matrix(subdivision(graphs[i])) for i in members])
             for i, row in zip(members, symmetric_eigenvalues(stack)):
                 rho_ss[i] = row
     return rhos, rho_ss
@@ -706,10 +708,9 @@ def _scan_range(
     masks = _connected_masks(order, start, stop)
 
     def graph_summaries() -> Iterator[ScanSummary]:
-        while edge_sets := [edges for _, edges in islice(masks, SCAN_CHUNK)]:
-            rhos, rho_ss = _scan_spectra(order, edge_sets, need_subdivision)
-            for edges, rho, rho_s in zip(edge_sets, rhos, rho_ss):
-                g = Graph(order, edges)
+        while graphs := [Graph(order, edges) for _, edges in islice(masks, SCAN_CHUNK)]:
+            rhos, rho_ss = _scan_spectra(graphs, need_subdivision)
+            for g, rho, rho_s in zip(graphs, rhos, rho_ss):
                 outcomes, energy = _scan_one(g, checks, rho, rho_s)
                 failed = [(name, res) for name, passed, res in outcomes if not passed]
                 code = encode_graph6(g) if failed or rank_energy else None

@@ -344,9 +344,9 @@ class Spectrum:
         return len(self.distinct)
 
 
-def eigenvalues(m: np.ndarray, tol: float = CLUSTER_TOL) -> Spectrum:
+def eigenvalues(m: np.ndarray) -> Spectrum:
     vals = symmetric_eigenvalues(m)
-    distinct, mults = cluster_distinct(vals, tol)
+    distinct, mults = cluster_distinct(vals, CLUSTER_TOL)
     return Spectrum(tuple(vals.tolist()), distinct, mults)
 
 

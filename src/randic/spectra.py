@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IsolatedVertexError
 from .graphs import Graph
-from .linalg import CLUSTER_TOL, Spectrum, eigenvalues, symmetric_eigenvalues
+from .linalg import Spectrum, eigenvalues, symmetric_eigenvalues
 
 
 def _inverse_sqrt_degrees(g: Graph) -> np.ndarray:
@@ -43,8 +43,8 @@ def normalized_signless_laplacian(g: Graph) -> np.ndarray:
     return np.eye(g.n) + randic_matrix(g)
 
 
-def randic_spectrum(g: Graph, tol: float = CLUSTER_TOL) -> Spectrum:
-    return eigenvalues(randic_matrix(g), tol)
+def randic_spectrum(g: Graph) -> Spectrum:
+    return eigenvalues(randic_matrix(g))
 
 
 def energy_of(values) -> float:

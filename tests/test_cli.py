@@ -2,6 +2,9 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -365,8 +368,41 @@ class TestInputResolution:
         assert out == ""
         assert err == f"error: vertex {vertex} has degree zero\n"
 
+    @pytest.mark.parametrize("command", ["energy", "verify"])
+    def test_undecodable_file_exits_two(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read")
+
     def test_float_rendering_is_12_digits(self, capsys):
         code, out, _ = run(capsys, "energy", "gen:path:3")
         assert code == 0
         # the edge index of P3 is sqrt(2), rendered at 12 significant digits
         assert f"randic_index {math.sqrt(2):.12g}" in out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [("energy", "gen:path:62"), ("verify", "gen:petersen"), ("scan", "--order", "3")],
+        ids=lambda argv: argv[0],
+    )
+    def test_exits_141_without_traceback(self, argv):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails, whatever the output's size
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "randic", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""

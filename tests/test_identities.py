@@ -224,6 +224,35 @@ class TestVerifyAll:
         assert mismatched == []
 
 
+class TestDecidedOnce:
+    """k is decided by one clustering of rho per graph, and a scan builds
+    each of its graphs once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name: str) -> list:
+        calls = []
+        original = getattr(randic.identities, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(randic.identities, name, counting)
+        return calls
+
+    def test_order_four_scan(self, monkeypatch):
+        clusterings = self.count_calls(monkeypatch, "cluster_distinct")
+        builds = self.count_calls(monkeypatch, "Graph")
+        assert scan_small_graphs(4).graph_count == 38
+        assert (len(clusterings), len(builds)) == (38, 38)
+
+    @pytest.mark.parametrize("g", [generate("petersen"), generate("path", 10)], ids=encode_graph6)
+    def test_verify_all(self, monkeypatch, g):
+        clusterings = self.count_calls(monkeypatch, "cluster_distinct")
+        verify_all(g)
+        assert len(clusterings) == 1
+
+
 class TestClassification:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_complete_graphs_have_two_values(self, n):

@@ -328,7 +328,8 @@ def _k_distinct_identity(
         tolerance,
         {"identity": identity, "minimality": minimality},
         values={"constant": c, "distinct_count": float(len(roots) + 1)},
-        detail=f"roots used: {', '.join(repr(x) for x in roots)}",
+        # 12 significant digits, the rule every printed float follows
+        detail=f"roots used: {', '.join(f'{x:.12g}' for x in roots)}",
     )
 
 

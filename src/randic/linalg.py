@@ -48,6 +48,14 @@ def _off_norm(a: np.ndarray) -> float:
     return math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
 
 
+def _off_norms(stack: np.ndarray) -> np.ndarray:
+    """``_off_norm`` of each matrix of a (B, n, n) stack, as one reduction
+    over rows of n * n squares.  Each row is summed along its contiguous
+    axis, as ``np.sum`` sums one matrix, so every norm has the same bits."""
+    squares = np.triu(stack, 1) ** 2
+    return np.sqrt(2.0 * np.sum(squares.reshape(stack.shape[0], -1), axis=1))
+
+
 def _jacobi_numpy(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     """Single-matrix numpy kernel; mutates ``a`` toward diagonal form.
 
@@ -102,6 +110,62 @@ def _jacobi_numpy(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     return _off_norm(a) < target
 
 
+def _jacobi_list(a: np.ndarray, max_sweeps: int, target: float) -> bool:
+    """``_jacobi_numpy`` on a Python list for small orders; mutates ``a``
+    toward diagonal form.
+
+    ``a`` is copied into one flat row-major list.  A rotation computes the
+    new rows p and q in two list comprehensions, with the expressions of
+    ``_jacobi_numpy`` in the same order, and writes them back as rows by
+    slice and as columns by strided slice, so no step runs an interpreted
+    loop over the rows.  The pairs are those of the row-major scalar loop,
+    and each sweep starts with ``_off_norm`` on ``a``, into which the list
+    is written back after every sweep: the output bits are those of
+    ``_jacobi_numpy``.  For small n a rotation costs a few microseconds in
+    the interpreter, less than the dozen numpy calls it takes there.
+    """
+    n = a.shape[0]
+    if n < 2:
+        return True
+    flat = a.ravel().tolist()
+    skip = target / n
+    for _ in range(max_sweeps):
+        if _off_norm(a) < target:
+            return True
+        for p in range(n - 1):
+            row_p = p * n
+            for q in range(p + 1, n):
+                apq = flat[row_p + q]
+                # ``<=`` rather than ``>``: a NaN entry is rotated, as in
+                # the scalar loop, instead of being skipped
+                if abs(apq) <= skip:
+                    continue
+                row_q = q * n
+                app = flat[row_p + p]
+                aqq = flat[row_q + q]
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1.0)
+                )
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                akp = flat[row_p : row_p + n]
+                akq = flat[row_q : row_q + n]
+                new_p = [x - s * (y + tau * x) for x, y in zip(akp, akq)]
+                new_q = [y + s * (x - tau * y) for x, y in zip(akp, akq)]
+                new_p[p] = app - t * apq
+                new_q[q] = aqq + t * apq
+                new_p[q] = 0.0
+                new_q[p] = 0.0
+                flat[row_p : row_p + n] = new_p
+                flat[row_q : row_q + n] = new_q
+                flat[p::n] = new_p
+                flat[q::n] = new_q
+        a[...] = np.reshape(flat, (n, n))
+    return _off_norm(a) < target
+
+
 def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
     """Lockstep form of ``_jacobi_numpy`` over a stack of shape (B, n, n).
 
@@ -119,10 +183,7 @@ def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
     live = np.arange(a.shape[0])
     work = a
     for _ in range(max_sweeps):
-        # _off_norm per matrix, with triu and squaring done once for the stack
-        squares = np.triu(work, 1) ** 2
-        off = np.array([math.sqrt(2.0 * float(np.sum(sq))) for sq in squares])
-        done = off < target[live]
+        done = _off_norms(work) < target[live]
         if done.any():
             # converged matrices go back to ``a`` and leave the working stack
             a[live[done]] = work[done]
@@ -159,19 +220,18 @@ def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
                 work[hit, :, p] = new_p
                 work[hit, :, q] = new_q
     a[live] = work
-    return all(_off_norm(m) < t for m, t in zip(work, target[live]))
+    return bool(np.all(_off_norms(work) < target[live]))
 
 
-def _rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows i and k + i of ``x`` (2k rows) rotated by column vectors c and s:
-    c x_i - s x_(k+i) and s x_i + c x_(k+i)."""
-    k = c.shape[0]
-    out = np.empty_like(x)
-    np.multiply(c, x[:k], out=out[:k])
-    out[:k] -= s * x[k:]
-    np.multiply(c, x[k:], out=out[k:])
-    out[k:] += s * x[:k]
-    return out
+def _rotate_pairs(
+    x: np.ndarray, swapped: np.ndarray, c2: np.ndarray, s2: np.ndarray
+) -> np.ndarray:
+    """Rows i and k + i of ``x`` (2k rows) rotated by column vectors c and s,
+    c x_i - s x_(k+i) and c x_(k+i) + s x_i, as ``c2 x - s2 swapped``, where
+    c2 = (c; c), s2 = (s; -s) and ``swapped`` is ``x`` with its halves
+    exchanged.  a - (-s) b is a + s b exactly, so the bits are those of the
+    two-half form."""
+    return c2 * x - s2 * swapped
 
 
 def _round_robin_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,39 +270,46 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     if n < 2:
         return True
     ps, qs = _round_robin_schedule(n)
+    # each round's rows in (p; q) order, and with the halves swapped
+    pairs = np.hstack((ps, qs))
+    swaps = np.hstack((qs, ps))
     skip = target / n
     lower = np.tri(n, k=-1, dtype=bool)
     diag = a.diagonal()  # a read-only view: it follows the rotations
     for _ in range(max_sweeps):
         if _off_norm(a) < target:
             return True
-        for p, q in zip(ps, qs):
+        for p, q, idx, swap in zip(ps, qs, pairs, swaps):
             apq = a[p, q]
             # a NaN entry is not small, so it is rotated, as in the row-major
             # kernels
             small = np.abs(apq) <= skip
-            if small.any():
-                if small.all():
+            skipped = np.count_nonzero(small)
+            if skipped:
+                if skipped == small.size:
                     continue
                 hit = ~small
-                p, q, apq = p[hit], q[hit], apq[hit]
-            k = p.size
-            app = diag[p]
-            aqq = diag[q]
+                apq = apq[hit]
+                both = np.concatenate((hit, hit))
+                idx, swap = idx[both], swap[both]
+            k = apq.size
+            dd = diag[idx]
+            app, aqq = dd[:k], dd[k:]
             # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with
             # theta = (aqq - app) / (2 apq), multiplied through by 2 apq
             d = aqq - app
             twice = 2.0 * apq
             t = twice / (d + np.copysign(np.hypot(d, twice), d))
             c = 1.0 / np.hypot(t, 1.0)
-            c_col = c[:, None]
-            s_col = (t * c)[:, None]
-            idx = np.concatenate((p, q))
-            rows = _rotate_pairs(a[idx], c_col, s_col)
+            s = t * c
+            c2 = np.concatenate((c, c))[:, None]
+            s2 = np.concatenate((s, -s))[:, None]
+            rows = _rotate_pairs(a[idx], a[swap], c2, s2)
             # the block of the pairs' own columns still needs its column
             # rotation; rotating the rows of its transpose does that on
             # contiguous halves
-            block = _rotate_pairs(rows.T[idx], c_col, s_col)
+            cols = rows.T
+            block = _rotate_pairs(cols[idx], cols[swap], c2, s2)
             shift = t * apq
             np.fill_diagonal(block, np.concatenate((app - shift, aqq + shift)))
             np.fill_diagonal(block[:k, k:], 0.0)
@@ -294,6 +361,8 @@ def symmetric_eigenvalues(
         )
     elif a.ndim == 3:
         converged = _jacobi_stack(work, max_sweeps, target)
+    elif n < ROUND_ROBIN_ORDERS[0]:
+        converged = _jacobi_list(work[0], max_sweeps, float(target[0]))
     else:
         converged = _jacobi_numpy(work[0], max_sweeps, float(target[0]))
     if not converged:

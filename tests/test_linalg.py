@@ -15,8 +15,11 @@ from randic.linalg import (
     cluster_distinct,
     coefficient_residual,
     eigenvalues,
+    _jacobi_list,
     _jacobi_numpy,
     _jacobi_round_robin,
+    _off_norm,
+    _off_norms,
     _round_robin_schedule,
     product_over_roots,
     substitute_quadratic,
@@ -191,8 +194,81 @@ def reference_jacobi(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, 
     return np.sort(np.diagonal(a))[::-1].copy(), sweeps
 
 
+def reference_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
+    """The first round-robin kernel, kept frozen: each half of a pair
+    rotation computed separately, and the skip test and the diagonal read
+    with several numpy calls per round.  Mutates ``a`` like the kernel."""
+
+    def rotate_pairs(x, c, s):
+        k = c.shape[0]
+        out = np.empty_like(x)
+        np.multiply(c, x[:k], out=out[:k])
+        out[:k] -= s * x[k:]
+        np.multiply(c, x[k:], out=out[k:])
+        out[k:] += s * x[:k]
+        return out
+
+    n = a.shape[0]
+    if n < 2:
+        return True
+    ps, qs = _round_robin_schedule(n)
+    skip = target / n
+    lower = np.tri(n, k=-1, dtype=bool)
+    diag = a.diagonal()
+    for _ in range(max_sweeps):
+        if _off_norm(a) < target:
+            return True
+        for p, q in zip(ps, qs):
+            apq = a[p, q]
+            small = np.abs(apq) <= skip
+            if small.any():
+                if small.all():
+                    continue
+                hit = ~small
+                p, q, apq = p[hit], q[hit], apq[hit]
+            k = p.size
+            app = diag[p]
+            aqq = diag[q]
+            d = aqq - app
+            twice = 2.0 * apq
+            t = twice / (d + np.copysign(np.hypot(d, twice), d))
+            c = 1.0 / np.hypot(t, 1.0)
+            c_col = c[:, None]
+            s_col = (t * c)[:, None]
+            idx = np.concatenate((p, q))
+            rows = rotate_pairs(a[idx], c_col, s_col)
+            block = rotate_pairs(rows.T[idx], c_col, s_col)
+            shift = t * apq
+            np.fill_diagonal(block, np.concatenate((app - shift, aqq + shift)))
+            np.fill_diagonal(block[:k, k:], 0.0)
+            np.copyto(block, block.T, where=lower[: 2 * k, : 2 * k])
+            rows[:, idx] = block
+            a[idx] = rows
+            a[:, idx] = rows.T
+    return _off_norm(a) < target
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def kernel_input(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """The symmetrised copy and the target that symmetric_eigenvalues hands
+    a kernel."""
+    a = np.ascontiguousarray(0.5 * (m + m.T))
+    return a, 1e-12 * max(1.0, float(np.linalg.norm(m)))
+
+
+def graph_matrices(max_order: int):
+    """R and R(S) of Petersen and of paths, cycles, stars and complete
+    graphs, keeping those of order up to ``max_order``."""
+    graphs = [generate("petersen")]
+    for kind, low in (("path", 2), ("cycle", 3), ("star", 3), ("complete", 3)):
+        graphs += [generate(kind, n) for n in range(low, max_order + 1)]
+    for g in graphs:
+        for h in (g, subdivision(g)):
+            if h.n <= max_order:
+                yield h, randic_matrix(h)
 
 
 class TestRotationSequence:
@@ -256,6 +332,121 @@ class TestRotationSequence:
         stack = np.array([random_symmetric(rng, 6) for _ in range(4)])
         with pytest.raises(ConvergenceError):
             symmetric_eigenvalues(stack, max_sweeps=0)
+
+
+class TestKernelBits:
+    """The list kernel, the round-robin kernel and the stack off-norm give
+    the bits of the kernels they replace."""
+
+    @pytest.mark.parametrize("n", range(1, T_LO))
+    def test_list_kernel_random(self, n):
+        rng = np.random.default_rng(2000 + n)
+        for _ in range(2):
+            m = random_symmetric(rng, n)
+            a, target = kernel_input(m)
+            b = a.copy()
+            assert _jacobi_list(a, 100, target)
+            assert _jacobi_numpy(b, 100, target)
+            assert same_bits(a, b)
+            want, _ = reference_jacobi(m)
+            assert same_bits(np.sort(np.diagonal(a))[::-1], want)
+
+    def test_list_kernel_graphs(self):
+        for g, m in graph_matrices(T_LO - 1):
+            a, target = kernel_input(m)
+            b = a.copy()
+            assert _jacobi_list(a, 100, target)
+            assert _jacobi_numpy(b, 100, target)
+            assert same_bits(a, b), (g.n, g.edges)
+            want, _ = reference_jacobi(m)
+            assert same_bits(np.sort(np.diagonal(a))[::-1], want), (g.n, g.edges)
+
+    def test_list_kernel_rotates_nan(self):
+        # abs(nan) <= skip is false, so a NaN entry is rotated and spreads,
+        # as in the numpy kernel, rather than being skipped
+        m = random_symmetric(np.random.default_rng(6), 5)
+        m[1, 3] = m[3, 1] = np.nan
+        a, b = m.copy(), m.copy()
+        assert not _jacobi_list(a, 2, 1e-12)
+        assert not _jacobi_numpy(b, 2, 1e-12)
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.isnan(a).sum() > 2
+
+    @pytest.mark.parametrize("n", [T_LO, T_LO + 1, 47, 64, 101, T_HI - 1, T_HI])
+    def test_round_robin_random(self, n):
+        m = random_symmetric(np.random.default_rng(3000 + n), n)
+        a, target = kernel_input(m)
+        b = a.copy()
+        assert _jacobi_round_robin(a, 100, target)
+        assert reference_round_robin(b, 100, target)
+        assert same_bits(a, b)
+
+    @pytest.mark.parametrize(
+        "kind,orders",
+        [("star", range(16, 63, 6)), ("path", range(17, 63, 9)), ("cycle", [16, 25, 36, 49, 62])],
+    )
+    def test_round_robin_subdivisions(self, kind, orders):
+        for n in orders:
+            a, target = kernel_input(randic_matrix(subdivision(generate(kind, n))))
+            b = a.copy()
+            assert _jacobi_round_robin(a, 100, target)
+            assert reference_round_robin(b, 100, target)
+            assert same_bits(a, b), n
+
+    def test_round_robin_complete_62(self):
+        a, target = kernel_input(randic_matrix(generate("complete", 62)))
+        b = a.copy()
+        assert _jacobi_round_robin(a, 100, target)
+        assert reference_round_robin(b, 100, target)
+        assert same_bits(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 31, 90, 91, 129])
+    def test_stack_off_norms(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1.0, 1e-9, 1e5):
+            stack = np.array([scale * random_symmetric(rng, n) for _ in range(3)])
+            got = _off_norms(stack)
+            assert same_bits(got, np.array([_off_norm(m) for m in stack]))
+
+
+class TestDispatch:
+    """Which kernel serves which shape and order."""
+
+    KERNELS = ("_jacobi_list", "_jacobi_numpy", "_jacobi_round_robin", "_jacobi_stack")
+
+    def spy(self, monkeypatch):
+        import randic.linalg as linalg
+
+        calls = []
+        for name in self.KERNELS:
+            kernel = getattr(linalg, name)
+
+            def spied(a, *args, _name=name, _kernel=kernel):
+                calls.append((_name, a.shape))
+                return _kernel(a, *args)
+
+            monkeypatch.setattr(linalg, name, spied)
+        return calls
+
+    @pytest.mark.parametrize(
+        "shape,kernel",
+        [
+            ((T_LO - 1, T_LO - 1), "_jacobi_list"),
+            ((T_LO, T_LO), "_jacobi_round_robin"),
+            ((T_HI, T_HI), "_jacobi_round_robin"),
+            ((T_HI + 1, T_HI + 1), "_jacobi_numpy"),
+            ((3, T_LO - 1, T_LO - 1), "_jacobi_stack"),
+        ],
+    )
+    def test_kernel_by_shape(self, monkeypatch, shape, kernel):
+        n = shape[-1]
+        m = np.diag(np.arange(n, dtype=np.float64))
+        m[0, n - 1] = m[n - 1, 0] = 0.5
+        m = np.broadcast_to(m, shape).copy()
+        calls = self.spy(monkeypatch)
+        symmetric_eigenvalues(m)
+        assert {name for name, _ in calls} == {kernel}
+        assert calls[0][1] == (shape if kernel == "_jacobi_stack" else (n, n))
 
 
 class TestClustering:

@@ -5,9 +5,12 @@ rotations, convergence declared when the off-diagonal Frobenius mass drops
 below ``1e-12 * max(1, ||M||_F)``.  The order in which a sweep visits the
 pairs is chosen by the matrix order n:
 
-* row-major pair order outside ``ROUND_ROBIN_ORDERS``, by two numpy kernels:
-  one for a single matrix, and one that solves a stack of equal-order
-  matrices in lockstep.  They apply the same rotations with the same
+* row-major pair order outside ``ROUND_ROBIN_ORDERS``, by three kernels: a
+  single matrix below the band on a Python list (``_jacobi_list``; at these
+  orders a rotation's interpreted arithmetic costs less than the dozen numpy
+  calls it otherwise takes), a single matrix above the band in numpy
+  (``_jacobi_numpy``), and a stack of equal-order matrices in lockstep
+  (``_jacobi_stack``).  They apply the same rotations with the same
   arithmetic, so their eigenvalues agree bit for bit;
 * the round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
   1985) for n inside the band, one matrix at a time.  Its rounds of disjoint
@@ -35,16 +38,17 @@ DEFAULT_MAX_SWEEPS = 100
 CONVERGENCE_RTOL = 1e-12
 CLUSTER_TOL = 1e-7
 # matrix orders solved in round-robin order, set from per-order timings of
-# both orderings (CHANGES.md): below 32 row-major order is about as fast, and
-# above 128 complete-graph subdivisions, whose spectra are highly degenerate,
-# take round-robin order twice the sweeps and run slower
+# both orderings (CHANGES.md): below 32 row-major order was about as fast, and
+# a lower bound would change eigenvalue bits or leave the lockstep stacks of
+# scans; above 128 complete-graph subdivisions, whose spectra are highly
+# degenerate, take round-robin order twice the sweeps and run slower
 ROUND_ROBIN_ORDERS = (32, 128)
 
 
 def _off_norm(a: np.ndarray) -> float:
     """sqrt(2 * sum of squared strict-upper entries), the convergence measure
-    of every kernel; the stack kernel evaluates the same expression
-    matrix by matrix, so a matrix stops at the same sweep in either."""
+    of every kernel; the stack kernel's ``_off_norms`` gives the same bits
+    for each matrix, so a matrix stops at the same sweep in either."""
     return math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
 
 
@@ -121,8 +125,7 @@ def _jacobi_list(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     loop over the rows.  The pairs are those of the row-major scalar loop,
     and each sweep starts with ``_off_norm`` on ``a``, into which the list
     is written back after every sweep: the output bits are those of
-    ``_jacobi_numpy``.  For small n a rotation costs a few microseconds in
-    the interpreter, less than the dozen numpy calls it takes there.
+    ``_jacobi_numpy``.
     """
     n = a.shape[0]
     if n < 2:
@@ -293,8 +296,8 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
                 both = np.concatenate((hit, hit))
                 idx, swap = idx[both], swap[both]
             k = apq.size
-            dd = diag[idx]
-            app, aqq = dd[:k], dd[k:]
+            ends = diag[idx]
+            app, aqq = ends[:k], ends[k:]
             # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with
             # theta = (aqq - app) / (2 apq), multiplied through by 2 apq
             d = aqq - app
@@ -330,11 +333,11 @@ def symmetric_eigenvalues(
     ``m`` is one matrix of shape (n, n), or a stack of shape (B, n, n) whose
     result has shape (B, n), one descending row per matrix.  For n inside
     ``ROUND_ROBIN_ORDERS`` each matrix, alone or in a stack, is solved by
-    the round-robin kernel.  Otherwise one matrix is solved by the row-major
-    kernel and a stack by the lockstep kernel, which applies to each matrix
-    the rotations of the row-major kernel.  Either way a matrix gets the same
-    eigenvalue bits in a stack as alone.  Raises ConvergenceError if the
-    sweep cap is exhausted.
+    the round-robin kernel.  Otherwise a stack is solved by the lockstep
+    kernel, and one matrix by a row-major kernel: the list kernel below the
+    band, the numpy kernel above it.  All three apply the same rotations
+    with the same arithmetic, so a matrix gets the same eigenvalue bits in a
+    stack as alone.  Raises ConvergenceError if the sweep cap is exhausted.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:

@@ -51,6 +51,7 @@ from .identities import (
     SCAN_CHECKS,
     VerificationReport,
     classify_distinct_count,
+    fmt,
     scan_small_graphs,
     verify_all,
     verify_eigenvalue_correspondence,
@@ -64,11 +65,6 @@ from .spectra import randic_energy, randic_index, randic_matrix
 
 MATRIX_CHOICES = ("randic", "laplacian", "signless", "all")
 VERIFY_CHOICES = SCAN_CHECKS + ("all",)
-
-
-def fmt(x: float) -> str:
-    """Render a float at 12 significant digits (the package-wide contract)."""
-    return f"{x:.12g}"
 
 
 def _round12(x: float) -> float:

@@ -99,6 +99,11 @@ class VerificationReport:
     detail: str = ""
 
 
+def fmt(x: float) -> str:
+    """Render a float at 12 significant digits (the package-wide contract)."""
+    return f"{x:.12g}"
+
+
 def _report(
     name: str,
     tolerance: float,
@@ -328,8 +333,7 @@ def _k_distinct_identity(
         tolerance,
         {"identity": identity, "minimality": minimality},
         values={"constant": c, "distinct_count": float(len(roots) + 1)},
-        # 12 significant digits, the rule every printed float follows
-        detail=f"roots used: {', '.join(f'{x:.12g}' for x in roots)}",
+        detail=f"roots used: {', '.join(fmt(x) for x in roots)}",
     )
 
 

@@ -402,11 +402,20 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 31, 90, 91, 129])
     def test_stack_off_norms(self, n):
+        # the stack reduction against the first kernels' per-matrix np.sum,
+        # and against itself on each matrix alone
         rng = np.random.default_rng(n)
         for scale in (1.0, 1e-9, 1e5):
             stack = np.array([scale * random_symmetric(rng, n) for _ in range(3)])
             got = _off_norms(stack)
+            frozen = [math.sqrt(2.0 * float(np.sum(np.triu(m, 1) ** 2))) for m in stack]
+            assert same_bits(got, np.array(frozen))
             assert same_bits(got, np.array([_off_norm(m) for m in stack]))
+
+    @pytest.mark.parametrize("n", [0, 1, 4, T_LO, T_HI + 1])
+    def test_empty_stack(self, n):
+        assert _off_norms(np.zeros((0, n, n))).shape == (0,)
+        assert symmetric_eigenvalues(np.zeros((0, n, n))).shape == (0, n)
 
 
 class TestDispatch:

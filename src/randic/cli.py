@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -83,6 +82,8 @@ def _json_ready(value):
 
 
 def emit_json(payload: dict) -> None:
+    import json  # only --json output needs it
+
     print(json.dumps(_json_ready(payload), sort_keys=True))
 
 

@@ -32,14 +32,16 @@ decided once per graph by clustering rho at CLUSTER_TOL: in
 ``_distinct_values`` for the single-check functions.  The public
 ``verify_*`` functions check their preconditions, solve what their check
 needs once and call the builder; ``verify_all`` solves R(G) and R(S) once
-each and runs every applicable check on the shared spectra.
+each and runs every applicable check on the shared spectra.  The builders
+take stacks of graphs of one order and size, one row per graph: a scan
+hands them each edge-count group it solved, and the functions above a
+group of one, so the subdivision checks' arithmetic runs once per stack.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -57,12 +59,9 @@ from .graphs import (
 )
 from .linalg import (
     CLUSTER_TOL,
-    Polynomial,
-    charpoly_from_eigenvalues,
+    charpoly_coefficients,
     cluster_distinct,
-    coefficient_residual,
     product_over_roots,
-    substitute_quadratic,
     symmetric_eigenvalues,
 )
 from .spectra import energy_of, randic_matrix
@@ -148,27 +147,39 @@ def _distinct_values(g: Graph) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _relative_gaps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Worst entry gap between the rows of two (B, W) arrays, relative to
+    the largest magnitude in either row, floored at 1."""
+    largest = np.max(np.abs(np.hstack((p, q))), axis=1)
+    return np.max(np.abs(p - q), axis=1) / np.maximum(largest, 1.0)
+
+
 def _charpoly_residuals(
-    g: Graph, theta: np.ndarray, rho_s: np.ndarray
-) -> dict[str, float]:
-    n, m = g.n, g.m
-    phi_s = charpoly_from_eigenvalues(rho_s)
-    phi_q = charpoly_from_eigenvalues(theta)
-    lhs = phi_s.shifted(n).scaled(float(2**n))
-    rhs = substitute_quadratic(phi_q, 2.0).shifted(m)
-    cross = coefficient_residual(lhs, rhs)
+    n: int, m: int, theta: np.ndarray, rho_s: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Residuals of the charpoly identity, one per row, for a stack of
+    graphs with n vertices and m edges each: ``theta`` (B, n) holds the
+    spectra of I + R(G), and ``rho_s`` (B, N) those of R(S).  A claimed
+    subdivision of the wrong order N compares against zero padding."""
+    rows, order = rho_s.shape
+    phi_s = charpoly_coefficients(rho_s)[:, ::-1]  # ascending powers
+    phi_q = charpoly_coefficients(theta)  # descending powers
+    powers = np.ldexp(1.0, np.arange(n + 1))  # 2^i, exactly
+    width = max(n + order + 1, m + 2 * n + 1)
+    lhs = np.zeros((rows, width))
+    lhs[:, n : n + order + 1] = float(2**n) * phi_s
+    rhs = np.zeros((rows, width))
+    rhs[:, m : m + 2 * n + 1 : 2] = phi_q[:, ::-1] * powers
+    cross = _relative_gaps(lhs, rhs)
 
     # Same identity read off coefficient by coefficient: the x^(n+m-2i)
     # coefficient of phi_R(S) must equal 2^(-i) times the x^(n-i)
     # coefficient of phi_Q, for i = 0..n.
-    worst = 0.0
-    largest = 1.0
-    for i in range(n + 1):
-        a = phi_s.coefficient(n + m - 2 * i)
-        b = phi_q.coefficient(n - i) / float(2**i)
-        worst = max(worst, abs(a - b))
-        largest = max(largest, abs(a), abs(b))
-    return {"cross_multiplied": cross, "coefficient_positions": worst / largest}
+    at = n + m - 2 * np.arange(n + 1)
+    stored = (at >= 0) & (at <= order)
+    a = np.where(stored, phi_s[:, np.clip(at, 0, order)], 0.0)
+    positions = _relative_gaps(a, phi_q / powers)
+    return {"cross_multiplied": cross, "coefficient_positions": positions}
 
 
 def _subdivision_report(
@@ -181,14 +192,9 @@ def _subdivision_report(
         raise PreconditionError("subdivision checks need at least one edge")
     s = subdivision(g) if subdivided is None else subdivided
     rho = symmetric_eigenvalues(randic_matrix(g))
-    ((_, report),) = _check_reports(g, (name,), rho, symmetric_eigenvalues(randic_matrix(s)))
+    rho_s = symmetric_eigenvalues(randic_matrix(s))
+    (((_, report),),) = _check_reports([g], (name,), rho[None], rho_s[None])
     return report
-
-
-def _charpoly_report(g: Graph, theta: np.ndarray, rho_s: np.ndarray) -> VerificationReport:
-    # a wrong-order claimed subdivision still compares cleanly: coefficient
-    # lookups past a polynomial's stored degree read as zero
-    return _report("subdivision-charpoly", CHARPOLY_TOL, _charpoly_residuals(g, theta, rho_s))
 
 
 def verify_subdivision_charpoly(
@@ -200,41 +206,28 @@ def verify_subdivision_charpoly(
     return _subdivision_report("charpoly", g, subdivided)
 
 
-def _correspondence_residual(g: Graph, theta: np.ndarray, rho_s: np.ndarray) -> float:
-    total = g.n + g.m
-    nonzero = [t for t in theta.tolist() if t > 0.0]
-    expected = []
-    for t in nonzero:
-        r = math.sqrt(t / 2.0)
-        expected.append(r)
-        expected.append(-r)
-    pad = total - len(expected)
-    if pad < 0:
+def _correspondence_residual(
+    n: int, m: int, theta: np.ndarray, rho_s: np.ndarray
+) -> np.ndarray:
+    """Worst gap, one per row, between the spectrum of R(S) in ``rho_s``
+    (B, n + m) and the values +-sqrt(theta/2) over the row of ``theta``
+    (B, n), padded with zeros to n + m values."""
+    total = n + m
+    if np.any(2 * np.count_nonzero(theta, axis=1) > total):
         raise ConvergenceError(
             "spectrum of I + R has fewer zeros than the subdivision order requires"
         )
-    expected.extend([0.0] * pad)
-    expected.sort()
-    actual = np.sort(rho_s)
-    return float(np.max(np.abs(actual - np.array(expected))))
-
-
-def _correspondence_report(
-    g: Graph, theta: np.ndarray, rho_s: np.ndarray
-) -> VerificationReport:
-    if len(rho_s) != g.n + g.m:
-        return _report(
-            "subdivision-correspondence",
-            CORRESPONDENCE_TOL,
-            {"order_mismatch": float(abs(len(rho_s) - (g.n + g.m)))},
-            detail="claimed subdivision has the wrong number of vertices",
-        )
-    residual = _correspondence_residual(g, theta, rho_s)
-    return _report(
-        "subdivision-correspondence",
-        CORRESPONDENCE_TOL,
-        {"eigenvalue_match": residual},
-    )
+    half = np.sort(np.sqrt(theta / 2.0), axis=1)
+    # ascending: -half reversed, padding, half; each zero of theta gives a
+    # -0 and a 0 in the middle, and n + m < 2n (trees, matchings) drops the
+    # excess there, the check above having counted enough zeros
+    low, high = -half[:, ::-1], half
+    pad = total - 2 * n
+    if pad < 0:
+        drop = -pad
+        low, high = low[:, : n - (drop + 1) // 2], high[:, drop // 2 :]
+    expected = np.hstack((low, np.zeros((len(theta), max(pad, 0))), high))
+    return np.max(np.abs(np.sort(rho_s, axis=1) - expected), axis=1)
 
 
 def verify_eigenvalue_correspondence(
@@ -252,21 +245,54 @@ def _energy_residuals(theta: np.ndarray, direct: float) -> dict[str, float]:
     return {"energy_match": abs(direct - closed)}
 
 
-def _energy_report(theta: np.ndarray, rho_s: np.ndarray) -> VerificationReport:
-    direct = energy_of(rho_s)
-    return _report(
-        "subdivision-energy",
-        ENERGY_TOL,
-        _energy_residuals(theta, direct),
-        values={"energy": direct},
-    )
-
-
 def verify_subdivision_energy(
     g: Graph, subdivided: Graph | None = None
 ) -> VerificationReport:
     """Check sum |rho(S)| == sqrt(2) * sum sqrt(theta) for the subdivision."""
     return _subdivision_report("energy", g, subdivided)
+
+
+def _subdivision_reports(
+    name: str, n: int, m: int, theta: np.ndarray, rho_s: np.ndarray
+) -> list[VerificationReport]:
+    """Reports of the subdivision check ``name``, one per row of the stacks
+    ``theta`` (B, n) and ``rho_s`` (B, N) of graphs with n vertices and m
+    edges each."""
+    if name == "charpoly":
+        # a wrong-order claimed subdivision still compares cleanly, against
+        # zero padding
+        residuals = _charpoly_residuals(n, m, theta, rho_s)
+        return [
+            _report("subdivision-charpoly", CHARPOLY_TOL, dict(zip(residuals, row)))
+            for row in zip(*(v.tolist() for v in residuals.values()))
+        ]
+    if name == "correspondence":
+        if rho_s.shape[1] != n + m:
+            return [
+                _report(
+                    "subdivision-correspondence",
+                    CORRESPONDENCE_TOL,
+                    {"order_mismatch": float(abs(rho_s.shape[1] - (n + m)))},
+                    detail="claimed subdivision has the wrong number of vertices",
+                )
+                for _ in rho_s
+            ]
+        return [
+            _report("subdivision-correspondence", CORRESPONDENCE_TOL, {"eigenvalue_match": r})
+            for r in _correspondence_residual(n, m, theta, rho_s).tolist()
+        ]
+    reports = []
+    for t, row in zip(theta, rho_s):
+        direct = energy_of(row)
+        reports.append(
+            _report(
+                "subdivision-energy",
+                ENERGY_TOL,
+                _energy_residuals(t, direct),
+                values={"energy": direct},
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -533,48 +559,55 @@ def verify_local_conditions(g: Graph) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-SCAN_CHECKS = (
-    "charpoly",
-    "correspondence",
-    "energy",
-    "identity",
-    "classification",
-    "local",
-)
+SUBDIVISION_CHECKS = ("charpoly", "correspondence", "energy")
+SCAN_CHECKS = SUBDIVISION_CHECKS + ("identity", "classification", "local")
 
 
 def _check_reports(
-    g: Graph,
+    graphs: Sequence[Graph],
     checks: Sequence[str],
     rho: np.ndarray,
     rho_s: np.ndarray | None,
-) -> Iterator[tuple[str, VerificationReport | Classification]]:
-    """(name, outcome) of each requested check on ``g``, in the order of
-    ``checks``, from its solved spectra: ``rho`` of R(G) and ``rho_s`` of
-    R(S(G)), which may be None when no subdivision check is requested.  The
-    subdivision checks read the spectrum of I + R(G) as theta = 1 + rho,
-    near-zeros clamped.  This is where k is decided: rho is clustered once,
-    at CLUSTER_TOL, and the identity, the classification and the local
-    conditions all read those distinct values.  ``local`` yields nothing
-    unless there are exactly three."""
-    theta = None if rho_s is None else _clamp_small(1.0 + rho)
-    distinct, _ = cluster_distinct(rho, CLUSTER_TOL)
-    for name in checks:
-        if name == "charpoly":
-            yield name, _charpoly_report(g, theta, rho_s)
-        elif name == "correspondence":
-            yield name, _correspondence_report(g, theta, rho_s)
-        elif name == "energy":
-            yield name, _energy_report(theta, rho_s)
-        elif name == "identity":
-            yield name, _k_distinct_identity(g, distinct)
-        elif name == "classification":
-            yield name, _classify(g, distinct)
-        elif name == "local":
-            if len(distinct) == 3:
-                yield name, _local_report(_local_residuals(g, distinct))
-        else:
-            raise ValueError(f"unknown check {name!r}")
+) -> list[list[tuple[str, VerificationReport | Classification]]]:
+    """(name, outcome) of each requested check, in the order of ``checks``,
+    for each graph of ``graphs``, from their solved spectra.  The graphs
+    share their order n and size m; row i of ``rho`` (B, n) is the spectrum
+    of R(G_i), and row i of ``rho_s`` (B, N) that of R(S(G_i)), which may be
+    None when no subdivision check is requested.
+
+    The subdivision checks read the spectrum of I + R(G) as theta = 1 + rho,
+    near-zeros clamped, and their arithmetic runs once over the whole stack;
+    each graph's report reads its row.  This is where k is decided: each row
+    of rho is clustered once, at CLUSTER_TOL, and the identity, the
+    classification and the local conditions all read those distinct values.
+    ``local`` yields nothing unless there are exactly three."""
+    stacked: dict[str, list[VerificationReport]] = {}
+    if rho_s is not None:
+        theta = _clamp_small(1.0 + rho)
+        n, m = graphs[0].n, graphs[0].m
+        for name in checks:
+            if name in SUBDIVISION_CHECKS:
+                stacked[name] = _subdivision_reports(name, n, m, theta, rho_s)
+    reports = []
+    for i, g in enumerate(graphs):
+        distinct, _ = cluster_distinct(rho[i], CLUSTER_TOL)
+        outcomes: list[tuple[str, VerificationReport | Classification]] = []
+        for name in checks:
+            if name in stacked:
+                outcome = stacked[name][i]
+            elif name == "identity":
+                outcome = _k_distinct_identity(g, distinct)
+            elif name == "classification":
+                outcome = _classify(g, distinct)
+            elif name == "local":
+                if len(distinct) != 3:
+                    continue
+                outcome = _local_report(_local_residuals(g, distinct))
+            else:
+                raise ValueError(f"unknown check {name!r}")
+            outcomes.append((name, outcome))
+        reports.append(outcomes)
+    return reports
 
 
 def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
@@ -584,15 +617,16 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     exactly three distinct eigenvalues.
 
     R(G) and R(S(G)) are each solved once, in that order, and every check
-    reads the shared spectra; the results equal those of the single-check
-    functions and of a scan.  ``g`` must be connected with every degree
-    positive.
+    reads the shared spectra, through the code a scan runs on a stack, here
+    of one graph: the results equal those of the single-check functions
+    and of a scan.  ``g`` must be connected with every degree positive.
     """
     rho = symmetric_eigenvalues(randic_matrix(g))
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
     rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)))
-    return dict(_check_reports(g, SCAN_CHECKS, rho, rho_s))
+    (reports,) = _check_reports([g], SCAN_CHECKS, rho[None], rho_s[None])
+    return dict(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -622,52 +656,66 @@ class ScanSummary:
         return not self.counterexamples
 
 
+def _scan_outcomes(
+    graphs: Sequence[Graph],
+    checks: Sequence[str],
+    rho: np.ndarray,
+    rho_s: np.ndarray | None,
+) -> list[tuple[list[tuple[str, bool, dict[str, float]]], float]]:
+    """Run the requested checks on a stack of graphs of one order and size
+    from their solved spectra, as ``_check_reports`` takes them.
+
+    Returns, per graph, (per-check outcomes, direct R-energy of the graph).
+    """
+    results = []
+    for row, reports in zip(rho, _check_reports(graphs, checks, rho, rho_s)):
+        outcomes: list[tuple[str, bool, dict[str, float]]] = []
+        for name, result in reports:
+            if isinstance(result, Classification):
+                consistent = result.consistent
+                outcomes.append((name, consistent, {"consistent": 0.0 if consistent else 1.0}))
+            else:
+                outcomes.append((name, result.passed, result.residuals))
+        results.append((outcomes, energy_of(row)))
+    return results
+
+
 def _scan_one(
     g: Graph, checks: Sequence[str], rho: np.ndarray, rho_s: np.ndarray | None
 ) -> tuple[list[tuple[str, bool, dict[str, float]]], float]:
-    """Run the requested checks on one graph from its solved spectra:
-    ``rho`` of R(G), and ``rho_s`` of R(S(G)), which is None when no
-    subdivision check is requested.
-
-    Returns (per-check outcomes, direct R-energy of the graph).
-    """
-    energy = energy_of(rho)
-    outcomes: list[tuple[str, bool, dict[str, float]]] = []
-    for name, result in _check_reports(g, checks, rho, rho_s):
-        if isinstance(result, Classification):
-            consistent = result.consistent
-            outcomes.append((name, consistent, {"consistent": 0.0 if consistent else 1.0}))
-        else:
-            outcomes.append((name, result.passed, result.residuals))
+    """``_scan_outcomes`` of one graph: ``rho`` of R(G), and ``rho_s`` of
+    R(S(G)), which is None when no subdivision check is requested."""
+    ((outcomes, energy),) = _scan_outcomes(
+        [g], checks, rho[None], None if rho_s is None else rho_s[None]
+    )
     return outcomes, energy
 
 
 def _scan_spectra(
     graphs: list[Graph], subdivided: bool
-) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-    """Spectra of R(G), and of R(S(G)) when ``subdivided``, for each graph
-    of ``graphs``, all of one order, in input order.
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray | None]]:
+    """Spectra of R(G), and of R(S(G)) when ``subdivided``, for the graphs
+    of ``graphs``, all of one order, one group per edge count m.
 
-    Graphs with equal edge counts m share both matrix orders, n and n + m, so
-    each such group is solved as one stack per matrix.  The caller holds a
-    chunk's graphs, with their cached degrees and adjacency, until the checks
-    have run on them: built once, not three times, at a cost of about 1 MB of
+    Graphs with equal edge counts share both matrix orders, n and n + m, so
+    each group is solved as one stack per matrix.  Yields (the group's
+    indices into ``graphs``, its stack of R-spectra, its stack of
+    R(S)-spectra or None), one row per member.  The caller holds a chunk's
+    graphs, with their cached degrees and adjacency, until the checks have
+    run on them: built once, not three times, at a cost of about 1 MB of
     peak RSS on the orders 2..5 scan (41.6 against 40.6 MB).
     """
     by_size: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_size.setdefault(g.m, []).append(i)
-    rhos: list = [None] * len(graphs)
-    rho_ss: list = [None] * len(graphs)
     for members in by_size.values():
-        stack = np.stack([randic_matrix(graphs[i]) for i in members])
-        for i, row in zip(members, symmetric_eigenvalues(stack)):
-            rhos[i] = row
+        rho = symmetric_eigenvalues(np.stack([randic_matrix(graphs[i]) for i in members]))
+        rho_s = None
         if subdivided:
-            stack = np.stack([randic_matrix(subdivision(graphs[i])) for i in members])
-            for i, row in zip(members, symmetric_eigenvalues(stack)):
-                rho_ss[i] = row
-    return rhos, rho_ss
+            rho_s = symmetric_eigenvalues(
+                np.stack([randic_matrix(subdivision(graphs[i])) for i in members])
+            )
+        yield members, rho, rho_s
 
 
 def _merge(
@@ -706,17 +754,20 @@ def _scan_range(
     order: int, start: int, stop: int, checks: tuple[str, ...], rank_energy: bool
 ) -> ScanSummary:
     """Scan the masks in [start, stop): graphs are taken in mask order, in
-    chunks of SCAN_CHUNK, and each chunk's spectra are solved as stacks
-    before the per-graph checks run on them.  Each graph becomes a summary
-    of one graph, and ``_merge`` folds those in mask order."""
-    need_subdivision = any(c in checks for c in ("charpoly", "correspondence", "energy"))
+    chunks of SCAN_CHUNK, and each chunk is solved and checked as one stack
+    per edge count.  Each graph becomes a summary of one graph, and
+    ``_merge`` folds those in mask order."""
+    need_subdivision = any(c in checks for c in SUBDIVISION_CHECKS)
     masks = _connected_masks(order, start, stop)
 
     def graph_summaries() -> Iterator[ScanSummary]:
         while graphs := [Graph(order, edges) for _, edges in islice(masks, SCAN_CHUNK)]:
-            rhos, rho_ss = _scan_spectra(graphs, need_subdivision)
-            for g, rho, rho_s in zip(graphs, rhos, rho_ss):
-                outcomes, energy = _scan_one(g, checks, rho, rho_s)
+            results: list = [None] * len(graphs)
+            for members, rho, rho_s in _scan_spectra(graphs, need_subdivision):
+                group = [graphs[i] for i in members]
+                for i, result in zip(members, _scan_outcomes(group, checks, rho, rho_s)):
+                    results[i] = result
+            for g, (outcomes, energy) in zip(graphs, results):
                 failed = [(name, res) for name, passed, res in outcomes if not passed]
                 code = encode_graph6(g) if failed or rank_energy else None
                 extreme = (code, energy) if rank_energy else None
@@ -774,6 +825,8 @@ def scan_small_graphs(
         for i in range(jobs)
         if bounds[i] < bounds[i + 1]
     ]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         return _merge(order, checks, pool.map(_scan_range_star, spans))
 

@@ -10,8 +10,9 @@ pairs is chosen by the matrix order n:
   orders a rotation's interpreted arithmetic costs less than the dozen numpy
   calls it otherwise takes), a single matrix above the band in numpy
   (``_jacobi_numpy``; at N = 129 to 250 the list kernel took 2.4 to 5.8
-  times as long), and a stack of equal-order matrices in lockstep
-  (``_jacobi_stack``).  They apply the same rotations with the same
+  times as long), and a stack of two or more equal-order matrices in
+  lockstep (``_jacobi_stack``; a stack of one goes to its order's
+  single-matrix kernel).  They apply the same rotations with the same
   arithmetic, so their eigenvalues agree bit for bit;
 * the round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
   1985) for n inside the band, one matrix at a time.  Its rounds of disjoint
@@ -334,11 +335,12 @@ def symmetric_eigenvalues(
     ``m`` is one matrix of shape (n, n), or a stack of shape (B, n, n) whose
     result has shape (B, n), one descending row per matrix.  For n inside
     ``ROUND_ROBIN_ORDERS`` each matrix, alone or in a stack, is solved by
-    the round-robin kernel.  Otherwise a stack is solved by the lockstep
-    kernel, and one matrix by a row-major kernel: the list kernel below the
-    band, the numpy kernel above it.  All three apply the same rotations
-    with the same arithmetic, so a matrix gets the same eigenvalue bits in a
-    stack as alone.  Raises ConvergenceError if the sweep cap is exhausted.
+    the round-robin kernel.  Otherwise a stack of two or more is solved by
+    the lockstep kernel, and one matrix, alone or as a stack of one, by a
+    row-major kernel: the list kernel below the band, the numpy kernel above
+    it.  All three apply the same rotations with the same arithmetic, so a
+    matrix gets the same eigenvalue bits in a stack as alone.  Raises
+    ConvergenceError if the sweep cap is exhausted.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -363,7 +365,7 @@ def symmetric_eigenvalues(
         converged = all(
             _jacobi_round_robin(w, max_sweeps, float(t)) for w, t in zip(work, target)
         )
-    elif a.ndim == 3:
+    elif len(work) != 1:
         converged = _jacobi_stack(work, max_sweeps, target)
     elif n < ROUND_ROBIN_ORDERS[0]:
         converged = _jacobi_list(work[0], max_sweeps, float(target[0]))
@@ -447,8 +449,6 @@ class Polynomial:
         return acc
 
     def scaled(self, factor: float) -> "Polynomial":
-        # a list, not a generator: scans call this once per graph, and tuples
-        # built from generators there raised peak RSS from pass to pass
         return Polynomial(tuple([factor * c for c in self.coeffs]))
 
     def shifted(self, k: int) -> "Polynomial":
@@ -462,10 +462,31 @@ class Polynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0.0
 
 
+def charpoly_coefficients(roots: np.ndarray) -> np.ndarray:
+    """Coefficients of prod (x - r) over the roots in each row of a (B, k)
+    stack, highest power first, shape (B, k + 1).
+
+    The roots are multiplied in one at a time, in row order, each step
+    adding -r times the previous coefficients shifted by one place.  That
+    is ``np.poly``'s convolution with (1, -r), one rounded product and one
+    rounded sum per coefficient, so the bits are ``np.poly``'s.  The work
+    array holds one coefficient per row, so each step reads and writes
+    contiguous rows of the whole stack.
+    """
+    b, k = roots.shape
+    c = np.zeros((k + 1, b))
+    c[0] = 1.0
+    negated = -roots.T
+    for j in range(k):
+        c[1 : j + 2] += c[: j + 1] * negated[j]
+    return c.T
+
+
 def charpoly_from_eigenvalues(values: Sequence[float]) -> Polynomial:
-    """Monic polynomial with the given roots, prod (x - r), expanded."""
-    desc = np.poly(np.asarray(values, dtype=np.float64)) if len(values) else np.array([1.0])
-    return Polynomial(tuple(desc[::-1].tolist()))
+    """Monic polynomial with the given roots, prod (x - r), expanded: the
+    one-row form of ``charpoly_coefficients``."""
+    row = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    return Polynomial(tuple(charpoly_coefficients(row)[0, ::-1].tolist()))
 
 
 def substitute_quadratic(p: Polynomial, a: float) -> Polynomial:

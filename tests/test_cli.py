@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import randic
 from randic.cli import load_graph, main
 from randic.errors import ConvergenceError
 from randic.graphs import encode_graph6
@@ -382,6 +384,30 @@ class TestInputResolution:
         assert code == 0
         # the edge index of P3 is sqrt(2), rendered at 12 significant digits
         assert f"randic_index {math.sqrt(2):.12g}" in out
+
+
+class TestStartup:
+    def test_spectrum_imports_no_pool_and_no_json(self):
+        # a fresh interpreter, so modules other tests loaded do not count
+        code = (
+            "import sys\n"
+            "from randic.cli import main\n"
+            "main(['spectrum', 'gen:petersen'])\n"
+            "loaded = [m for m in ('concurrent.futures', 'multiprocessing', 'json')"
+            " if m in sys.modules]\n"
+            "print(loaded, file=sys.stderr)\n"
+        )
+        src = str(Path(randic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
 
 
 class TestClosedStdout:

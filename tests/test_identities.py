@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import math
 import os
@@ -75,6 +76,15 @@ class TestSubdivisionChecks:
         # correspondence has to absorb a negative m - n
         tree = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
         assert verify_eigenvalue_correspondence(tree).passed
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matching_subdivision_zero_count(self, k):
+        # k disjoint edges: m - n = -k, so k zeros of I + R are dropped from
+        # both sides of the padded spectrum, an odd number for odd k
+        matching = Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+        report = verify_eigenvalue_correspondence(matching)
+        assert report.passed
+        assert report.residuals["eigenvalue_match"] < 1e-15
 
     def test_star_energy_closed_form(self):
         for n in (3, 10, 25):
@@ -356,7 +366,7 @@ def inline_pools(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(randic.identities, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return pools
 
 

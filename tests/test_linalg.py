@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randic.errors import ConvergenceError
-from randic.graphs import generate, subdivision
+from randic.graphs import enumerate_connected_graphs, generate, subdivision
 from randic.linalg import (
     ROUND_ROBIN_ORDERS,
     Polynomial,
     Spectrum,
+    charpoly_coefficients,
     charpoly_from_eigenvalues,
     cluster_distinct,
     coefficient_residual,
@@ -445,6 +446,9 @@ class TestDispatch:
             ((T_HI, T_HI), "_jacobi_round_robin"),
             ((T_HI + 1, T_HI + 1), "_jacobi_numpy"),
             ((3, T_LO - 1, T_LO - 1), "_jacobi_stack"),
+            # a stack of one takes the single-matrix kernel of its order
+            ((1, T_LO - 1, T_LO - 1), "_jacobi_list"),
+            ((1, T_HI + 1, T_HI + 1), "_jacobi_numpy"),
         ],
     )
     def test_kernel_by_shape(self, monkeypatch, shape, kernel):
@@ -526,6 +530,39 @@ class TestPolynomial:
         assert p.coeffs[-1] == pytest.approx(1.0)
         for r in roots:
             assert p(r) == pytest.approx(0.0, abs=1e-9)
+
+    # np.poly is the reference the recurrence must reproduce bit for bit
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-3.0, max_value=3.0),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+            ),
+            max_size=40,
+        ).flatmap(lambda roots: st.permutations(roots + roots[: len(roots) // 2]))
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([0.0, 0.0, 0.0])
+    @example([1.0, 1.0, -1.0, -1.0, 0.0])
+    def test_charpoly_equals_np_poly(self, roots):
+        expected = np.poly(np.array(roots))[::-1] if roots else np.ones(1)
+        assert same_bits(np.array(charpoly_from_eigenvalues(roots).coeffs), expected)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_charpoly_equals_np_poly_on_graph_spectra(self, order):
+        # the R and R(S) spectra of every connected graph of the order, as
+        # one stack per matrix order and one row at a time
+        by_order: dict[int, list[np.ndarray]] = {}
+        for g in enumerate_connected_graphs(order):
+            for h in (g, subdivision(g)):
+                rho = symmetric_eigenvalues(randic_matrix(h))
+                by_order.setdefault(len(rho), []).append(rho)
+        for rows in by_order.values():
+            stack = charpoly_coefficients(np.array(rows))
+            for rho, coeffs in zip(rows, stack):
+                expected = np.poly(rho)
+                assert same_bits(coeffs, expected)
+                assert same_bits(np.array(charpoly_from_eigenvalues(rho).coeffs), expected[::-1])
 
     def test_substitute_quadratic_known_expansion(self):
         # t(t-1)(t-2) = t^3 - 3t^2 + 2t; with t = 2x^2:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -135,10 +135,10 @@ def _clamp_small(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distinct_values(g: Graph) -> tuple[float, ...]:
-    """Distinct R-eigenvalues of ``g``, descending: R solved once and its
-    spectrum clustered once, as ``_check_reports`` does."""
-    distinct, _ = cluster_distinct(symmetric_eigenvalues(randic_matrix(g)), CLUSTER_TOL)
+def _distinct_values(r: np.ndarray) -> tuple[float, ...]:
+    """Distinct eigenvalues of the matrix ``r``, descending: solved once
+    and clustered once, as ``_check_reports`` does."""
+    distinct, _ = cluster_distinct(symmetric_eigenvalues(r), CLUSTER_TOL)
     return distinct
 
 
@@ -191,9 +191,10 @@ def _subdivision_report(
     if g.m == 0:
         raise PreconditionError("subdivision checks need at least one edge")
     s = subdivision(g) if subdivided is None else subdivided
-    rho = symmetric_eigenvalues(randic_matrix(g))
+    r = randic_matrix(g)
+    rho = symmetric_eigenvalues(r)
     rho_s = symmetric_eigenvalues(randic_matrix(s))
-    (((_, report),),) = _check_reports([g], (name,), rho[None], rho_s[None])
+    (((_, report),),) = _check_reports([g], (name,), r[None], rho[None], rho_s[None])
     return report
 
 
@@ -320,19 +321,21 @@ def verify_k_distinct_identity(
         raise PreconditionError("the rank-one identity needs a connected graph")
     if g.m == 0:
         raise PreconditionError("the rank-one identity needs at least one edge")
-    distinct = _distinct_values(g) if roots is None else None
-    return _k_distinct_identity(g, distinct, roots, constant)
+    r = randic_matrix(g)
+    distinct = _distinct_values(r) if roots is None else None
+    return _k_distinct_identity(g, r, distinct, roots, constant)
 
 
 def _k_distinct_identity(
     g: Graph,
+    r: np.ndarray,
     distinct: tuple[float, ...] | None,
     roots: Sequence[float] | None = None,
     constant: float | None = None,
 ) -> VerificationReport:
     """``verify_k_distinct_identity`` on a connected graph with at least one
-    edge, given its distinct R-eigenvalues (unused when ``roots`` is given)."""
-    r = randic_matrix(g)
+    edge, given R = ``r`` and its distinct eigenvalues (unused when
+    ``roots`` is given)."""
     tolerance = IDENTITY_TOL_SCALE * g.n * g.n
     if roots is None:
         if abs(distinct[0] - 1.0) > tolerance:
@@ -426,7 +429,7 @@ def classify_distinct_count(g: Graph) -> Classification:
         raise PreconditionError("classification needs a connected graph")
     if g.n < 2:
         raise PreconditionError("classification needs at least two vertices")
-    return _classify(g, _distinct_values(g))
+    return _classify(g, _distinct_values(randic_matrix(g)))
 
 
 def _classify(g: Graph, distinct: tuple[float, ...]) -> Classification:
@@ -479,7 +482,7 @@ def local_condition_residuals(g: Graph) -> dict[str, float]:
     """
     if not is_connected(g):
         raise PreconditionError("local conditions need a connected graph")
-    return _local_residuals(g, _distinct_values(g))
+    return _local_residuals(g, _distinct_values(randic_matrix(g)))
 
 
 def _local_residuals(g: Graph, distinct: tuple[float, ...]) -> dict[str, float]:
@@ -566,14 +569,16 @@ SCAN_CHECKS = SUBDIVISION_CHECKS + ("identity", "classification", "local")
 def _check_reports(
     graphs: Sequence[Graph],
     checks: Sequence[str],
+    r: np.ndarray,
     rho: np.ndarray,
     rho_s: np.ndarray | None,
 ) -> list[list[tuple[str, VerificationReport | Classification]]]:
     """(name, outcome) of each requested check, in the order of ``checks``,
-    for each graph of ``graphs``, from their solved spectra.  The graphs
-    share their order n and size m; row i of ``rho`` (B, n) is the spectrum
-    of R(G_i), and row i of ``rho_s`` (B, N) that of R(S(G_i)), which may be
-    None when no subdivision check is requested.
+    for each graph of ``graphs``, from their matrices and solved spectra.
+    The graphs share their order n and size m; row i of ``r`` (B, n, n) is
+    R(G_i), row i of ``rho`` (B, n) its spectrum, and row i of ``rho_s``
+    (B, N) that of R(S(G_i)), which may be None when no subdivision check is
+    requested.
 
     The subdivision checks read the spectrum of I + R(G) as theta = 1 + rho,
     near-zeros clamped, and their arithmetic runs once over the whole stack;
@@ -596,7 +601,7 @@ def _check_reports(
             if name in stacked:
                 outcome = stacked[name][i]
             elif name == "identity":
-                outcome = _k_distinct_identity(g, distinct)
+                outcome = _k_distinct_identity(g, r[i], distinct)
             elif name == "classification":
                 outcome = _classify(g, distinct)
             elif name == "local":
@@ -621,11 +626,12 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     of one graph: the results equal those of the single-check functions
     and of a scan.  ``g`` must be connected with every degree positive.
     """
-    rho = symmetric_eigenvalues(randic_matrix(g))
+    r = randic_matrix(g)
+    rho = symmetric_eigenvalues(r)
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
     rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)))
-    (reports,) = _check_reports([g], SCAN_CHECKS, rho[None], rho_s[None])
+    (reports,) = _check_reports([g], SCAN_CHECKS, r[None], rho[None], rho_s[None])
     return dict(reports)
 
 
@@ -659,16 +665,18 @@ class ScanSummary:
 def _scan_outcomes(
     graphs: Sequence[Graph],
     checks: Sequence[str],
+    r: np.ndarray,
     rho: np.ndarray,
     rho_s: np.ndarray | None,
 ) -> list[tuple[list[tuple[str, bool, dict[str, float]]], float]]:
     """Run the requested checks on a stack of graphs of one order and size
-    from their solved spectra, as ``_check_reports`` takes them.
+    from their matrices and solved spectra, as ``_check_reports`` takes
+    them.
 
     Returns, per graph, (per-check outcomes, direct R-energy of the graph).
     """
     results = []
-    for row, reports in zip(rho, _check_reports(graphs, checks, rho, rho_s)):
+    for row, reports in zip(rho, _check_reports(graphs, checks, r, rho, rho_s)):
         outcomes: list[tuple[str, bool, dict[str, float]]] = []
         for name, result in reports:
             if isinstance(result, Classification):
@@ -683,39 +691,82 @@ def _scan_outcomes(
 def _scan_one(
     g: Graph, checks: Sequence[str], rho: np.ndarray, rho_s: np.ndarray | None
 ) -> tuple[list[tuple[str, bool, dict[str, float]]], float]:
-    """``_scan_outcomes`` of one graph: ``rho`` of R(G), and ``rho_s`` of
-    R(S(G)), which is None when no subdivision check is requested."""
+    """``_scan_outcomes`` of one graph, with R(G) built here: ``rho`` of
+    R(G), and ``rho_s`` of R(S(G)), which is None when no subdivision check
+    is requested."""
+    r = randic_matrix(g)
     ((outcomes, energy),) = _scan_outcomes(
-        [g], checks, rho[None], None if rho_s is None else rho_s[None]
+        [g], checks, r[None], rho[None], None if rho_s is None else rho_s[None]
     )
     return outcomes, energy
 
 
-def _scan_spectra(
-    graphs: list[Graph], subdivided: bool
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray | None]]:
-    """Spectra of R(G), and of R(S(G)) when ``subdivided``, for the graphs
-    of ``graphs``, all of one order, one group per edge count m.
+def _chunk_matrices(
+    order: int, edge_lists: Sequence[Sequence[tuple[int, int]]], subdivided: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """R(G) and R(S(G)) of a chunk of connected graphs of one order, built
+    as stacks straight from their sorted edge lists.
 
-    Graphs with equal edge counts share both matrix orders, n and n + m, so
-    each group is solved as one stack per matrix.  Yields (the group's
-    indices into ``graphs``, its stack of R-spectra, its stack of
-    R(S)-spectra or None), one row per member.  The caller holds a chunk's
-    graphs, with their cached degrees and adjacency, until the checks have
-    run on them: built once, not three times, at a cost of about 1 MB of
-    peak RSS on the orders 2..5 scan (41.6 against 40.6 MB).
+    Returns R(G) as one (B, n, n) stack; R(S(G)), when ``subdivided``, as
+    one (B, N, N) stack zero-padded to the largest subdivision order N, with
+    S(G) numbered as ``subdivision`` numbers it (vertex n + k on edge k); and
+    the edge counts m, one per graph, so that R(S(G_i)) is the leading
+    n + m_i block of its row.  Every entry is ``randic_matrix``'s
+    (w_i * a_ij) * w_j with w = 1 / sqrt(degree), which on an edge is
+    w_i * w_j and elsewhere +0.0, so each matrix has its bits.
     """
-    by_size: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_size.setdefault(g.m, []).append(i)
-    for members in by_size.values():
-        rho = symmetric_eigenvalues(np.stack([randic_matrix(graphs[i]) for i in members]))
-        rho_s = None
-        if subdivided:
-            rho_s = symmetric_eigenvalues(
-                np.stack([randic_matrix(subdivision(graphs[i])) for i in members])
-            )
-        yield members, rho, rho_s
+    b, n = len(edge_lists), order
+    sizes = np.fromiter(map(len, edge_lists), dtype=np.intp, count=b)
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(edge_lists)), dtype=np.intp
+    ).reshape(-1, 2)
+    owner = np.repeat(np.arange(b), sizes)
+    u, v = owner * n + ends[:, 0], owner * n + ends[:, 1]
+    degrees = np.bincount(u, minlength=b * n) + np.bincount(v, minlength=b * n)
+    w = 1.0 / np.sqrt(degrees.astype(np.float64))
+    wu, wv = w[u], w[v]
+    r = np.zeros((b, n, n))
+    flat = r.reshape(b * n, n)
+    # w_i * w_j == w_j * w_i exactly, so one product serves both triangles
+    flat[u, ends[:, 1]] = flat[v, ends[:, 0]] = wu * wv
+    if not subdivided:
+        return r, None, sizes
+    # the vertex on edge k of each graph is n + k, of degree 2
+    s = n + np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    half = 1.0 / np.sqrt(np.float64(2.0))
+    big = n + int(sizes.max(initial=0))
+    r_s = np.zeros((b, big, big))
+    for end, w_end in ((ends[:, 0], wu), (ends[:, 1], wv)):
+        r_s[owner, end, s] = r_s[owner, s, end] = w_end * half
+    return r, r_s, sizes
+
+
+def _scan_spectra(
+    order: int, edge_lists: Sequence[Sequence[tuple[int, int]]], subdivided: bool
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Spectra of R(G), and of R(S(G)) when ``subdivided``, for a chunk of
+    connected graphs of one order given by their sorted edge lists.
+
+    The chunk's matrices are built as stacks by ``_chunk_matrices``.  R(G)
+    is solved as one stack, and R(S(G)) as one zero-padded stack of mixed
+    orders.  Yields, one group per edge count m, (the group's indices into
+    ``edge_lists``, its stack of R(G), its stack of R-spectra, its stack of
+    R(S)-spectra or None), one row per member: the rows the checks read.
+    """
+    # sorted by edge count, each group's rows are one slice of every stack
+    perm = sorted(range(len(edge_lists)), key=lambda i: len(edge_lists[i]))
+    r, r_s, sizes = _chunk_matrices(order, [edge_lists[i] for i in perm], subdivided)
+    rho = symmetric_eigenvalues(r)
+    rho_s = None if r_s is None else symmetric_eigenvalues(r_s, orders=order + sizes)
+    del r_s  # the checks read R(G) and the spectra only
+    ends = [*np.flatnonzero(np.diff(sizes)) + 1, len(sizes)]
+    for lo, hi in zip([0, *ends], ends):
+        yield (
+            perm[lo:hi],
+            r[lo:hi],
+            rho[lo:hi],
+            None if rho_s is None else rho_s[lo:hi, : order + sizes[lo]],
+        )
 
 
 def _merge(
@@ -754,18 +805,19 @@ def _scan_range(
     order: int, start: int, stop: int, checks: tuple[str, ...], rank_energy: bool
 ) -> ScanSummary:
     """Scan the masks in [start, stop): graphs are taken in mask order, in
-    chunks of SCAN_CHUNK, and each chunk is solved and checked as one stack
-    per edge count.  Each graph becomes a summary of one graph, and
-    ``_merge`` folds those in mask order."""
+    chunks of SCAN_CHUNK; each chunk's matrices are built and solved as
+    whole stacks, and checked once per edge count.  Each graph becomes a
+    summary of one graph, and ``_merge`` folds those in mask order."""
     need_subdivision = any(c in checks for c in SUBDIVISION_CHECKS)
     masks = _connected_masks(order, start, stop)
 
     def graph_summaries() -> Iterator[ScanSummary]:
-        while graphs := [Graph(order, edges) for _, edges in islice(masks, SCAN_CHUNK)]:
+        while edge_lists := [edges for _, edges in islice(masks, SCAN_CHUNK)]:
+            graphs = [Graph(order, edges) for edges in edge_lists]
             results: list = [None] * len(graphs)
-            for members, rho, rho_s in _scan_spectra(graphs, need_subdivision):
+            for members, r, rho, rho_s in _scan_spectra(order, edge_lists, need_subdivision):
                 group = [graphs[i] for i in members]
-                for i, result in zip(members, _scan_outcomes(group, checks, rho, rho_s)):
+                for i, result in zip(members, _scan_outcomes(group, checks, r, rho, rho_s)):
                     results[i] = result
             for g, (outcomes, energy) in zip(graphs, results):
                 failed = [(name, res) for name, passed, res in outcomes if not passed]
@@ -807,6 +859,14 @@ def scan_small_graphs(
     and largest R-energy (first such graph in mask order on ties).
     """
     checks = tuple(checks)
+    if not checks:
+        # a scan without checks would report every graph as passing
+        raise ValueError("no scan checks given")
+    if "" in checks:
+        raise ValueError("empty scan check name")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        raise ValueError(f"repeated scan checks: {', '.join(repeated)}")
     unknown = [c for c in checks if c not in SCAN_CHECKS]
     if unknown:
         raise ValueError(f"unknown scan checks: {', '.join(unknown)}")

@@ -10,10 +10,13 @@ pairs is chosen by the matrix order n:
   orders a rotation's interpreted arithmetic costs less than the dozen numpy
   calls it otherwise takes), a single matrix above the band in numpy
   (``_jacobi_numpy``; at N = 129 to 250 the list kernel took 2.4 to 5.8
-  times as long), and a stack of two or more equal-order matrices in
-  lockstep (``_jacobi_stack``; a stack of one goes to its order's
-  single-matrix kernel).  They apply the same rotations with the same
-  arithmetic, so their eigenvalues agree bit for bit;
+  times as long), and a stack of two or more matrices in lockstep
+  (``_jacobi_stack``; a stack of one goes to its order's single-matrix
+  kernel).  A stack may mix orders: each matrix is zero-padded to the
+  largest order and keeps its own skip threshold, target and off-norm,
+  taken on its own block, and the padding stays +0.0 under every rotation.
+  The three kernels apply the same rotations with the same arithmetic, so
+  their eigenvalues agree bit for bit, padded or not;
 * the round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
   1985) for n inside the band, one matrix at a time.  Its rounds of disjoint
   pairs are applied one round per set of numpy calls, where row-major order
@@ -21,16 +24,16 @@ pairs is chosen by the matrix order n:
   spectra, which is where the band ends.
 
 Both orderings share the skip rule, the target and the sweep cap, and a
-matrix gets the same bits alone or in a stack.  Failure to converge within
-the sweep cap raises ConvergenceError, naming the ordering, rather than
-returning junk.
+matrix gets the same bits alone, in a stack, or padded in a stack of mixed
+orders.  Failure to converge within the sweep cap raises ConvergenceError,
+naming the ordering, rather than returning junk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -47,14 +50,35 @@ CLUSTER_TOL = 1e-7
 ROUND_ROBIN_ORDERS = (32, 128)
 
 
-def _off_norms(stack: np.ndarray) -> np.ndarray:
+def _off_norms(stack: np.ndarray, orders: np.ndarray | None = None) -> np.ndarray:
     """sqrt(2 * sum of squared strict-upper entries) of each matrix of a
     (B, n, n) stack, the convergence measure of every kernel.  Each matrix
     is one contiguous row of n * n squares, summed by the same reduction
-    alone or in a stack, so a matrix stops at the same sweep in either."""
+    alone or in a stack, so a matrix stops at the same sweep in either.
+
+    With ``orders``, matrix i is the leading orders[i] x orders[i] block of
+    a zero-padded stack; the matrices of each order are taken by one index
+    into their blocks, so each is still summed as the same contiguous row.
+    """
     b, n = stack.shape[0], stack.shape[-1]
+    if orders is not None and np.any(orders != n):
+        out = np.empty(b)
+        for k in np.unique(orders):
+            rows = _rows_of_order(orders, k)
+            out[rows] = _off_norms(stack[rows, :k, :k])
+        return out
     squares = np.triu(stack, 1) ** 2
     return np.sqrt(2.0 * np.sum(squares.reshape(b, n * n), axis=1))
+
+
+def _rows_of_order(orders: np.ndarray, k: int) -> slice | np.ndarray:
+    """Index of the matrices of order k in a stack of mixed orders: a slice
+    when they are contiguous, as in a stack sorted by order, so that taking
+    their blocks copies nothing."""
+    rows = np.flatnonzero(orders == k)
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -171,40 +195,46 @@ def _jacobi_list(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     return _off_norm(a) < target
 
 
-def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
-    """Lockstep form of ``_jacobi_numpy`` over a stack of shape (B, n, n).
+def _jacobi_stack(
+    a: np.ndarray, max_sweeps: int, target: np.ndarray, orders: np.ndarray
+) -> bool:
+    """Lockstep form of ``_jacobi_numpy`` over a stack of shape (B, N, N).
 
-    Every matrix follows its own rotation sequence exactly as the 2-D kernel
-    would, against its own ``target``: the pairs are visited in the same
+    Matrix i is the leading orders[i] x orders[i] block of a[i]; the rest of
+    a[i] must be +0.0.  Every matrix follows its own rotation sequence
+    exactly as the 2-D kernel would alone, against its own ``target`` and
+    skip threshold target[i] / orders[i]: the pairs are visited in the same
     row-major order for the whole stack, and at each pair only the matrices
-    whose entry exceeds their skip threshold rotate.  A matrix leaves the
-    stack at the first sweep that starts converged.  Returns False when any
-    matrix is still unconverged after ``max_sweeps``.
+    whose entry exceeds their skip threshold rotate.  A padded entry never
+    does, and a rotation maps padding to +0.0 again (0 - s * (0 + tau * 0)
+    and 0 + s * (0 - tau * 0) are +0.0 whatever the signs of s and tau), so
+    a padded matrix gets the bits of its unpadded solve.  A matrix stops
+    rotating at the first sweep that starts converged, measured on its own
+    block.  Returns False when any matrix is still unconverged after
+    ``max_sweeps``.
     """
-    n = a.shape[1]
-    if n < 2:
+    if a.shape[-1] < 2:
         return True
-    skip = target / n
-    live = np.arange(a.shape[0])
-    work = a
+    # an empty matrix converges at once; its threshold is never read
+    skip = target / np.maximum(orders, 1)
     for _ in range(max_sweeps):
-        done = _off_norms(work) < target[live]
-        if done.any():
-            # converged matrices go back to ``a`` and leave the working stack
-            a[live[done]] = work[done]
-            live = live[~done]
-            work = work[~done]
-        if not live.size:
+        # a converged matrix is never rotated again, so it stays converged
+        done = _off_norms(a, orders) < target
+        if done.all():
             return True
-        work_skip = skip[live]
+        # it stays in the stack with threshold +inf, so the stack is never
+        # copied; the per-pair calls cost about the same on all B rows
+        live_skip = np.where(done, np.inf, skip)
+        # pairs beyond the largest unconverged matrix touch only padding
+        n = int(orders[~done].max())
         for p in range(n - 1):
             for q in range(p + 1, n):
-                hit = np.flatnonzero(~(np.abs(work[:, p, q]) <= work_skip))
+                hit = np.flatnonzero(~(np.abs(a[:, p, q]) <= live_skip))
                 if not hit.size:
                     continue
-                apq = work[hit, p, q]
-                app = work[hit, p, p]
-                aqq = work[hit, q, q]
+                apq = a[hit, p, q]
+                app = a[hit, p, p]
+                aqq = a[hit, q, q]
                 theta = (aqq - app) / (2.0 * apq)
                 t = np.copysign(1.0, theta) / (
                     np.abs(theta) + np.sqrt(theta * theta + 1.0)
@@ -212,20 +242,19 @@ def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = (t * c)[:, None]
                 tau = s / (1.0 + c[:, None])
-                akp = work[hit, p]
-                akq = work[hit, q]
+                akp = a[hit, p]
+                akq = a[hit, q]
                 new_p = akp - s * (akq + tau * akp)
                 new_q = akq + s * (akp - tau * akq)
                 new_p[:, p] = app - t * apq
                 new_q[:, q] = aqq + t * apq
                 new_p[:, q] = 0.0
                 new_q[:, p] = 0.0
-                work[hit, p] = new_p
-                work[hit, q] = new_q
-                work[hit, :, p] = new_p
-                work[hit, :, q] = new_q
-    a[live] = work
-    return bool(np.all(_off_norms(work) < target[live]))
+                a[hit, p] = new_p
+                a[hit, q] = new_q
+                a[hit, :, p] = new_p
+                a[hit, :, q] = new_q
+    return bool(np.all(_off_norms(a, orders) < target))
 
 
 def _rotate_pairs(
@@ -327,58 +356,110 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     return _off_norm(a) < target
 
 
+def _prepared(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrised copy of a (B, n, n) stack that a kernel works on, and
+    each matrix's convergence target from its own Frobenius norm.  Rejects
+    non-finite entries and asymmetry beyond roundoff."""
+    if stack.size and not np.all(np.isfinite(stack)):
+        raise ValueError("matrix has non-finite entries")
+    scale = np.array([float(np.linalg.norm(x)) for x in stack])
+    # one temporary serves the asymmetry test and the symmetrised copy
+    work = np.subtract(stack, stack.swapaxes(1, 2), out=np.empty(stack.shape))
+    if stack.size:
+        asym = np.max(np.abs(work, out=work), axis=(1, 2))
+        bad = asym > 1e-8 * np.maximum(1.0, scale)
+        if np.any(bad):
+            worst = float(np.max(asym[bad]))
+            raise ValueError(f"matrix is not symmetric (max asymmetry {worst:.3e})")
+    np.add(stack, stack.swapaxes(1, 2), out=work)
+    work *= 0.5
+    return work, CONVERGENCE_RTOL * np.maximum(1.0, scale)
+
+
 def symmetric_eigenvalues(
-    m: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS
+    m: np.ndarray,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    orders: Sequence[int] | np.ndarray | None = None,
 ) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
     ``m`` is one matrix of shape (n, n), or a stack of shape (B, n, n) whose
-    result has shape (B, n), one descending row per matrix.  For n inside
-    ``ROUND_ROBIN_ORDERS`` each matrix, alone or in a stack, is solved by
-    the round-robin kernel.  Otherwise a stack of two or more is solved by
-    the lockstep kernel, and one matrix, alone or as a stack of one, by a
-    row-major kernel: the list kernel below the band, the numpy kernel above
-    it.  All three apply the same rotations with the same arithmetic, so a
-    matrix gets the same eigenvalue bits in a stack as alone.  Raises
-    ConvergenceError if the sweep cap is exhausted.
+    result has shape (B, n), one descending row per matrix.  With
+    ``orders``, ``m`` is a stack of shape (B, N, N) holding matrices of
+    mixed orders: matrix i is the leading orders[i] x orders[i] block of
+    m[i], and the rest of m[i] is ignored.  Row i of the (B, N) result then
+    holds its orders[i] eigenvalues, descending, followed by zeros.  Each
+    equal-order block of the stack is validated on its own, as a stack of
+    that order would be.
+
+    For n inside ``ROUND_ROBIN_ORDERS`` each matrix, alone or in a stack, is
+    solved by the round-robin kernel.  Of the others, two or more are solved
+    by the lockstep kernel, mixed orders as one zero-padded stack, and a
+    single one by a row-major kernel: the list kernel below the band, the
+    numpy kernel above it.  All three apply the same rotations with the same
+    arithmetic, so a matrix gets the same eigenvalue bits in a stack, padded
+    or not, as alone.  Raises ConvergenceError if the sweep cap is
+    exhausted.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(
             f"expected a square matrix or a stack of them, got shape {a.shape}"
         )
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
     stack = a[None] if a.ndim == 2 else a
-    scale = np.array([float(np.linalg.norm(x)) for x in stack])
-    if a.size:
-        asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))
-        bad = asym > 1e-8 * np.maximum(1.0, scale)
-        if np.any(bad):
-            worst = float(np.max(asym[bad]))
-            raise ValueError(f"matrix is not symmetric (max asymmetry {worst:.3e})")
-    work = np.ascontiguousarray(0.5 * (stack + stack.swapaxes(1, 2)))
-    target = CONVERGENCE_RTOL * np.maximum(1.0, scale)
-    n = a.shape[-1]
-    round_robin = ROUND_ROBIN_ORDERS[0] <= n <= ROUND_ROBIN_ORDERS[1]
-    if round_robin:
-        converged = all(
-            _jacobi_round_robin(w, max_sweeps, float(t)) for w, t in zip(work, target)
-        )
-    elif len(work) != 1:
-        converged = _jacobi_stack(work, max_sweeps, target)
-    elif n < ROUND_ROBIN_ORDERS[0]:
-        converged = _jacobi_list(work[0], max_sweeps, float(target[0]))
+    b, n = stack.shape[0], stack.shape[-1]
+    if orders is None:
+        sizes = np.full(b, n)
+        groups = [(n, slice(None))]
+        work, target = _prepared(stack)
     else:
-        converged = _jacobi_numpy(work[0], max_sweeps, float(target[0]))
-    if not converged:
-        ordering = "round-robin" if round_robin else "row-major"
-        raise ConvergenceError(
-            f"Jacobi sweep cap of {max_sweeps} reached without convergence "
-            f"({ordering} ordering, order {n})"
-        )
-    values = np.sort(np.diagonal(work, axis1=1, axis2=2), axis=1)[:, ::-1]
-    return np.ascontiguousarray(values.reshape(a.shape[:-1]))
+        sizes = np.asarray(orders)
+        if (
+            a.ndim != 3
+            or sizes.shape != (b,)
+            or (b and (sizes.dtype.kind not in "iu" or sizes.min() < 0 or sizes.max() > n))
+        ):
+            raise ValueError(
+                f"orders must give one order in 0..{n} per matrix of a stack, "
+                f"got {sizes.tolist()!r} for shape {a.shape}"
+            )
+        groups = [(k, _rows_of_order(sizes, k)) for k in np.unique(sizes).tolist()]
+        # each equal-order block is validated before it is copied in
+        work = np.zeros_like(stack)
+        target = np.empty(b)
+        for k, rows in groups:
+            work[rows, :k, :k], target[rows] = _prepared(stack[rows, :k, :k])
+    band = (ROUND_ROBIN_ORDERS[0] <= sizes) & (sizes <= ROUND_ROBIN_ORDERS[1])
+    for i in np.flatnonzero(band):
+        k = sizes[i]
+        if not _jacobi_round_robin(work[i, :k, :k], max_sweeps, float(target[i])):
+            _sweep_cap_reached(max_sweeps, "round-robin", k)
+    rest = np.flatnonzero(~band)
+    if rest.size == 1:
+        (i,) = rest
+        k = sizes[i]
+        kernel = _jacobi_list if k < ROUND_ROBIN_ORDERS[0] else _jacobi_numpy
+        if not kernel(work[i, :k, :k], max_sweeps, float(target[i])):
+            _sweep_cap_reached(max_sweeps, "row-major", k)
+    elif rest.size:
+        whole = rest.size == b
+        sub = work if whole else work[rest]
+        if not _jacobi_stack(sub, max_sweeps, target[rest], sizes[rest]):
+            _sweep_cap_reached(max_sweeps, "row-major", int(sizes[rest].max()))
+        if not whole:
+            work[rest] = sub
+    diagonal = np.diagonal(work, axis1=1, axis2=2)
+    values = np.zeros((b, n))
+    for k, rows in groups:
+        values[rows, :k] = np.sort(diagonal[rows, :k], axis=1)[:, ::-1]
+    return values.reshape(a.shape[:-1])
+
+
+def _sweep_cap_reached(max_sweeps: int, ordering: str, order: int) -> NoReturn:
+    raise ConvergenceError(
+        f"Jacobi sweep cap of {max_sweeps} reached without convergence "
+        f"({ordering} ordering, order {order})"
+    )
 
 
 def cluster_distinct(

@@ -277,6 +277,19 @@ class TestScanCommand:
         code, _, _ = run(capsys, "scan", "--order", "3", "--checks", "nope")
         assert code == 2
 
+    def test_repeated_check_name(self, capsys):
+        # a repeated check would run twice and count each failing graph twice
+        code, out, err = run(capsys, "scan", "--order", "3", "--checks", "energy,energy")
+        assert code == 2
+        assert out == ""
+        assert "repeated scan checks: energy" in err
+
+    def test_empty_check_name(self, capsys):
+        code, out, err = run(capsys, "scan", "--order", "3", "--checks", ",")
+        assert code == 2
+        assert out == ""
+        assert "empty scan check name" in err
+
 
 class TestSubdivideCommand:
     def test_graph6_roundtrip(self, capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 
 import randic.identities
@@ -24,6 +25,7 @@ from randic.identities import (
     SCAN_CHECKS,
     Counterexample,
     ScanSummary,
+    _chunk_matrices,
     _merge,
     _scan_one,
     classify_distinct_count,
@@ -471,6 +473,19 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_small_graphs(3, jobs=0)
 
+    def test_repeated_check_rejected(self):
+        with pytest.raises(ValueError, match="repeated scan checks: energy"):
+            scan_small_graphs(3, checks=("energy", "charpoly", "energy"))
+
+    @pytest.mark.parametrize("checks", [("", ""), ("energy", "")])
+    def test_empty_check_name_rejected(self, checks):
+        with pytest.raises(ValueError, match="empty scan check name"):
+            scan_small_graphs(3, checks=checks)
+
+    def test_no_checks_rejected(self):
+        with pytest.raises(ValueError, match="no scan checks given"):
+            scan_small_graphs(3, checks=())
+
 
 @functools.lru_cache(maxsize=None)
 def per_graph_scan(order: int):
@@ -500,9 +515,14 @@ def per_graph_scan(order: int):
 
 
 class TestBatchedScan:
-    # (order, SCAN_CHUNK); None keeps the default, and 50 splits order 5's
-    # 728 graphs over 15 chunks
-    @pytest.mark.parametrize("order,chunk", [(2, None), (3, None), (4, None), (5, None), (5, 50)])
+    # (order, SCAN_CHUNK); None keeps the default, 50 splits order 5's 728
+    # graphs over 15 chunks, a chunk of one graph takes the single-matrix
+    # kernels, and chunks of 7 give padded stacks with one-member edge-count
+    # groups
+    @pytest.mark.parametrize(
+        "order,chunk",
+        [(2, None), (3, None), (4, None), (5, None), (5, 50), (4, 1), (5, 7)],
+    )
     def test_matches_per_graph_solves(self, order, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(randic.identities, "SCAN_CHUNK", chunk)
@@ -513,3 +533,20 @@ class TestBatchedScan:
         assert summary.worst_residuals == worst
         assert summary.lowest_energy == low
         assert summary.highest_energy == high
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_chunk_matrices_equal_per_graph_builds(self, order):
+        graphs = list(enumerate_connected_graphs(order))
+        r, r_s, sizes = _chunk_matrices(order, [g.edges for g in graphs], True)
+        assert r_s.shape == (len(graphs), order + max(sizes), order + max(sizes))
+        for g, built, built_s, m in zip(graphs, r, r_s, sizes):
+            assert m == g.m
+            assert built.tobytes() == randic_matrix(g).tobytes()
+            k = order + m
+            assert built_s[:k, :k].tobytes() == randic_matrix(subdivision(g)).tobytes()
+            padding = np.concatenate((built_s[k:].ravel(), built_s[:k, k:].ravel()))
+            assert not padding.any()
+            assert not np.signbit(padding).any()
+        alone, none, _ = _chunk_matrices(order, [g.edges for g in graphs], False)
+        assert none is None
+        assert alone.tobytes() == r.tobytes()

@@ -19,6 +19,7 @@ from randic.linalg import (
     _jacobi_list,
     _jacobi_numpy,
     _jacobi_round_robin,
+    _jacobi_stack,
     _off_norm,
     _off_norms,
     _round_robin_schedule,
@@ -460,6 +461,67 @@ class TestDispatch:
         symmetric_eigenvalues(m)
         assert {name for name, _ in calls} == {kernel}
         assert calls[0][1] == (shape if kernel == "_jacobi_stack" else (n, n))
+
+    def test_mixed_orders_match_single_solves(self, monkeypatch):
+        # one zero-padded stack of mixed orders: each row keeps the bits of
+        # its matrix solved alone, and the order inside the round-robin band
+        # still goes to its own kernel
+        rng = np.random.default_rng(12)
+        one_rotation = np.diag(np.arange(6.0))
+        one_rotation[1, 4] = one_rotation[4, 1] = 0.5
+        matrices = [
+            np.diag(np.arange(7.0)),  # already diagonal
+            one_rotation,
+            1e-9 * random_symmetric(rng, 9),  # loose absolute target
+            random_symmetric(rng, 9),
+            random_symmetric(rng, 3),  # the only matrix of its order
+            random_symmetric(rng, T_LO),
+            random_symmetric(rng, 6),
+            randic_matrix(subdivision(generate("cycle", 5))),  # order 10
+        ]
+        orders = [len(m) for m in matrices]
+        big = max(orders)
+        padded = np.zeros((len(matrices), big, big))
+        for row, m in zip(padded, matrices):
+            row[: len(m), : len(m)] = m
+        alone = [symmetric_eigenvalues(m) for m in matrices]
+        calls = self.spy(monkeypatch)
+        got = symmetric_eigenvalues(padded, orders=orders)
+        assert got.shape == (len(matrices), big)
+        assert sorted(calls) == [
+            ("_jacobi_round_robin", (T_LO, T_LO)),
+            ("_jacobi_stack", (len(matrices) - 1, big, big)),
+        ]
+        for row, want, k in zip(got, alone, orders):
+            assert same_bits(row[:k], want), k
+            assert same_bits(row[k:], np.zeros(big - k))
+
+    def test_padding_stays_positive_zero(self):
+        # the lockstep kernel on a padded stack: every block ends with the
+        # bits of the list kernel on it alone, and the padding as +0.0
+        rng = np.random.default_rng(13)
+        matrices = [random_symmetric(rng, k) for k in (5, 2, 11, 5, 8)]
+        orders = np.array([len(m) for m in matrices])
+        big = orders.max()
+        work = np.zeros((len(matrices), big, big))
+        targets = np.empty(len(matrices))
+        singles = []
+        for i, m in enumerate(matrices):
+            a, targets[i] = kernel_input(m)
+            work[i, : len(m), : len(m)] = a
+            assert _jacobi_list(a, 100, targets[i])
+            singles.append(a)
+        assert _jacobi_stack(work, 100, targets, orders)
+        for row, single, k in zip(work, singles, orders):
+            assert same_bits(row[:k, :k], single)
+            padding = np.concatenate((row[k:].ravel(), row[:k, k:].ravel()))
+            assert not padding.any()
+            assert not np.signbit(padding).any()
+
+    @pytest.mark.parametrize("orders", [[3, 6], [2, 5, 5], [-1, 2], [2.5, 3.0]])
+    def test_rejects_bad_orders(self, orders):
+        with pytest.raises(ValueError, match="orders"):
+            symmetric_eigenvalues(np.zeros((2, 5, 5)), orders=orders)
 
 
 class TestClustering:

@@ -1,4 +1,5 @@
-"""Dense symmetric eigensolver and small polynomial utilities.
+"""Dense symmetric eigensolver, one-sided Jacobi SVD, and small polynomial
+utilities.
 
 The eigensolver is a cyclic Jacobi iteration: full matrix storage, plane
 rotations, convergence declared when the off-diagonal Frobenius mass drops
@@ -27,6 +28,17 @@ Both orderings share the skip rule, the target and the sweep cap, and a
 matrix gets the same bits alone, in a stack, or padded in a stack of mixed
 orders.  Failure to converge within the sweep cap raises ConvergenceError,
 naming the ordering, rather than returning junk.
+
+``singular_values`` is the one-sided (Hestenes) form, one n x m block at a
+time with n <= m: it rotates pairs of rows, in the same round-robin rounds,
+until the rows are orthogonal, and returns their norms.  A bipartite graph's
+R = [[0, B], [B^T, 0]] has eigenvalues +-sigma(B) and zeros, so
+``spectra.randic_eigenvalues`` (under ``randic_energy``, ``randic_spectrum``
+and the ``energy`` and ``spectrum`` commands) solves the block B alone: a
+sweep visits n(n - 1)/2 row pairs of length m instead of the
+(n + m)(n + m - 1)/2 pairs of R, most of which are zero by construction.
+``verify`` and the scans stay on the two-sided kernels: their charpoly and
+identity verdicts can move with the last bits of the spectra.
 """
 
 from __future__ import annotations
@@ -356,6 +368,87 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     return _off_norm(a) < target
 
 
+def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
+    """One-sided (Hestenes) kernel in round-robin order; mutates the (n, m)
+    block ``b`` toward mutually orthogonal rows, whose norms are then its
+    singular values.
+
+    A sweep runs the rounds of ``_round_robin_schedule(n)``, as the
+    two-sided kernel does, but rotates rows only: each round gathers its
+    pairs' rows and takes their squared norms alpha, beta and dot products
+    gamma from the rows themselves, so ``b b^T`` is never formed.  A pair
+    rotates when |gamma| > tol * sqrt(alpha * beta), with tol = eps * sqrt(m),
+    the scale of the rounding error in a dot product of length m: rows that
+    orthogonal give singular values correct to a small multiple of tol,
+    relative to each value (Demmel and Veselic, SIAM J. Matrix Anal. Appl.
+    13(4), 1992).  A row of norm at most tol * ||b||_F counts as zero and is
+    left alone: re-orthogonalizing such a row against the others cancels
+    nearly all of it and leaves it no more orthogonal, so a rank-deficient
+    block would rotate until its null rows underflow.  A sweep
+    that rotates nothing ends the iteration; returns False when each of the
+    ``max_sweeps`` sweeps rotated some pair.
+    """
+    n, m = b.shape
+    if n < 2:
+        return True
+    ps, qs = _round_robin_schedule(n)
+    pairs = np.hstack((ps, qs))
+    swaps = np.hstack((qs, ps))
+    half = ps.shape[1]
+    tol = np.finfo(np.float64).eps * math.sqrt(m)
+    floor = (tol * float(np.linalg.norm(b))) ** 2
+    for _ in range(max_sweeps):
+        rotated = False
+        for idx, swap in zip(pairs, swaps):
+            rows = b[idx]
+            norms = np.einsum("ij,ij->i", rows, rows)
+            alpha, beta = norms[:half], norms[half:]
+            gamma = np.einsum("ij,ij->i", rows[:half], rows[half:])
+            hit = (np.abs(gamma) > tol * np.sqrt(alpha * beta)) & (
+                np.minimum(alpha, beta) > floor
+            )
+            rotating = np.count_nonzero(hit)
+            if not rotating:
+                continue
+            rotated = True
+            if rotating < half:
+                alpha, beta, gamma = alpha[hit], beta[hit], gamma[hit]
+                both = np.concatenate((hit, hit))
+                rows, idx, swap = rows[both], idx[both], swap[both]
+            # the rotation that zeroes gamma, in the form of the two-sided
+            # kernel with (aqq - app, apq) = (beta - alpha, gamma)
+            d = beta - alpha
+            twice = 2.0 * gamma
+            t = twice / (d + np.copysign(np.hypot(d, twice), d))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            c2 = np.concatenate((c, c))[:, None]
+            s2 = np.concatenate((s, -s))[:, None]
+            b[idx] = _rotate_pairs(rows, b[swap], c2, s2)
+        if not rotated:
+            return True
+    return False
+
+
+def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
+    """Singular values of an (n, m) matrix with n <= m, descending, by the
+    one-sided kernel on a copy: the n row norms of the orthogonalized rows.
+
+    Built for the biadjacency block B of a bipartite R = [[0, B], [B^T, 0]],
+    whose eigenvalues are then +-sigma(B) and zeros.  Raises ValueError for
+    non-finite entries, and ConvergenceError, naming the one-sided ordering,
+    if the sweep cap is exhausted.
+    """
+    a = np.array(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] > a.shape[1]:
+        raise ValueError(f"expected an (n, m) matrix with n <= m, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    if not _jacobi_one_sided(a, max_sweeps):
+        _sweep_cap_reached(max_sweeps, "one-sided", f"{a.shape[0]}x{a.shape[1]}")
+    return np.sort(np.sqrt(np.einsum("ij,ij->i", a, a)))[::-1]
+
+
 def _prepared(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symmetrised copy of a (B, n, n) stack that a kernel works on, and
     each matrix's convergence target from its own Frobenius norm.  Rejects
@@ -455,7 +548,7 @@ def symmetric_eigenvalues(
     return values.reshape(a.shape[:-1])
 
 
-def _sweep_cap_reached(max_sweeps: int, ordering: str, order: int) -> NoReturn:
+def _sweep_cap_reached(max_sweeps: int, ordering: str, order: int | str) -> NoReturn:
     raise ConvergenceError(
         f"Jacobi sweep cap of {max_sweeps} reached without convergence "
         f"({ordering} ordering, order {order})"
@@ -499,11 +592,15 @@ class Spectrum:
         """Number of distinct eigenvalues."""
         return len(self.distinct)
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> "Spectrum":
+        """Descending eigenvalues, clustered at ``CLUSTER_TOL``."""
+        distinct, mults = cluster_distinct(values, CLUSTER_TOL)
+        return cls(tuple(values.tolist()), distinct, mults)
+
 
 def eigenvalues(m: np.ndarray) -> Spectrum:
-    vals = symmetric_eigenvalues(m)
-    distinct, mults = cluster_distinct(vals, CLUSTER_TOL)
-    return Spectrum(tuple(vals.tolist()), distinct, mults)
+    return Spectrum.of(symmetric_eigenvalues(m))
 
 
 # ---------------------------------------------------------------------------

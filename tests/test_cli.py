@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import randic
@@ -47,6 +48,26 @@ class TestSpectrumCommand:
         values = payload["spectra"]["randic"]["eigenvalues"]
         assert values == pytest.approx([1.0, -0.5, -0.5], abs=1e-11)
         assert payload["spectra"]["randic"]["multiplicities"] == [1, 2]
+
+    @pytest.mark.parametrize("token", ["gen:path:30", "gen:star:9", "gen:cycle:5", "gen:petersen"])
+    def test_same_bits_as_library(self, capsys, monkeypatch, token):
+        import randic.cli as cli_module
+        from randic.identities import fmt
+        from randic.spectra import randic_spectrum
+
+        solved = []
+
+        def recording(g):
+            solved.append(randic.randic_eigenvalues(g))
+            return solved[-1]
+
+        monkeypatch.setattr(cli_module, "randic_eigenvalues", recording)
+        code, out, _ = run(capsys, "spectrum", token)
+        assert code == 0
+        want = randic_spectrum(load_graph(token)).values
+        (rho,) = solved
+        assert rho.tobytes() == np.array(want).tobytes()
+        assert out.splitlines()[4] == "eigenvalues " + " ".join(fmt(v) for v in want)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "spectrum", "gen:petersen", "--matrix", "all", "--json")
@@ -111,8 +132,8 @@ class TestVerifyCommand:
         ],
     )
     def test_one_solve_per_matrix(self, capsys, monkeypatch, argv, orders):
-        import randic.cli as cli_module
         import randic.identities as identities_module
+        import randic.spectra as spectra_module
 
         solved = []
         solve = identities_module.symmetric_eigenvalues
@@ -122,7 +143,9 @@ class TestVerifyCommand:
             return solve(m, *args, **kwargs)
 
         monkeypatch.setattr(identities_module, "symmetric_eigenvalues", counting)
-        monkeypatch.setattr(cli_module, "symmetric_eigenvalues", counting)
+        # spectrum solves through randic_eigenvalues, which sends Petersen,
+        # not bipartite, to the full matrix
+        monkeypatch.setattr(spectra_module, "symmetric_eigenvalues", counting)
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert solved == orders

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randic.errors import ConvergenceError
-from randic.graphs import enumerate_connected_graphs, generate, subdivision
+from randic.graphs import Graph, enumerate_connected_graphs, generate, subdivision
+from randic.identities import scan_small_graphs, verify_all
 from randic.linalg import (
     ROUND_ROBIN_ORDERS,
     Polynomial,
@@ -18,16 +19,25 @@ from randic.linalg import (
     eigenvalues,
     _jacobi_list,
     _jacobi_numpy,
+    _jacobi_one_sided,
     _jacobi_round_robin,
     _jacobi_stack,
     _off_norm,
     _off_norms,
     _round_robin_schedule,
     product_over_roots,
+    singular_values,
     substitute_quadratic,
     symmetric_eigenvalues,
 )
-from randic.spectra import randic_matrix
+from randic.spectra import (
+    _biadjacency,
+    energy_of,
+    randic_eigenvalues,
+    randic_energy,
+    randic_matrix,
+    randic_spectrum,
+)
 
 T_LO, T_HI = ROUND_ROBIN_ORDERS
 
@@ -151,6 +161,54 @@ class TestEigensolver:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestOneSided:
+    """The one-sided kernel, through ``singular_values``, against LAPACK."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=0, max_value=20),
+        extra=st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lapack_oracle(self, seed, n, extra):
+        b = np.random.default_rng(seed).standard_normal((n, n + extra))
+        scale = max(1.0, float(np.linalg.norm(b)))
+        mine = singular_values(b)
+        assert mine.shape == (n,)
+        assert np.all(np.diff(mine) <= 0)
+        assert np.max(np.abs(mine - np.linalg.svd(b, compute_uv=False)), initial=0.0) < 1e-11 * scale
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_rank_deficient(self, rank):
+        # null rows shrink to roundoff and stop there instead of rotating on
+        rng = np.random.default_rng(rank)
+        b = rng.standard_normal((7, rank)) @ rng.standard_normal((rank, 11))
+        mine = singular_values(b)
+        scale = max(1.0, float(np.linalg.norm(b)))
+        assert np.max(np.abs(mine - np.linalg.svd(b, compute_uv=False))) < 1e-11 * scale
+        assert np.all(mine[rank:] < 1e-13 * scale)
+
+    def test_orthogonal_rows_return_at_once(self):
+        b = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, -4.0]])
+        before = b.copy()
+        assert same_bits(singular_values(b, max_sweeps=1), np.array([4.0, 3.0]))
+        assert same_bits(b, before)
+
+    def test_sweep_cap_raises(self):
+        b = np.random.default_rng(4).standard_normal((6, 9))
+        with pytest.raises(ConvergenceError, match="one-sided ordering, order 6x9"):
+            singular_values(b, max_sweeps=0)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 3, 3)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match="n <= m"):
+            singular_values(np.ones(shape))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            singular_values(np.array([[1.0, np.nan]]))
 
 
 def reference_jacobi(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, int]:
@@ -423,7 +481,14 @@ class TestKernelBits:
 class TestDispatch:
     """Which kernel serves which shape and order."""
 
-    KERNELS = ("_jacobi_list", "_jacobi_numpy", "_jacobi_round_robin", "_jacobi_stack")
+    KERNELS = (
+        "_jacobi_list",
+        "_jacobi_numpy",
+        "_jacobi_round_robin",
+        "_jacobi_stack",
+        "_jacobi_one_sided",
+    )
+    TWO_SIDED = set(KERNELS) - {"_jacobi_one_sided"}
 
     def spy(self, monkeypatch):
         import randic.linalg as linalg
@@ -522,6 +587,69 @@ class TestDispatch:
     def test_rejects_bad_orders(self, orders):
         with pytest.raises(ValueError, match="orders"):
             symmetric_eigenvalues(np.zeros((2, 5, 5)), orders=orders)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate("path", 2),
+            generate("path", 10),
+            generate("star", 7),
+            generate("cycle", 36),
+            subdivision(generate("petersen")),
+            subdivision(generate("complete", 9)),
+            # P3 beside K_{2,3}
+            Graph.from_edges(8, [(0, 1), (1, 2), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7)]),
+        ],
+        ids=["P2", "P10", "star7", "C36", "S(petersen)", "S(K9)", "P3+K23"],
+    )
+    def test_bipartite_graph_takes_one_sided_kernel(self, monkeypatch, g):
+        shape = _biadjacency(g).shape
+        calls = self.spy(monkeypatch)
+        values = randic_eigenvalues(g)
+        randic_energy(g)
+        randic_spectrum(g)
+        assert calls == [("_jacobi_one_sided", shape)] * 3
+        assert shape[0] <= shape[1] and sum(shape) == g.n
+        assert values.shape == (g.n,)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate("cycle", 3),
+            generate("cycle", 5),
+            generate("cycle", 33),
+            generate("cycle", 61),
+            generate("petersen"),
+            generate("complete", 3),
+            generate("complete", 8),
+            generate("complete", 40),
+            Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # triangle and pendant
+        ],
+        ids=["C3", "C5", "C33", "C61", "petersen", "K3", "K8", "K40", "paw"],
+    )
+    def test_non_bipartite_graph_keeps_two_sided_bits(self, monkeypatch, g):
+        want = symmetric_eigenvalues(randic_matrix(g))
+        calls = self.spy(monkeypatch)
+        values = randic_eigenvalues(g)
+        assert calls and {name for name, _ in calls} <= self.TWO_SIDED
+        assert same_bits(values, want)
+        assert randic_energy(g) == energy_of(want)
+        assert randic_spectrum(g).values == tuple(want.tolist())
+
+    def test_verify_and_scan_stay_two_sided(self, monkeypatch):
+        # their charpoly and identity verdicts hang on the last bits of the
+        # spectra, so they keep solving the full matrices
+        calls = self.spy(monkeypatch)
+        for g in (generate("path", 6), generate("cycle", 8), generate("star", 5)):
+            verify_all(g)
+        scan_small_graphs(4, rank_energy=True)
+        assert calls and {name for name, _ in calls} <= self.TWO_SIDED
+
+    def test_one_sided_sweep_cap_raises(self):
+        b = _biadjacency(subdivision(generate("cycle", 36)))
+        with pytest.raises(ConvergenceError, match="one-sided ordering, order 36x36"):
+            singular_values(b, max_sweeps=1)
+        assert singular_values(b).shape == (36,)
 
 
 class TestClustering:

@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randic.errors import IsolatedVertexError
-from randic.graphs import Graph, generate, is_connected
+from randic.graphs import Graph, enumerate_connected_graphs, generate, is_connected, subdivision
 from randic.linalg import symmetric_eigenvalues
 from randic.spectra import (
+    _biadjacency,
     energy_of,
     normalized_laplacian,
     normalized_signless_laplacian,
     perron_residual,
     perron_vector,
+    randic_eigenvalues,
     randic_energy,
     randic_index,
     randic_matrix,
@@ -171,3 +173,96 @@ class TestPerron:
             g = random_connected(rng, rng.randint(2, 20))
             assert is_connected(g)
             assert perron_residual(g) < g.n * 1e-10
+
+
+def oracle_error(g: Graph, values: np.ndarray) -> float:
+    """Worst gap to LAPACK's eigenvalues of R, over 1e-11 * max(1, ||R||_F),
+    the bound the eigensolver tests apply."""
+    r = randic_matrix(g)
+    scale = max(1.0, float(np.linalg.norm(r)))
+    return float(np.max(np.abs(values - np.linalg.eigvalsh(r)[::-1]))) / (1e-11 * scale)
+
+
+def bipartite_families():
+    """Paths, stars and even cycles, and the subdivisions of paths, stars,
+    cycles and complete graphs, each up to order 62 before subdividing;
+    complete graphs up to 20, where LAPACK on R(S(K_20)) (order 210) is still
+    cheap."""
+    for n in range(2, 63):
+        yield generate("path", n)
+        yield subdivision(generate("path", n))
+    for n in range(3, 63):
+        yield generate("star", n)
+        yield subdivision(generate("star", n))
+        yield subdivision(generate("cycle", n))
+        if n % 2 == 0:
+            yield generate("cycle", n)
+    for n in range(3, 21):
+        yield subdivision(generate("complete", n))
+
+
+class TestRandicEigenvalues:
+    def test_every_small_bipartite_graph_and_subdivision(self):
+        # the connected bipartite graphs of orders 2-6, told apart by LAPACK
+        # (R has eigenvalue -1 exactly then), and every subdivision of a
+        # connected graph of orders 2-6
+        checked = 0
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                if np.linalg.eigvalsh(randic_matrix(g))[0] < -1.0 + 1e-9:
+                    assert oracle_error(g, randic_eigenvalues(g)) < 1.0, g
+                    checked += 1
+                s = subdivision(g)
+                assert oracle_error(s, randic_eigenvalues(s)) < 1.0, g
+                checked += 1
+        assert checked == 30724
+
+    def test_families_up_to_order_62(self):
+        for g in bipartite_families():
+            values = randic_eigenvalues(g)
+            assert oracle_error(g, values) < 1.0, (g.n, g.m)
+            k = _biadjacency(g).shape[0]
+            # descending, paired off as exact negatives, zeros in the middle
+            assert np.all(np.diff(values) <= 0)
+            assert np.array_equal(values, -values[::-1])
+            assert np.count_nonzero(values == 0.0) >= g.n - 2 * k
+            assert not np.signbit(values[k : g.n - k]).any()
+
+    def test_complete_graph_subdivisions_closed_form(self):
+        # R(S(K_n)) has eigenvalues +-1, +-sqrt((n - 2) / (2 (n - 1))) n - 1
+        # times each, and zeros: +-sqrt(theta / 2) over theta = 1 + rho(K_n)
+        for n in range(3, 63):
+            values = randic_eigenvalues(subdivision(generate("complete", n)))
+            inner = math.sqrt((n - 2) / (2 * (n - 1)))
+            zeros = n * (n - 1) // 2 - n
+            want = np.array([1.0] + [inner] * (n - 1) + [0.0] * zeros + [-inner] * (n - 1) + [-1.0])
+            scale = math.sqrt(n * (n - 1) / 2)  # ||R(S(K_n))||_F, above 1
+            assert np.max(np.abs(values - want)) < 1e-11 * scale, n
+
+    def test_disconnected_bipartite_graph(self):
+        # P3, K_{2,3} and C4 side by side: the component spectra together
+        edges = [(0, 1), (1, 2)]
+        edges += [(u, v) for u in (3, 4) for v in (5, 6, 7)]
+        edges += [(8, 9), (9, 10), (10, 11), (8, 11)]
+        g = Graph.from_edges(12, edges)
+        values = randic_eigenvalues(g)
+        assert oracle_error(g, values) < 1.0
+        # each component's rows are its smaller class: 1 + 2 + 2 rows
+        assert _biadjacency(g).shape == (5, 7)
+        assert randic_energy(g) == pytest.approx(
+            randic_energy(generate("path", 3)) + 2.0 + 2.0, abs=1e-12
+        )
+
+    def test_isolated_vertex_rejected_first(self):
+        for g in (Graph.from_edges(3, [(0, 1)]), Graph.from_edges(0, []), Graph(2, ())):
+            with pytest.raises(IsolatedVertexError):
+                randic_eigenvalues(g)
+
+    def test_block_entries_are_the_matrix_entries(self):
+        # B is R's off-diagonal block, bit for bit, in vertex order
+        g = subdivision(generate("petersen"))
+        r = randic_matrix(g)
+        b = _biadjacency(g)
+        rows, cols = np.arange(10), np.arange(10, 25)
+        assert b.tobytes() == r[np.ix_(rows, cols)].tobytes()
+        assert _biadjacency(generate("cycle", 5)) is None

@@ -36,6 +36,9 @@ each and runs every applicable check on the shared spectra.  The builders
 take stacks of graphs of one order and size, one row per graph: a scan
 hands them each edge-count group it solved, and the functions above a
 group of one, so the subdivision checks' arithmetic runs once per stack.
+The functions above solve R(S) two-sided, as a full matrix; a scan solves
+it one-sided, on the stack of its group's biadjacency blocks, so their
+subdivision residuals can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ from .linalg import (
     charpoly_coefficients,
     cluster_distinct,
     product_over_roots,
+    singular_values,
     symmetric_eigenvalues,
 )
-from .spectra import energy_of, randic_matrix
+from .spectra import _bipartite_eigenvalues, energy_of, randic_matrix
 
 CHARPOLY_TOL = 1e-8
 CORRESPONDENCE_TOL = 1e-8
@@ -388,7 +392,9 @@ def is_strongly_regular(g: Graph) -> SrgParameters | None:
     Requires connected, regular, neither complete nor edgeless, and uniform
     common-neighbor counts over adjacent pairs and over nonadjacent pairs.
     """
-    if g.n < 2 or not is_connected(g) or not g.is_regular():
+    # regularity first: it reads the degrees alone, and rejects nearly every
+    # graph a scan visits before the traversal builds neighbor sets
+    if g.n < 2 or not g.is_regular() or not is_connected(g):
         return None
     if g.m == 0 or g.m == g.n * (g.n - 1) // 2:
         return None
@@ -621,10 +627,12 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     identity, the classification, and the local conditions when R has
     exactly three distinct eigenvalues.
 
-    R(G) and R(S(G)) are each solved once, in that order, and every check
-    reads the shared spectra, through the code a scan runs on a stack, here
-    of one graph: the results equal those of the single-check functions
-    and of a scan.  ``g`` must be connected with every degree positive.
+    R(G) and R(S(G)) are each solved once, two-sided, in that order, and
+    every check reads the shared spectra, through the code a scan runs on a
+    stack, here of one graph: the results equal those of the single-check
+    functions, and those of a scan except for the last bits of the
+    subdivision residuals, which a scan takes from a one-sided solve.
+    ``g`` must be connected with every degree positive.
     """
     r = randic_matrix(g)
     rho = symmetric_eigenvalues(r)
@@ -703,17 +711,23 @@ def _scan_one(
 
 def _chunk_matrices(
     order: int, edge_lists: Sequence[Sequence[tuple[int, int]]], subdivided: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """R(G) and R(S(G)) of a chunk of connected graphs of one order, built
-    as stacks straight from their sorted edge lists.
+) -> tuple[np.ndarray, list[tuple[slice, np.ndarray | None]]]:
+    """R(G) of a chunk of connected graphs of one order, and the blocks B of
+    their subdivisions, built as stacks straight from their sorted edge
+    lists; the chunk must be ordered by edge count.
 
-    Returns R(G) as one (B, n, n) stack; R(S(G)), when ``subdivided``, as
-    one (B, N, N) stack zero-padded to the largest subdivision order N, with
-    S(G) numbered as ``subdivision`` numbers it (vertex n + k on edge k); and
-    the edge counts m, one per graph, so that R(S(G_i)) is the leading
-    n + m_i block of its row.  Every entry is ``randic_matrix``'s
-    (w_i * a_ij) * w_j with w = 1 / sqrt(degree), which on an edge is
-    w_i * w_j and elsewhere +0.0, so each matrix has its bits.
+    Returns R(G) as one (B, n, n) stack and, one per edge count m, the
+    slice of the chunk that holds its graphs with, when ``subdivided``,
+    their stack of blocks B of R(S(G)), else None.  S(G) is bipartite, its
+    vertices on one side and its edge vertices on the other, so R(S) is
+    [[0, B], [B^T, 0]] with B of shape (n, m): row i is vertex i, column k
+    the vertex on edge k, numbered n + k by ``subdivision``.  When m < n (trees) the stack holds B^T, of
+    shape (m, n), the orientation ``spectra._biadjacency`` picks for S(G).
+    Every entry of R(G) is ``randic_matrix``'s (w_i * a_ij) * w_j with
+    w = 1 / sqrt(degree), which on an edge is w_i * w_j and elsewhere +0.0,
+    and every nonzero of B is w_i * (1 / sqrt(2)), so each matrix has the
+    bits of its own build: R(G) those of ``randic_matrix(g)`` and B those of
+    ``_biadjacency(subdivision(g))``.
     """
     b, n = len(edge_lists), order
     sizes = np.fromiter(map(len, edge_lists), dtype=np.intp, count=b)
@@ -729,16 +743,25 @@ def _chunk_matrices(
     flat = r.reshape(b * n, n)
     # w_i * w_j == w_j * w_i exactly, so one product serves both triangles
     flat[u, ends[:, 1]] = flat[v, ends[:, 0]] = wu * wv
-    if not subdivided:
-        return r, None, sizes
-    # the vertex on edge k of each graph is n + k, of degree 2
-    s = n + np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # sorted by edge count, each group's graphs, and their edges, are one
+    # slice of the chunk
+    bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), b]
+    first_edge = np.cumsum(sizes) - sizes
     half = 1.0 / np.sqrt(np.float64(2.0))
-    big = n + int(sizes.max(initial=0))
-    r_s = np.zeros((b, big, big))
-    for end, w_end in ((ends[:, 0], wu), (ends[:, 1], wv)):
-        r_s[owner, end, s] = r_s[owner, s, end] = w_end * half
-    return r, r_s, sizes
+    groups: list[tuple[slice, np.ndarray | None]] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if not subdivided:
+            groups.append((slice(lo, hi), None))
+            continue
+        m = int(sizes[lo])
+        edges = slice(first_edge[lo], first_edge[lo] + (hi - lo) * m)
+        graph = np.repeat(np.arange(hi - lo), m)
+        edge = np.tile(np.arange(m), hi - lo)
+        block = np.zeros((hi - lo, m, n) if m < n else (hi - lo, n, m))
+        for end, w_end in ((ends[edges, 0], wu[edges]), (ends[edges, 1], wv[edges])):
+            block[(graph, edge, end) if m < n else (graph, end, edge)] = w_end * half
+        groups.append((slice(lo, hi), block))
+    return r, groups
 
 
 def _scan_spectra(
@@ -748,25 +771,23 @@ def _scan_spectra(
     connected graphs of one order given by their sorted edge lists.
 
     The chunk's matrices are built as stacks by ``_chunk_matrices``.  R(G)
-    is solved as one stack, and R(S(G)) as one zero-padded stack of mixed
-    orders.  Yields, one group per edge count m, (the group's indices into
-    ``edge_lists``, its stack of R(G), its stack of R-spectra, its stack of
-    R(S)-spectra or None), one row per member: the rows the checks read.
+    is solved as one stack by the two-sided ``symmetric_eigenvalues``.  Each
+    edge-count group's blocks B of R(S) are solved once, as one stack of
+    equal shape, by the one-sided ``singular_values``, and each R(S)
+    spectrum is laid out from sigma(B) by ``_bipartite_eigenvalues``: the
+    bits of ``randic_eigenvalues(subdivision(g))``.  Yields, one group per
+    edge count m, (the group's indices into ``edge_lists``, its stack of
+    R(G), its stack of R-spectra, its stack of R(S)-spectra or None), one
+    row per member: the rows the checks read.
     """
-    # sorted by edge count, each group's rows are one slice of every stack
     perm = sorted(range(len(edge_lists)), key=lambda i: len(edge_lists[i]))
-    r, r_s, sizes = _chunk_matrices(order, [edge_lists[i] for i in perm], subdivided)
+    r, groups = _chunk_matrices(order, [edge_lists[i] for i in perm], subdivided)
     rho = symmetric_eigenvalues(r)
-    rho_s = None if r_s is None else symmetric_eigenvalues(r_s, orders=order + sizes)
-    del r_s  # the checks read R(G) and the spectra only
-    ends = [*np.flatnonzero(np.diff(sizes)) + 1, len(sizes)]
-    for lo, hi in zip([0, *ends], ends):
-        yield (
-            perm[lo:hi],
-            r[lo:hi],
-            rho[lo:hi],
-            None if rho_s is None else rho_s[lo:hi, : order + sizes[lo]],
-        )
+    for rows, block in groups:
+        rho_s = None
+        if block is not None:
+            rho_s = _bipartite_eigenvalues(singular_values(block), sum(block.shape[1:]))
+        yield perm[rows], r[rows], rho[rows], rho_s
 
 
 def _merge(

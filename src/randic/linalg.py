@@ -11,13 +11,10 @@ pairs is chosen by the matrix order n:
   orders a rotation's interpreted arithmetic costs less than the dozen numpy
   calls it otherwise takes), a single matrix above the band in numpy
   (``_jacobi_numpy``; at N = 129 to 250 the list kernel took 2.4 to 5.8
-  times as long), and a stack of two or more matrices in lockstep
-  (``_jacobi_stack``; a stack of one goes to its order's single-matrix
-  kernel).  A stack may mix orders: each matrix is zero-padded to the
-  largest order and keeps its own skip threshold, target and off-norm,
-  taken on its own block, and the padding stays +0.0 under every rotation.
-  The three kernels apply the same rotations with the same arithmetic, so
-  their eigenvalues agree bit for bit, padded or not;
+  times as long), and a stack of two or more equal-order matrices in
+  lockstep (``_jacobi_stack``; a stack of one goes to its order's
+  single-matrix kernel).  They apply the same rotations with the same
+  arithmetic, so their eigenvalues agree bit for bit;
 * the round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
   1985) for n inside the band, one matrix at a time.  Its rounds of disjoint
   pairs are applied one round per set of numpy calls, where row-major order
@@ -25,26 +22,32 @@ pairs is chosen by the matrix order n:
   spectra, which is where the band ends.
 
 Both orderings share the skip rule, the target and the sweep cap, and a
-matrix gets the same bits alone, in a stack, or padded in a stack of mixed
-orders.  Failure to converge within the sweep cap raises ConvergenceError,
-naming the ordering, rather than returning junk.
+matrix gets the same bits alone or in a stack.  Failure to converge within
+the sweep cap raises ConvergenceError, naming the ordering, rather than
+returning junk.
 
-``singular_values`` is the one-sided (Hestenes) form, one n x m block at a
-time with n <= m: it rotates pairs of rows, in the same round-robin rounds,
-until the rows are orthogonal, and returns their norms.  A bipartite graph's
-R = [[0, B], [B^T, 0]] has eigenvalues +-sigma(B) and zeros, so
+``singular_values`` is the one-sided (Hestenes) form, for one k x w block
+with k <= w or an equal-shape stack of them: it rotates pairs of rows, in
+the same round-robin rounds, until the rows are orthogonal, and returns
+their norms.  A stack of two or more is solved in lockstep
+(``_jacobi_one_sided_stack``), a single block by ``_jacobi_one_sided``, with
+the same bits.  A bipartite graph's R = [[0, B], [B^T, 0]] has eigenvalues
++-sigma(B) and zeros, so the block B is solved alone: a sweep visits
+k(k - 1)/2 row pairs of length w instead of the (k + w)(k + w - 1)/2 pairs
+of R, most of which are zero by construction.
 ``spectra.randic_eigenvalues`` (under ``randic_energy``, ``randic_spectrum``
-and the ``energy`` and ``spectrum`` commands) solves the block B alone: a
-sweep visits n(n - 1)/2 row pairs of length m instead of the
-(n + m)(n + m - 1)/2 pairs of R, most of which are zero by construction.
-``verify`` and the scans stay on the two-sided kernels: their charpoly and
-identity verdicts can move with the last bits of the spectra.
+and the ``energy`` and ``spectrum`` commands) does this for one graph, and
+the scans for every subdivision, one stack per edge count.  ``verify`` stays
+on the two-sided kernels: its charpoly and identity verdicts sit near their
+tolerances on some families, where the last bits of the spectra can move
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -62,35 +65,14 @@ CLUSTER_TOL = 1e-7
 ROUND_ROBIN_ORDERS = (32, 128)
 
 
-def _off_norms(stack: np.ndarray, orders: np.ndarray | None = None) -> np.ndarray:
+def _off_norms(stack: np.ndarray) -> np.ndarray:
     """sqrt(2 * sum of squared strict-upper entries) of each matrix of a
     (B, n, n) stack, the convergence measure of every kernel.  Each matrix
     is one contiguous row of n * n squares, summed by the same reduction
-    alone or in a stack, so a matrix stops at the same sweep in either.
-
-    With ``orders``, matrix i is the leading orders[i] x orders[i] block of
-    a zero-padded stack; the matrices of each order are taken by one index
-    into their blocks, so each is still summed as the same contiguous row.
-    """
+    alone or in a stack, so a matrix stops at the same sweep in either."""
     b, n = stack.shape[0], stack.shape[-1]
-    if orders is not None and np.any(orders != n):
-        out = np.empty(b)
-        for k in np.unique(orders):
-            rows = _rows_of_order(orders, k)
-            out[rows] = _off_norms(stack[rows, :k, :k])
-        return out
     squares = np.triu(stack, 1) ** 2
     return np.sqrt(2.0 * np.sum(squares.reshape(b, n * n), axis=1))
-
-
-def _rows_of_order(orders: np.ndarray, k: int) -> slice | np.ndarray:
-    """Index of the matrices of order k in a stack of mixed orders: a slice
-    when they are contiguous, as in a stack sorted by order, so that taking
-    their blocks copies nothing."""
-    rows = np.flatnonzero(orders == k)
-    if rows[-1] - rows[0] + 1 == rows.size:
-        return slice(rows[0], rows[-1] + 1)
-    return rows
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -207,38 +189,29 @@ def _jacobi_list(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     return _off_norm(a) < target
 
 
-def _jacobi_stack(
-    a: np.ndarray, max_sweeps: int, target: np.ndarray, orders: np.ndarray
-) -> bool:
-    """Lockstep form of ``_jacobi_numpy`` over a stack of shape (B, N, N).
+def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
+    """Lockstep form of ``_jacobi_numpy`` over a stack of shape (B, n, n).
 
-    Matrix i is the leading orders[i] x orders[i] block of a[i]; the rest of
-    a[i] must be +0.0.  Every matrix follows its own rotation sequence
-    exactly as the 2-D kernel would alone, against its own ``target`` and
-    skip threshold target[i] / orders[i]: the pairs are visited in the same
-    row-major order for the whole stack, and at each pair only the matrices
-    whose entry exceeds their skip threshold rotate.  A padded entry never
-    does, and a rotation maps padding to +0.0 again (0 - s * (0 + tau * 0)
-    and 0 + s * (0 - tau * 0) are +0.0 whatever the signs of s and tau), so
-    a padded matrix gets the bits of its unpadded solve.  A matrix stops
-    rotating at the first sweep that starts converged, measured on its own
-    block.  Returns False when any matrix is still unconverged after
-    ``max_sweeps``.
+    Every matrix follows its own rotation sequence exactly as the 2-D kernel
+    would alone, against its own ``target`` and skip threshold
+    target[i] / n: the pairs are visited in the same row-major order for the
+    whole stack, and at each pair only the matrices whose entry exceeds
+    their skip threshold rotate.  A matrix stops rotating at the first sweep
+    that starts converged.  Returns False when any matrix is still
+    unconverged after ``max_sweeps``.
     """
-    if a.shape[-1] < 2:
+    n = a.shape[-1]
+    if n < 2:
         return True
-    # an empty matrix converges at once; its threshold is never read
-    skip = target / np.maximum(orders, 1)
+    skip = target / n
     for _ in range(max_sweeps):
         # a converged matrix is never rotated again, so it stays converged
-        done = _off_norms(a, orders) < target
+        done = _off_norms(a) < target
         if done.all():
             return True
         # it stays in the stack with threshold +inf, so the stack is never
         # copied; the per-pair calls cost about the same on all B rows
         live_skip = np.where(done, np.inf, skip)
-        # pairs beyond the largest unconverged matrix touch only padding
-        n = int(orders[~done].max())
         for p in range(n - 1):
             for q in range(p + 1, n):
                 hit = np.flatnonzero(~(np.abs(a[:, p, q]) <= live_skip))
@@ -266,7 +239,7 @@ def _jacobi_stack(
                 a[hit, q] = new_q
                 a[hit, :, p] = new_p
                 a[hit, :, q] = new_q
-    return bool(np.all(_off_norms(a, orders) < target))
+    return bool(np.all(_off_norms(a) < target))
 
 
 def _rotate_pairs(
@@ -280,13 +253,15 @@ def _rotate_pairs(
     return c2 * x - s2 * swapped
 
 
+@lru_cache(maxsize=64)
 def _round_robin_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin pairs of one sweep over order n >= 2, as arrays p < q of
     shape (m - 1, n // 2), one row per round, m being n rounded up to even.
 
     Circle method: slot m - 1 stays put and the other slots turn one place
     per round, so every pair meets once and each round's pairs are disjoint.
-    For odd n slot m - 1 is padding, and its pairs are left out.
+    For odd n slot m - 1 is padding, and its pairs are left out.  Cached per
+    n, so the arrays are read-only.
     """
     m = n + (n & 1)
     # in round r slot r + i meets slot r - i (mod m - 1), i = 1 .. m/2 - 1,
@@ -299,6 +274,8 @@ def _round_robin_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
     if m == n:
         ps = np.hstack((ps, rounds))
         qs = np.hstack((qs, np.full_like(rounds, n - 1)))
+    ps.setflags(write=False)
+    qs.setflags(write=False)
     return ps, qs
 
 
@@ -309,8 +286,7 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     A sweep runs the rounds of ``_round_robin_schedule``.  Disjoint
     rotations commute, so a round rotates all its pairs above the skip
     threshold at once: their rows are gathered, rotated, and written back as
-    rows and, ``a`` being exactly symmetric, as columns.  The schedule is
-    derived per call, not cached: it is small beside one sweep.
+    rows and, ``a`` being exactly symmetric, as columns.
     """
     n = a.shape[0]
     if n < 2:
@@ -430,9 +406,63 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     return False
 
 
+def _jacobi_one_sided_stack(b: np.ndarray, max_sweeps: int) -> bool:
+    """Lockstep form of ``_jacobi_one_sided`` over a stack of shape (B, k, w);
+    mutates each block toward mutually orthogonal rows.
+
+    Every round of ``_round_robin_schedule(k)`` gathers its pairs' rows for
+    the whole stack at once.  Each (block, pair) is judged by the rule of
+    the single kernel, against its own block's floor, and a pair that does
+    not rotate gets t = 0, so c = 1 and s = 0: its rows are c x - s y = x
+    again, bit for bit (up to the sign of a zero).  A block therefore takes
+    exactly the rotations it takes alone, and a block whose sweep rotates
+    nothing rotates nothing after it, as the single kernel would stop there.
+    The stack stops after a sweep in which no block rotates; returns False
+    when each of the ``max_sweeps`` sweeps rotated some pair.
+    """
+    k, w = b.shape[1:]
+    if k < 2:
+        return True
+    ps, qs = _round_robin_schedule(k)
+    pairs = np.hstack((ps, qs))
+    swaps = np.hstack((qs, ps))
+    half = ps.shape[1]
+    tol = np.finfo(np.float64).eps * math.sqrt(w)
+    # each block's own norm, by the call the single kernel makes
+    floor = np.square(tol * np.array([float(np.linalg.norm(x)) for x in b]))[:, None]
+    for _ in range(max_sweeps):
+        rotated = False
+        for idx, swap in zip(pairs, swaps):
+            rows = b[:, idx]
+            norms = np.einsum("bij,bij->bi", rows, rows)
+            alpha, beta = norms[:, :half], norms[:, half:]
+            gamma = np.einsum("bij,bij->bi", rows[:, :half], rows[:, half:])
+            hit = (np.abs(gamma) > tol * np.sqrt(alpha * beta)) & (
+                np.minimum(alpha, beta) > floor
+            )
+            if not hit.any():
+                continue
+            rotated = True
+            # a pair left alone gets t = 0 / (1 + hypot(1, 0)) = 0 exactly
+            d = np.where(hit, beta - alpha, 1.0)
+            twice = np.where(hit, 2.0 * gamma, 0.0)
+            t = twice / (d + np.copysign(np.hypot(d, twice), d))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            c2 = np.concatenate((c, c), axis=1)[:, :, None]
+            s2 = np.concatenate((s, -s), axis=1)[:, :, None]
+            b[:, idx] = _rotate_pairs(rows, b[:, swap], c2, s2)
+        if not rotated:
+            return True
+    return False
+
+
 def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
-    """Singular values of an (n, m) matrix with n <= m, descending, by the
-    one-sided kernel on a copy: the n row norms of the orthogonalized rows.
+    """Singular values of a (k, w) matrix with k <= w, descending, by the
+    one-sided kernel on a copy: the k row norms of the orthogonalized rows.
+    A stack of shape (B, k, w) gives one descending row per block, solved in
+    lockstep by ``_jacobi_one_sided_stack``; a stack of one takes the
+    single-block kernel, with the same bits.
 
     Built for the biadjacency block B of a bipartite R = [[0, B], [B^T, 0]],
     whose eigenvalues are then +-sigma(B) and zeros.  Raises ValueError for
@@ -440,13 +470,21 @@ def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.n
     if the sweep cap is exhausted.
     """
     a = np.array(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] > a.shape[1]:
-        raise ValueError(f"expected an (n, m) matrix with n <= m, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-2] > a.shape[-1]:
+        raise ValueError(
+            f"expected an (n, m) matrix with n <= m, or a stack of them, got shape {a.shape}"
+        )
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if not _jacobi_one_sided(a, max_sweeps):
-        _sweep_cap_reached(max_sweeps, "one-sided", f"{a.shape[0]}x{a.shape[1]}")
-    return np.sort(np.sqrt(np.einsum("ij,ij->i", a, a)))[::-1]
+    stack = a[None] if a.ndim == 2 else a
+    if len(stack) == 1:
+        converged = _jacobi_one_sided(stack[0], max_sweeps)
+    else:
+        converged = _jacobi_one_sided_stack(stack, max_sweeps)
+    if not converged:
+        _sweep_cap_reached(max_sweeps, "one-sided", f"{a.shape[-2]}x{a.shape[-1]}")
+    norms = np.sqrt(np.einsum("bij,bij->bi", stack, stack))
+    return np.sort(norms, axis=1)[:, ::-1].reshape(a.shape[:-1])
 
 
 def _prepared(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,29 +508,22 @@ def _prepared(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symmetric_eigenvalues(
-    m: np.ndarray,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    orders: Sequence[int] | np.ndarray | None = None,
+    m: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
     ``m`` is one matrix of shape (n, n), or a stack of shape (B, n, n) whose
-    result has shape (B, n), one descending row per matrix.  With
-    ``orders``, ``m`` is a stack of shape (B, N, N) holding matrices of
-    mixed orders: matrix i is the leading orders[i] x orders[i] block of
-    m[i], and the rest of m[i] is ignored.  Row i of the (B, N) result then
-    holds its orders[i] eigenvalues, descending, followed by zeros.  Each
-    equal-order block of the stack is validated on its own, as a stack of
-    that order would be.
+    result has shape (B, n), one descending row per matrix.  For n inside
+    ``ROUND_ROBIN_ORDERS`` each matrix, alone or in a stack, is solved by
+    the round-robin kernel.  Otherwise a stack of two or more is solved by
+    the lockstep kernel, and one matrix, alone or as a stack of one, by a
+    row-major kernel: the list kernel below the band, the numpy kernel above
+    it.  All three apply the same rotations with the same arithmetic, so a
+    matrix gets the same eigenvalue bits in a stack as alone.  Raises
+    ConvergenceError if the sweep cap is exhausted.
 
-    For n inside ``ROUND_ROBIN_ORDERS`` each matrix, alone or in a stack, is
-    solved by the round-robin kernel.  Of the others, two or more are solved
-    by the lockstep kernel, mixed orders as one zero-padded stack, and a
-    single one by a row-major kernel: the list kernel below the band, the
-    numpy kernel above it.  All three apply the same rotations with the same
-    arithmetic, so a matrix gets the same eigenvalue bits in a stack, padded
-    or not, as alone.  Raises ConvergenceError if the sweep cap is
-    exhausted.
+    The scans solve only R(G) here; the subdivisions' R(S) are bipartite
+    and go to ``singular_values`` as stacks of their blocks B.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -501,51 +532,19 @@ def symmetric_eigenvalues(
         )
     stack = a[None] if a.ndim == 2 else a
     b, n = stack.shape[0], stack.shape[-1]
-    if orders is None:
-        sizes = np.full(b, n)
-        groups = [(n, slice(None))]
-        work, target = _prepared(stack)
-    else:
-        sizes = np.asarray(orders)
-        if (
-            a.ndim != 3
-            or sizes.shape != (b,)
-            or (b and (sizes.dtype.kind not in "iu" or sizes.min() < 0 or sizes.max() > n))
-        ):
-            raise ValueError(
-                f"orders must give one order in 0..{n} per matrix of a stack, "
-                f"got {sizes.tolist()!r} for shape {a.shape}"
-            )
-        groups = [(k, _rows_of_order(sizes, k)) for k in np.unique(sizes).tolist()]
-        # each equal-order block is validated before it is copied in
-        work = np.zeros_like(stack)
-        target = np.empty(b)
-        for k, rows in groups:
-            work[rows, :k, :k], target[rows] = _prepared(stack[rows, :k, :k])
-    band = (ROUND_ROBIN_ORDERS[0] <= sizes) & (sizes <= ROUND_ROBIN_ORDERS[1])
-    for i in np.flatnonzero(band):
-        k = sizes[i]
-        if not _jacobi_round_robin(work[i, :k, :k], max_sweeps, float(target[i])):
-            _sweep_cap_reached(max_sweeps, "round-robin", k)
-    rest = np.flatnonzero(~band)
-    if rest.size == 1:
-        (i,) = rest
-        k = sizes[i]
-        kernel = _jacobi_list if k < ROUND_ROBIN_ORDERS[0] else _jacobi_numpy
-        if not kernel(work[i, :k, :k], max_sweeps, float(target[i])):
-            _sweep_cap_reached(max_sweeps, "row-major", k)
-    elif rest.size:
-        whole = rest.size == b
-        sub = work if whole else work[rest]
-        if not _jacobi_stack(sub, max_sweeps, target[rest], sizes[rest]):
-            _sweep_cap_reached(max_sweeps, "row-major", int(sizes[rest].max()))
-        if not whole:
-            work[rest] = sub
+    work, target = _prepared(stack)
+    if ROUND_ROBIN_ORDERS[0] <= n <= ROUND_ROBIN_ORDERS[1]:
+        for i in range(b):
+            if not _jacobi_round_robin(work[i], max_sweeps, float(target[i])):
+                _sweep_cap_reached(max_sweeps, "round-robin", n)
+    elif b == 1:
+        kernel = _jacobi_list if n < ROUND_ROBIN_ORDERS[0] else _jacobi_numpy
+        if not kernel(work[0], max_sweeps, float(target[0])):
+            _sweep_cap_reached(max_sweeps, "row-major", n)
+    elif b and not _jacobi_stack(work, max_sweeps, target):
+        _sweep_cap_reached(max_sweeps, "row-major", n)
     diagonal = np.diagonal(work, axis1=1, axis2=2)
-    values = np.zeros((b, n))
-    for k, rows in groups:
-        values[rows, :k] = np.sort(diagonal[rows, :k], axis=1)[:, ::-1]
-    return values.reshape(a.shape[:-1])
+    return np.sort(diagonal, axis=1)[:, ::-1].reshape(a.shape[:-1])
 
 
 def _sweep_cap_reached(max_sweeps: int, ordering: str, order: int | str) -> NoReturn:

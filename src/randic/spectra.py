@@ -9,7 +9,9 @@ at matrix construction.
 A bipartite graph, every subdivision among them, has R = [[0, B], [B^T, 0]]
 once its vertices are ordered by colour class.  ``randic_eigenvalues`` then
 solves only the block B, by the one-sided kernel: R's spectrum is +-sigma(B)
-and zeros.  Any other graph is solved as the full matrix R.
+and zeros.  Any other graph is solved as the full matrix R.  A scan builds
+the blocks of its subdivisions itself, with the bits of ``_biadjacency``,
+and lays out their spectra with ``_bipartite_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -93,20 +95,27 @@ def _biadjacency(g: Graph) -> np.ndarray | None:
     return b
 
 
+def _bipartite_eigenvalues(sigma: np.ndarray, n: int) -> np.ndarray:
+    """Eigenvalues of an order-n R = [[0, B], [B^T, 0]], descending, from the
+    singular values ``sigma`` of its k x (n - k) block B, descending, one row
+    per row of ``sigma``: sigma, then n - 2k exact zeros, then -sigma
+    reversed, so the values pair off as exact negatives."""
+    zeros = np.zeros(sigma.shape[:-1] + (n - 2 * sigma.shape[-1],))
+    return np.concatenate((sigma, zeros, -sigma[..., ::-1]), axis=-1)
+
+
 def randic_eigenvalues(g: Graph) -> np.ndarray:
     """Eigenvalues of R, descending.
 
-    For a bipartite g, with B its k x (n - k) block: sigma(B) descending,
-    then n - 2k exact zeros, then -sigma(B) reversed, so the values pair off
-    as exact negatives.  Any other g goes to ``symmetric_eigenvalues`` on
-    ``randic_matrix(g)``.  Rejects an isolated vertex, or a graph without
-    vertices, before either.
+    A bipartite g is solved on its block B by ``singular_values``, and its
+    spectrum laid out by ``_bipartite_eigenvalues``.  Any other g goes to
+    ``symmetric_eigenvalues`` on ``randic_matrix(g)``.  Rejects an isolated
+    vertex, or a graph without vertices, before either.
     """
     b = _biadjacency(g)
     if b is None:
         return symmetric_eigenvalues(randic_matrix(g))
-    sigma = singular_values(b)
-    return np.concatenate((sigma, np.zeros(g.n - 2 * sigma.size), -sigma[::-1]))
+    return _bipartite_eigenvalues(singular_values(b), g.n)
 
 
 def randic_spectrum(g: Graph) -> Spectrum:

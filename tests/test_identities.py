@@ -27,6 +27,7 @@ from randic.identities import (
     ScanSummary,
     _chunk_matrices,
     _merge,
+    _scan_spectra,
     _scan_one,
     classify_distinct_count,
     is_strongly_regular,
@@ -40,7 +41,7 @@ from randic.identities import (
     verify_subdivision_energy,
 )
 from randic.linalg import symmetric_eigenvalues
-from randic.spectra import randic_matrix
+from randic.spectra import _biadjacency, randic_eigenvalues, randic_matrix
 
 SAMPLE_GRAPHS = [
     generate("complete", 4),
@@ -321,6 +322,9 @@ class TestStronglyRegularDetector:
         assert is_strongly_regular(generate("path", 4)) is None  # not regular
         assert is_strongly_regular(generate("cycle", 6)) is None  # counts not uniform
         assert is_strongly_regular(Graph.from_edges(4, [(0, 1), (2, 3)])) is None
+        # two disjoint triangles: regular with uniform counts, but disconnected
+        two_triangles = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        assert is_strongly_regular(two_triangles) is None
 
 
 class TestLocalConditions:
@@ -489,15 +493,16 @@ class TestScan:
 
 @functools.lru_cache(maxsize=None)
 def per_graph_scan(order: int):
-    """Scan outcome with each graph's spectra solved alone, one
-    symmetric_eigenvalues call per matrix, merged in enumeration order."""
+    """Scan outcome with each graph's spectra solved alone, merged in
+    enumeration order: R(G) by symmetric_eigenvalues, and R(S(G)) by
+    randic_eigenvalues, which solves the subdivision's block B one-sided."""
     count = 0
     counterexamples = []
     worst: dict[str, float] = {}
     low = high = None
     for g in enumerate_connected_graphs(order):
         rho = symmetric_eigenvalues(randic_matrix(g))
-        rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)))
+        rho_s = randic_eigenvalues(subdivision(g))
         outcomes, energy = _scan_one(g, SCAN_CHECKS, rho, rho_s)
         count += 1
         code = encode_graph6(g)
@@ -517,8 +522,7 @@ def per_graph_scan(order: int):
 class TestBatchedScan:
     # (order, SCAN_CHUNK); None keeps the default, 50 splits order 5's 728
     # graphs over 15 chunks, a chunk of one graph takes the single-matrix
-    # kernels, and chunks of 7 give padded stacks with one-member edge-count
-    # groups
+    # kernels, and chunks of 7 give stacks with one-member edge-count groups
     @pytest.mark.parametrize(
         "order,chunk",
         [(2, None), (3, None), (4, None), (5, None), (5, 50), (4, 1), (5, 7)],
@@ -536,17 +540,37 @@ class TestBatchedScan:
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_chunk_matrices_equal_per_graph_builds(self, order):
-        graphs = list(enumerate_connected_graphs(order))
-        r, r_s, sizes = _chunk_matrices(order, [g.edges for g in graphs], True)
-        assert r_s.shape == (len(graphs), order + max(sizes), order + max(sizes))
-        for g, built, built_s, m in zip(graphs, r, r_s, sizes):
-            assert m == g.m
+        graphs = sorted(enumerate_connected_graphs(order), key=lambda g: g.m)
+        r, groups = _chunk_matrices(order, [g.edges for g in graphs], True)
+        for g, built in zip(graphs, r):
             assert built.tobytes() == randic_matrix(g).tobytes()
-            k = order + m
-            assert built_s[:k, :k].tobytes() == randic_matrix(subdivision(g)).tobytes()
-            padding = np.concatenate((built_s[k:].ravel(), built_s[:k, k:].ravel()))
-            assert not padding.any()
-            assert not np.signbit(padding).any()
-        alone, none, _ = _chunk_matrices(order, [g.edges for g in graphs], False)
-        assert none is None
+        assert [rows.start for rows, _ in groups] == [
+            i for i, g in enumerate(graphs) if i == 0 or g.m != graphs[i - 1].m
+        ]
+        assert groups[-1][0].stop == len(graphs)
+        for rows, blocks in groups:
+            members = graphs[rows]
+            assert len({g.m for g in members}) == 1
+            assert blocks.shape[0] == len(members)
+            for g, block in zip(members, blocks):
+                want = _biadjacency(subdivision(g))
+                assert block.shape == want.shape
+                assert block.tobytes() == want.tobytes()
+        alone, none = _chunk_matrices(order, [g.edges for g in graphs], False)
+        assert [rows for rows, _ in none] == [rows for rows, _ in groups]
+        assert all(blocks is None for _, blocks in none)
         assert alone.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 37)])
+    def test_scan_spectra_equal_randic_eigenvalues(self, order, step):
+        # every scanned R and R(S) spectrum has the bits of the graph's own
+        # solve, for every graph of orders 2-5 and every 37th of order 6
+        graphs = list(enumerate_connected_graphs(order))[::step]
+        seen = 0
+        for members, _, rho, rho_s in _scan_spectra(order, [g.edges for g in graphs], True):
+            for i, row, row_s in zip(members, rho, rho_s):
+                g = graphs[i]
+                assert row.tobytes() == symmetric_eigenvalues(randic_matrix(g)).tobytes()
+                assert row_s.tobytes() == randic_eigenvalues(subdivision(g)).tobytes()
+                seen += 1
+        assert seen == len(graphs)

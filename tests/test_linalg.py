@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from randic.errors import ConvergenceError
 from randic.graphs import Graph, enumerate_connected_graphs, generate, subdivision
-from randic.identities import scan_small_graphs, verify_all
+from randic.identities import _chunk_matrices, scan_small_graphs, verify_all
 from randic.linalg import (
     ROUND_ROBIN_ORDERS,
     Polynomial,
@@ -20,6 +20,7 @@ from randic.linalg import (
     _jacobi_list,
     _jacobi_numpy,
     _jacobi_one_sided,
+    _jacobi_one_sided_stack,
     _jacobi_round_robin,
     _jacobi_stack,
     _off_norm,
@@ -135,6 +136,19 @@ class TestEigensolver:
         pairs = {(int(p), int(q)) for p, q in zip(ps.ravel(), qs.ravel())}
         assert len(pairs) == ps.size == n * (n - 1) // 2
 
+    @pytest.mark.parametrize("n", [2, 5, 6, T_LO])
+    def test_round_robin_schedule_is_cached_read_only(self, n):
+        ps, qs = _round_robin_schedule(n)
+        again = _round_robin_schedule(n)
+        assert again[0] is ps and again[1] is qs
+        # the cached arrays are those of a fresh build
+        fresh = _round_robin_schedule.__wrapped__(n)
+        assert same_bits(ps, fresh[0]) and same_bits(qs, fresh[1])
+        for x in (ps, qs):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0, 0] = 0
+
     def test_round_robin_keeps_symmetry(self):
         a = random_symmetric(np.random.default_rng(9), T_LO + 1)
         target = 1e-12 * float(np.linalg.norm(a))
@@ -201,7 +215,7 @@ class TestOneSided:
         with pytest.raises(ConvergenceError, match="one-sided ordering, order 6x9"):
             singular_values(b, max_sweeps=0)
 
-    @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 3, 2)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError, match="n <= m"):
             singular_values(np.ones(shape))
@@ -209,6 +223,125 @@ class TestOneSided:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             singular_values(np.array([[1.0, np.nan]]))
+
+
+def one_sided_alone(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_jacobi_one_sided`` on a copy of one block: the rotated block and
+    its row norms."""
+    a = block.copy()
+    assert _jacobi_one_sided(a, 100)
+    return a, np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+class TestOneSidedStack:
+    """The lockstep one-sided kernel gives every block the bits it gets
+    alone, and ``singular_values`` takes stacks."""
+
+    @staticmethod
+    def subdivision_blocks(order: int, step: int = 1):
+        # every step-th connected graph of the order, as the scan groups
+        # them: one stack of blocks B of R(S(G)) per edge count
+        graphs = sorted(list(enumerate_connected_graphs(order))[::step], key=lambda g: g.m)
+        _, groups = _chunk_matrices(order, [g.edges for g in graphs], True)
+        return [block for _, block in groups]
+
+    @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 31)])
+    def test_bits_equal_single_kernel_on_scan_groups(self, order, step):
+        for blocks in self.subdivision_blocks(order, step):
+            stack = blocks.copy()
+            assert _jacobi_one_sided_stack(stack, 100)
+            norms = np.sqrt(np.einsum("bij,bij->bi", stack, stack))
+            values = singular_values(blocks)
+            for block, got, got_norms, row in zip(blocks, stack, norms, values):
+                want, want_norms = one_sided_alone(block)
+                assert np.array_equal(got, want)
+                assert same_bits(got_norms, want_norms)
+                assert same_bits(row, np.sort(want_norms)[::-1])
+
+    def test_bits_equal_single_kernel_on_mixed_blocks(self):
+        # blocks that stop at different sweeps, rank-deficient ones and
+        # scales far apart, each against its own floor
+        rng = np.random.default_rng(21)
+        k, w = 5, 8
+        low_rank = rng.standard_normal((k, 2)) @ rng.standard_normal((2, w))
+        blocks = np.array(
+            [
+                np.eye(k, w),  # orthogonal rows: nothing rotates
+                rng.standard_normal((k, w)),
+                1e-9 * rng.standard_normal((k, w)),
+                1e9 * rng.standard_normal((k, w)),
+                low_rank,
+                np.zeros((k, w)),
+            ]
+        )
+        stack = blocks.copy()
+        assert _jacobi_one_sided_stack(stack, 100)
+        for block, got in zip(blocks, stack):
+            want, _ = one_sided_alone(block)
+            assert np.array_equal(got, want)
+        for block, row in zip(blocks, singular_values(blocks)):
+            assert same_bits(row, singular_values(block))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        count=st.integers(min_value=0, max_value=6),
+        k=st.integers(min_value=0, max_value=12),
+        extra=st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lapack_oracle(self, seed, count, k, extra):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.integers(-6, 7, size=(count, 1, 1))
+        stack = scales * rng.standard_normal((count, k, k + extra))
+        values = singular_values(stack)
+        assert values.shape == (count, k)
+        for block, row in zip(stack, values):
+            scale = max(1.0, float(np.linalg.norm(block)))
+            assert np.all(np.diff(row) <= 0)
+            oracle = np.linalg.svd(block, compute_uv=False)
+            assert np.max(np.abs(row - oracle), initial=0.0) < 1e-11 * scale
+
+    def test_stack_of_one_takes_single_kernel(self, monkeypatch):
+        import randic.linalg as linalg
+
+        calls = []
+        for name in ("_jacobi_one_sided", "_jacobi_one_sided_stack"):
+            kernel = getattr(linalg, name)
+
+            def spied(a, *args, _name=name, _kernel=kernel):
+                calls.append((_name, a.shape))
+                return _kernel(a, *args)
+
+            monkeypatch.setattr(linalg, name, spied)
+        b = np.random.default_rng(2).standard_normal((1, 4, 7))
+        values = singular_values(b)
+        assert calls == [("_jacobi_one_sided", (4, 7))]
+        assert values.shape == (1, 4)
+        assert same_bits(values[0], singular_values(b[0]))
+        calls.clear()
+        singular_values(np.concatenate((b, b)))
+        assert calls == [("_jacobi_one_sided_stack", (2, 4, 7))]
+
+    def test_sweep_cap_raises(self):
+        stack = np.random.default_rng(4).standard_normal((3, 6, 9))
+        with pytest.raises(ConvergenceError, match="one-sided ordering, order 6x9"):
+            singular_values(stack, max_sweeps=0)
+        assert not _jacobi_one_sided_stack(stack.copy(), 1)
+
+    def test_input_is_not_mutated(self):
+        stack = np.random.default_rng(5).standard_normal((4, 3, 5))
+        before = stack.copy()
+        singular_values(stack)
+        assert same_bits(stack, before)
+
+    def test_rejects_non_finite(self):
+        stack = np.ones((3, 2, 4))
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            singular_values(stack)
+
+    def test_empty_stack(self):
+        assert singular_values(np.zeros((0, 3, 5))).shape == (0, 3)
 
 
 def reference_jacobi(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, int]:
@@ -487,8 +620,10 @@ class TestDispatch:
         "_jacobi_round_robin",
         "_jacobi_stack",
         "_jacobi_one_sided",
+        "_jacobi_one_sided_stack",
     )
-    TWO_SIDED = set(KERNELS) - {"_jacobi_one_sided"}
+    ONE_SIDED = {"_jacobi_one_sided", "_jacobi_one_sided_stack"}
+    TWO_SIDED = set(KERNELS) - ONE_SIDED
 
     def spy(self, monkeypatch):
         import randic.linalg as linalg
@@ -526,67 +661,6 @@ class TestDispatch:
         symmetric_eigenvalues(m)
         assert {name for name, _ in calls} == {kernel}
         assert calls[0][1] == (shape if kernel == "_jacobi_stack" else (n, n))
-
-    def test_mixed_orders_match_single_solves(self, monkeypatch):
-        # one zero-padded stack of mixed orders: each row keeps the bits of
-        # its matrix solved alone, and the order inside the round-robin band
-        # still goes to its own kernel
-        rng = np.random.default_rng(12)
-        one_rotation = np.diag(np.arange(6.0))
-        one_rotation[1, 4] = one_rotation[4, 1] = 0.5
-        matrices = [
-            np.diag(np.arange(7.0)),  # already diagonal
-            one_rotation,
-            1e-9 * random_symmetric(rng, 9),  # loose absolute target
-            random_symmetric(rng, 9),
-            random_symmetric(rng, 3),  # the only matrix of its order
-            random_symmetric(rng, T_LO),
-            random_symmetric(rng, 6),
-            randic_matrix(subdivision(generate("cycle", 5))),  # order 10
-        ]
-        orders = [len(m) for m in matrices]
-        big = max(orders)
-        padded = np.zeros((len(matrices), big, big))
-        for row, m in zip(padded, matrices):
-            row[: len(m), : len(m)] = m
-        alone = [symmetric_eigenvalues(m) for m in matrices]
-        calls = self.spy(monkeypatch)
-        got = symmetric_eigenvalues(padded, orders=orders)
-        assert got.shape == (len(matrices), big)
-        assert sorted(calls) == [
-            ("_jacobi_round_robin", (T_LO, T_LO)),
-            ("_jacobi_stack", (len(matrices) - 1, big, big)),
-        ]
-        for row, want, k in zip(got, alone, orders):
-            assert same_bits(row[:k], want), k
-            assert same_bits(row[k:], np.zeros(big - k))
-
-    def test_padding_stays_positive_zero(self):
-        # the lockstep kernel on a padded stack: every block ends with the
-        # bits of the list kernel on it alone, and the padding as +0.0
-        rng = np.random.default_rng(13)
-        matrices = [random_symmetric(rng, k) for k in (5, 2, 11, 5, 8)]
-        orders = np.array([len(m) for m in matrices])
-        big = orders.max()
-        work = np.zeros((len(matrices), big, big))
-        targets = np.empty(len(matrices))
-        singles = []
-        for i, m in enumerate(matrices):
-            a, targets[i] = kernel_input(m)
-            work[i, : len(m), : len(m)] = a
-            assert _jacobi_list(a, 100, targets[i])
-            singles.append(a)
-        assert _jacobi_stack(work, 100, targets, orders)
-        for row, single, k in zip(work, singles, orders):
-            assert same_bits(row[:k, :k], single)
-            padding = np.concatenate((row[k:].ravel(), row[:k, k:].ravel()))
-            assert not padding.any()
-            assert not np.signbit(padding).any()
-
-    @pytest.mark.parametrize("orders", [[3, 6], [2, 5, 5], [-1, 2], [2.5, 3.0]])
-    def test_rejects_bad_orders(self, orders):
-        with pytest.raises(ValueError, match="orders"):
-            symmetric_eigenvalues(np.zeros((2, 5, 5)), orders=orders)
 
     @pytest.mark.parametrize(
         "g",
@@ -636,14 +710,29 @@ class TestDispatch:
         assert randic_energy(g) == energy_of(want)
         assert randic_spectrum(g).values == tuple(want.tolist())
 
-    def test_verify_and_scan_stay_two_sided(self, monkeypatch):
-        # their charpoly and identity verdicts hang on the last bits of the
-        # spectra, so they keep solving the full matrices
+    def test_verify_stays_two_sided(self, monkeypatch):
+        # its charpoly and identity verdicts sit near tolerance on some
+        # families, so it keeps solving the full matrices
         calls = self.spy(monkeypatch)
         for g in (generate("path", 6), generate("cycle", 8), generate("star", 5)):
             verify_all(g)
-        scan_small_graphs(4, rank_energy=True)
         assert calls and {name for name, _ in calls} <= self.TWO_SIDED
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_scan_solves_subdivisions_one_sided(self, monkeypatch, order):
+        # R(G) two-sided, as one stack of the chunk; R(S) only on its blocks
+        # B, by a one-sided kernel, once per edge-count group
+        graphs = sorted(enumerate_connected_graphs(order), key=lambda g: g.m)
+        _, groups = _chunk_matrices(order, [g.edges for g in graphs], True)
+        one_sided = [
+            ("_jacobi_one_sided", block.shape[1:])
+            if len(block) == 1
+            else ("_jacobi_one_sided_stack", block.shape)
+            for _, block in groups
+        ]
+        calls = self.spy(monkeypatch)
+        scan_small_graphs(order, rank_energy=True)
+        assert calls == [("_jacobi_stack", (len(graphs), order, order))] + one_sided
 
     def test_one_sided_sweep_cap_raises(self):
         b = _biadjacency(subdivision(generate("cycle", 36)))

@@ -36,9 +36,9 @@ each and runs every applicable check on the shared spectra.  The builders
 take stacks of graphs of one order and size, one row per graph: a scan
 hands them each edge-count group it solved, and the functions above a
 group of one, so the subdivision checks' arithmetic runs once per stack.
-The functions above solve R(S) two-sided, as a full matrix; a scan solves
-it one-sided, on the stack of its group's biadjacency blocks, so their
-subdivision residuals can differ in the last bits.
+R(S) is bipartite, and every path solves it one-sided, on its biadjacency
+block: the functions above through ``randic_eigenvalues``, a scan on the
+stack of its group's blocks, with the same bits.
 """
 
 from __future__ import annotations
@@ -68,7 +68,12 @@ from .linalg import (
     singular_values,
     symmetric_eigenvalues,
 )
-from .spectra import _bipartite_eigenvalues, energy_of, randic_matrix
+from .spectra import (
+    _bipartite_eigenvalues,
+    energy_of,
+    randic_eigenvalues,
+    randic_matrix,
+)
 
 CHARPOLY_TOL = 1e-8
 CORRESPONDENCE_TOL = 1e-8
@@ -197,7 +202,7 @@ def _subdivision_report(
     s = subdivision(g) if subdivided is None else subdivided
     r = randic_matrix(g)
     rho = symmetric_eigenvalues(r)
-    rho_s = symmetric_eigenvalues(randic_matrix(s))
+    rho_s = randic_eigenvalues(s)
     (((_, report),),) = _check_reports([g], (name,), r[None], rho[None], rho_s[None])
     return report
 
@@ -627,18 +632,18 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     identity, the classification, and the local conditions when R has
     exactly three distinct eigenvalues.
 
-    R(G) and R(S(G)) are each solved once, two-sided, in that order, and
-    every check reads the shared spectra, through the code a scan runs on a
-    stack, here of one graph: the results equal those of the single-check
-    functions, and those of a scan except for the last bits of the
-    subdivision residuals, which a scan takes from a one-sided solve.
-    ``g`` must be connected with every degree positive.
+    R(G) is solved once, two-sided, then R(S(G)) once, one-sided on its
+    biadjacency block by ``randic_eigenvalues``, and every check reads the
+    shared spectra, through the code a scan runs on a stack, here of one
+    graph: the results equal those of the single-check functions, and those
+    of a scan bit for bit.  ``g`` must be connected with every degree
+    positive.
     """
     r = randic_matrix(g)
     rho = symmetric_eigenvalues(r)
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
-    rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)))
+    rho_s = randic_eigenvalues(subdivision(g))
     (reports,) = _check_reports([g], SCAN_CHECKS, r[None], rho[None], rho_s[None])
     return dict(reports)
 

@@ -35,12 +35,10 @@ the same bits.  A bipartite graph's R = [[0, B], [B^T, 0]] has eigenvalues
 +-sigma(B) and zeros, so the block B is solved alone: a sweep visits
 k(k - 1)/2 row pairs of length w instead of the (k + w)(k + w - 1)/2 pairs
 of R, most of which are zero by construction.
-``spectra.randic_eigenvalues`` (under ``randic_energy``, ``randic_spectrum``
-and the ``energy`` and ``spectrum`` commands) does this for one graph, and
-the scans for every subdivision, one stack per edge count.  ``verify`` stays
-on the two-sided kernels: its charpoly and identity verdicts sit near their
-tolerances on some families, where the last bits of the spectra can move
-them.
+``spectra.randic_eigenvalues`` (under ``randic_energy``, ``randic_spectrum``,
+``verify``'s subdivisions and the ``energy`` and ``spectrum`` commands) does
+this for one graph, and the scans for every subdivision, one stack per edge
+count.
 """
 
 from __future__ import annotations

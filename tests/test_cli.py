@@ -116,15 +116,17 @@ class TestVerifyCommand:
         assert code == 5
         assert "three distinct" in err
 
-    # the orders of the solved matrices, in solve order: R(G) has order n,
-    # R(S(G)) has order n + m; I - R and I + R are never solved, their
-    # spectra are read off R's
+    # the orders of the solved matrices, in solve order: R(G) is solved
+    # two-sided and counts as its order n, R(S(G)) one-sided on its
+    # biadjacency block B and counts as B's shape (the smaller colour class
+    # as rows); I - R and I + R are never solved, their spectra are read off
+    # R's
     @pytest.mark.parametrize(
         "argv,orders",
         [
-            (("verify", "gen:petersen"), [10, 25]),
-            (("verify", "gen:path:10"), [10, 19]),
-            (("verify", "gen:petersen", "--check", "energy"), [10, 25]),
+            (("verify", "gen:petersen"), [10, (10, 15)]),
+            (("verify", "gen:path:10"), [10, (9, 10)]),
+            (("verify", "gen:petersen", "--check", "energy"), [10, (10, 15)]),
             (("verify", "gen:petersen", "--check", "identity"), [10]),
             (("spectrum", "gen:petersen", "--matrix", "all"), [10]),
             (("spectrum", "gen:petersen", "--matrix", "laplacian"), [10]),
@@ -137,15 +139,22 @@ class TestVerifyCommand:
 
         solved = []
         solve = identities_module.symmetric_eigenvalues
+        solve_block = spectra_module.singular_values
 
         def counting(m, *args, **kwargs):
             solved.append(len(m))
             return solve(m, *args, **kwargs)
 
+        def counting_block(b, *args, **kwargs):
+            solved.append(b.shape)
+            return solve_block(b, *args, **kwargs)
+
         monkeypatch.setattr(identities_module, "symmetric_eigenvalues", counting)
         # spectrum solves through randic_eigenvalues, which sends Petersen,
-        # not bipartite, to the full matrix
+        # not bipartite, to the full matrix, and verify sends S(G), always
+        # bipartite, to its block
         monkeypatch.setattr(spectra_module, "symmetric_eigenvalues", counting)
+        monkeypatch.setattr(spectra_module, "singular_values", counting_block)
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert solved == orders

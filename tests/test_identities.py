@@ -27,6 +27,7 @@ from randic.identities import (
     ScanSummary,
     _chunk_matrices,
     _merge,
+    _scan_outcomes,
     _scan_spectra,
     _scan_one,
     classify_distinct_count,
@@ -105,6 +106,19 @@ class TestSubdivisionChecks:
         g = generate("path", 4)
         impostor = generate("cycle", 7)
         assert not verify_eigenvalue_correspondence(g, subdivided=impostor).passed
+
+    @pytest.mark.parametrize(
+        "check",
+        [verify_subdivision_charpoly, verify_eigenvalue_correspondence, verify_subdivision_energy],
+        ids=["charpoly", "correspondence", "energy"],
+    )
+    def test_bipartite_impostor_rejected(self, check):
+        # the star on 7 vertices has the order (n + m = 7) and, like every
+        # subdivision, a bipartite R, so it is solved one-sided on its block
+        # as S(P4) is; P7, the true subdivision, passes
+        g = generate("path", 4)
+        assert not check(g, subdivided=generate("star", 7)).passed
+        assert check(g, subdivided=generate("path", 7)).passed
 
     def test_correspondence_rejects_wrong_order(self):
         g = generate("path", 4)
@@ -216,24 +230,32 @@ class TestVerifyAll:
         with pytest.raises(PreconditionError):
             verify_all(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
-    @pytest.mark.parametrize("order", [2, 3, 4, 5])
-    def test_equals_scan_bit_for_bit(self, order):
-        # both paths read theta = 1 + rho off the same R solve, so every
-        # residual agrees exactly, not just within tolerance
+    @pytest.mark.parametrize(
+        "order,step",
+        [pytest.param(order, 1, id=str(order)) for order in (2, 3, 4, 5)]
+        + [pytest.param(6, 37, id="6-every-37th")],
+    )
+    def test_equals_scan_bit_for_bit(self, order, step):
+        # both paths read theta = 1 + rho off the same R solve, and R(S)'s
+        # spectrum off the same one-sided solve of its block, so every
+        # residual agrees exactly, not just within tolerance; the scan side
+        # runs on the stacks and rows that _scan_spectra gives a scan
+        graphs = list(enumerate_connected_graphs(order))[::step]
         mismatched = []
-        for g in enumerate_connected_graphs(order):
-            rho = symmetric_eigenvalues(randic_matrix(g))
-            rho_s = symmetric_eigenvalues(randic_matrix(subdivision(g)))
-            outcomes, _ = _scan_one(g, SCAN_CHECKS, rho, rho_s)
-            results = verify_all(g)
-            verified = [
-                (name, r.consistent, {"consistent": 0.0 if r.consistent else 1.0})
-                if name == "classification"
-                else (name, r.passed, r.residuals)
-                for name, r in results.items()
-            ]
-            if outcomes != verified:
-                mismatched.append(encode_graph6(g))
+        seen = 0
+        for members, r, rho, rho_s in _scan_spectra(order, [g.edges for g in graphs], True):
+            group = [graphs[i] for i in members]
+            for g, (outcomes, _) in zip(group, _scan_outcomes(group, SCAN_CHECKS, r, rho, rho_s)):
+                verified = [
+                    (name, v.consistent, {"consistent": 0.0 if v.consistent else 1.0})
+                    if name == "classification"
+                    else (name, v.passed, v.residuals)
+                    for name, v in verify_all(g).items()
+                ]
+                if outcomes != verified:
+                    mismatched.append(encode_graph6(g))
+                seen += 1
+        assert seen == len(graphs)
         assert mismatched == []
 
 

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from randic.errors import ConvergenceError
 from randic.graphs import Graph, enumerate_connected_graphs, generate, subdivision
-from randic.identities import _chunk_matrices, scan_small_graphs, verify_all
+from randic.identities import (
+    _chunk_matrices,
+    scan_small_graphs,
+    verify_all,
+    verify_subdivision_energy,
+)
 from randic.linalg import (
     ROUND_ROBIN_ORDERS,
     Polynomial,
@@ -710,13 +715,32 @@ class TestDispatch:
         assert randic_energy(g) == energy_of(want)
         assert randic_spectrum(g).values == tuple(want.tolist())
 
-    def test_verify_stays_two_sided(self, monkeypatch):
-        # its charpoly and identity verdicts sit near tolerance on some
-        # families, so it keeps solving the full matrices
+    def test_verify_solves_subdivision_one_sided(self, monkeypatch):
+        # R(G) on the two-sided kernel of its order, then S(G), always
+        # bipartite, once on its block B by the single-block one-sided kernel
+        graphs = (generate("path", 6), generate("cycle", 8), generate("star", 5), generate("petersen"))
         calls = self.spy(monkeypatch)
-        for g in (generate("path", 6), generate("cycle", 8), generate("star", 5)):
+        for g in graphs:
             verify_all(g)
-        assert calls and {name for name, _ in calls} <= self.TWO_SIDED
+        assert calls[::2] == [("_jacobi_list", (g.n, g.n)) for g in graphs]
+        assert calls[1::2] == [
+            ("_jacobi_one_sided", _biadjacency(subdivision(g)).shape) for g in graphs
+        ]
+
+    @pytest.mark.parametrize(
+        "impostor,kernel",
+        [(generate("cycle", 7), "_jacobi_list"), (generate("star", 7), "_jacobi_one_sided")],
+        ids=["C7", "star7"],
+    )
+    def test_claimed_subdivision_keeps_its_own_path(self, monkeypatch, impostor, kernel):
+        # a claimed subdivision goes through randic_eigenvalues: C7 has an
+        # odd cycle and stays two-sided, so the negative controls keep that
+        # path, while the bipartite star is solved on its block
+        g = generate("path", 4)
+        calls = self.spy(monkeypatch)
+        assert not verify_subdivision_energy(g, subdivided=impostor).passed
+        assert calls[0] == ("_jacobi_list", (4, 4))
+        assert [name for name, _ in calls[1:]] == [kernel]
 
     @pytest.mark.parametrize("order", [3, 4, 5])
     def test_scan_solves_subdivisions_one_sided(self, monkeypatch, order):

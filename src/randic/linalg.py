@@ -6,20 +6,17 @@ rotations, convergence declared when the off-diagonal Frobenius mass drops
 below ``1e-12 * max(1, ||M||_F)``.  The order in which a sweep visits the
 pairs is chosen by the matrix order n:
 
-* row-major pair order outside ``ROUND_ROBIN_ORDERS``, by three kernels: a
-  single matrix below the band on a Python list (``_jacobi_list``; at these
-  orders a rotation's interpreted arithmetic costs less than the dozen numpy
-  calls it otherwise takes), a single matrix above the band in numpy
-  (``_jacobi_numpy``; at N = 129 to 250 the list kernel took 2.4 to 5.8
-  times as long), and a stack of two or more equal-order matrices in
-  lockstep (``_jacobi_stack``; a stack of one goes to its order's
-  single-matrix kernel).  They apply the same rotations with the same
-  arithmetic, so their eigenvalues agree bit for bit;
+* row-major pair order below ``ROUND_ROBIN_MIN_ORDER``, in two forms: a
+  single matrix on a Python list (``_jacobi_list``; at these orders a
+  rotation's interpreted arithmetic costs less than the dozen numpy calls it
+  otherwise takes), and a stack of two or more equal-order matrices in
+  lockstep (``_jacobi_stack``; a stack of one goes to ``_jacobi_list``).
+  Both apply the rotations of the row-major scalar loop with its arithmetic,
+  so their eigenvalues agree bit for bit;
 * the round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
-  1985) for n inside the band, one matrix at a time.  Its rounds of disjoint
+  1985) from that order up, one matrix at a time.  Its rounds of disjoint
   pairs are applied one round per set of numpy calls, where row-major order
-  needs one set per rotation.  It converges more slowly on highly degenerate
-  spectra, which is where the band ends.
+  needs one set per rotation.
 
 Both orderings share the skip rule, the target and the sweep cap, and a
 matrix gets the same bits alone or in a stack.  Failure to converge within
@@ -55,12 +52,11 @@ from .errors import ConvergenceError
 DEFAULT_MAX_SWEEPS = 100
 CONVERGENCE_RTOL = 1e-12
 CLUSTER_TOL = 1e-7
-# matrix orders solved in round-robin order, set from per-order timings of
-# both orderings (CHANGES.md): below 32 row-major order was about as fast, and
-# a lower bound would change eigenvalue bits or leave the lockstep stacks of
-# scans; above 128 complete-graph subdivisions, whose spectra are highly
-# degenerate, take round-robin order twice the sweeps and run slower
-ROUND_ROBIN_ORDERS = (32, 128)
+# the matrix order from which round-robin order is used, set from per-order
+# timings of both orderings (CHANGES.md): below 32 row-major order was about
+# as fast, and a lower bound would change eigenvalue bits or leave the
+# lockstep stacks of scans
+ROUND_ROBIN_MIN_ORDER = 32
 
 
 def _off_norms(stack: np.ndarray) -> np.ndarray:
@@ -78,72 +74,17 @@ def _off_norm(a: np.ndarray) -> float:
     return float(_off_norms(a[None])[0])
 
 
-def _jacobi_numpy(a: np.ndarray, max_sweeps: int, target: float) -> bool:
-    """Single-matrix numpy kernel; mutates ``a`` toward diagonal form.
-
-    ``a`` must be exactly symmetric and stays so after every rotation, so
-    rows p and q are read in place of columns p and q.  After a skipped
-    entry, one vectorised test on the rest of row p finds the next q with
-    |a_pq| above the skip threshold; the visited pairs and the arithmetic are
-    those of the row-major scalar loop, so the output bits are too.
-    """
-    n = a.shape[0]
-    if n < 2:
-        return True
-    for _ in range(max_sweeps):
-        if _off_norm(a) < target:
-            return True
-        skip = target / n
-        for p in range(n - 1):
-            q = p + 1
-            while q < n:
-                apq = a.item(p, q)
-                if abs(apq) <= skip:
-                    # ``<=`` rather than ``>``: a NaN entry is rotated, as in
-                    # the scalar loop, instead of being skipped
-                    small = np.abs(a[p, q:]) <= skip
-                    j = int(small.argmin())
-                    if small[j]:
-                        break
-                    q += j
-                    apq = a.item(p, q)
-                app = a.item(p, p)
-                aqq = a.item(q, q)
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                akp = a[p]
-                akq = a[q]
-                new_p = akp - s * (akq + tau * akp)
-                new_q = akq + s * (akp - tau * akq)
-                new_p[p] = app - t * apq
-                new_q[q] = aqq + t * apq
-                new_p[q] = 0.0
-                new_q[p] = 0.0
-                a[p] = new_p
-                a[q] = new_q
-                a[:, p] = new_p
-                a[:, q] = new_q
-                q += 1
-    return _off_norm(a) < target
-
-
 def _jacobi_list(a: np.ndarray, max_sweeps: int, target: float) -> bool:
-    """``_jacobi_numpy`` on a Python list for small orders; mutates ``a``
+    """Row-major kernel on a Python list for small orders; mutates ``a``
     toward diagonal form.
 
     ``a`` is copied into one flat row-major list.  A rotation computes the
-    new rows p and q in two list comprehensions, with the expressions of
-    ``_jacobi_numpy`` in the same order, and writes them back as rows by
-    slice and as columns by strided slice, so no step runs an interpreted
-    loop over the rows.  The pairs are those of the row-major scalar loop,
+    new rows p and q in two list comprehensions and writes them back as rows
+    by slice and as columns by strided slice, so no step runs an interpreted
+    loop over the rows.  The pairs, the skips and the arithmetic are those
+    of the row-major scalar loop that the tests pin as ``reference_jacobi``,
     and each sweep starts with ``_off_norm`` on ``a``, into which the list
-    is written back after every sweep: the output bits are those of
-    ``_jacobi_numpy``.
+    is written back after every sweep: the output bits are that loop's.
     """
     n = a.shape[0]
     if n < 2:
@@ -188,15 +129,16 @@ def _jacobi_list(a: np.ndarray, max_sweeps: int, target: float) -> bool:
 
 
 def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
-    """Lockstep form of ``_jacobi_numpy`` over a stack of shape (B, n, n).
+    """Row-major kernel in lockstep over a stack of shape (B, n, n).
 
-    Every matrix follows its own rotation sequence exactly as the 2-D kernel
-    would alone, against its own ``target`` and skip threshold
-    target[i] / n: the pairs are visited in the same row-major order for the
-    whole stack, and at each pair only the matrices whose entry exceeds
-    their skip threshold rotate.  A matrix stops rotating at the first sweep
-    that starts converged.  Returns False when any matrix is still
-    unconverged after ``max_sweeps``.
+    Every matrix follows its own rotation sequence exactly as the row-major
+    scalar loop that the tests pin as ``reference_jacobi`` would alone,
+    against its own ``target`` and skip threshold target[i] / n: the pairs
+    are visited in the same row-major order for the whole stack, and at each
+    pair only the matrices whose entry exceeds their skip threshold rotate.
+    A matrix stops rotating at the first sweep that starts converged.
+    Returns False when any matrix is still unconverged after
+    ``max_sweeps``.
     """
     n = a.shape[-1]
     if n < 2:
@@ -511,14 +453,13 @@ def symmetric_eigenvalues(
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
     ``m`` is one matrix of shape (n, n), or a stack of shape (B, n, n) whose
-    result has shape (B, n), one descending row per matrix.  For n inside
-    ``ROUND_ROBIN_ORDERS`` each matrix, alone or in a stack, is solved by
-    the round-robin kernel.  Otherwise a stack of two or more is solved by
-    the lockstep kernel, and one matrix, alone or as a stack of one, by a
-    row-major kernel: the list kernel below the band, the numpy kernel above
-    it.  All three apply the same rotations with the same arithmetic, so a
-    matrix gets the same eigenvalue bits in a stack as alone.  Raises
-    ConvergenceError if the sweep cap is exhausted.
+    result has shape (B, n), one descending row per matrix.  From n =
+    ``ROUND_ROBIN_MIN_ORDER`` up each matrix, alone or in a stack, is solved
+    by the round-robin kernel.  Below it a stack of two or more is solved by
+    the lockstep kernel, and one matrix, alone or as a stack of one, by the
+    list kernel; both apply the same row-major rotations with the same
+    arithmetic.  Either way a matrix gets the same eigenvalue bits in a
+    stack as alone.  Raises ConvergenceError if the sweep cap is exhausted.
 
     The scans solve only R(G) here; the subdivisions' R(S) are bipartite
     and go to ``singular_values`` as stacks of their blocks B.
@@ -531,13 +472,12 @@ def symmetric_eigenvalues(
     stack = a[None] if a.ndim == 2 else a
     b, n = stack.shape[0], stack.shape[-1]
     work, target = _prepared(stack)
-    if ROUND_ROBIN_ORDERS[0] <= n <= ROUND_ROBIN_ORDERS[1]:
+    if n >= ROUND_ROBIN_MIN_ORDER:
         for i in range(b):
             if not _jacobi_round_robin(work[i], max_sweeps, float(target[i])):
                 _sweep_cap_reached(max_sweeps, "round-robin", n)
     elif b == 1:
-        kernel = _jacobi_list if n < ROUND_ROBIN_ORDERS[0] else _jacobi_numpy
-        if not kernel(work[0], max_sweeps, float(target[0])):
+        if not _jacobi_list(work[0], max_sweeps, float(target[0])):
             _sweep_cap_reached(max_sweeps, "row-major", n)
     elif b and not _jacobi_stack(work, max_sweeps, target):
         _sweep_cap_reached(max_sweeps, "row-major", n)
@@ -594,10 +534,6 @@ class Spectrum:
         """Descending eigenvalues, clustered at ``CLUSTER_TOL``."""
         distinct, mults = cluster_distinct(values, CLUSTER_TOL)
         return cls(tuple(values.tolist()), distinct, mults)
-
-
-def eigenvalues(m: np.ndarray) -> Spectrum:
-    return Spectrum.of(symmetric_eigenvalues(m))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,16 +15,14 @@ from randic.identities import (
     verify_subdivision_energy,
 )
 from randic.linalg import (
-    ROUND_ROBIN_ORDERS,
+    ROUND_ROBIN_MIN_ORDER,
     Polynomial,
     Spectrum,
     charpoly_coefficients,
     charpoly_from_eigenvalues,
     cluster_distinct,
     coefficient_residual,
-    eigenvalues,
     _jacobi_list,
-    _jacobi_numpy,
     _jacobi_one_sided,
     _jacobi_one_sided_stack,
     _jacobi_round_robin,
@@ -45,12 +44,21 @@ from randic.spectra import (
     randic_spectrum,
 )
 
-T_LO, T_HI = ROUND_ROBIN_ORDERS
+T_LO = ROUND_ROBIN_MIN_ORDER
+T_HI = 128  # a large round-robin order; tests run on both sides of it
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return a + a.T
+
+
+def triangular_graph(k: int) -> Graph:
+    """T(k), the line graph of K_k: strongly regular, of order k(k - 1)/2."""
+    vertices = list(combinations(range(k), 2))
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = [(index[u], index[v]) for u, v in combinations(vertices, 2) if set(u) & set(v)]
+    return Graph.from_edges(len(vertices), edges)
 
 
 class TestEigensolver:
@@ -82,12 +90,14 @@ class TestEigensolver:
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        n=st.integers(min_value=T_LO, max_value=T_HI),
+        n=st.integers(min_value=T_LO, max_value=160),
     )
     @example(seed=0, n=T_LO)
     @example(seed=1, n=T_LO + 1)
     @example(seed=2, n=T_HI - 1)
     @example(seed=3, n=T_HI)
+    @example(seed=4, n=T_HI + 1)
+    @example(seed=5, n=160)
     @settings(max_examples=12, deadline=None)
     def test_round_robin_matches_lapack_oracle(self, seed, n):
         m = random_symmetric(np.random.default_rng(seed), n)
@@ -108,6 +118,16 @@ class TestEigensolver:
             scale = max(1.0, float(np.linalg.norm(m)))
             assert np.max(np.abs(symmetric_eigenvalues(m) - oracle)) < 1e-11 * scale, n
 
+    @pytest.mark.parametrize(
+        "g", [generate("cycle", 161), triangular_graph(18)], ids=["C161", "T(18)"]
+    )
+    def test_graphs_above_128_match_lapack_oracle(self, g):
+        # non-bipartite, so two-sided: round-robin order, N = 161 and 153
+        m = randic_matrix(g)
+        oracle = np.linalg.eigvalsh(m)[::-1]
+        scale = max(1.0, float(np.linalg.norm(m)))
+        assert np.max(np.abs(symmetric_eigenvalues(m) - oracle)) < 1e-11 * scale
+
     def test_both_kernels_agree(self):
         # the single-matrix kernel, and the stack kernel on a stack of one
         m = random_symmetric(np.random.default_rng(5), 12)
@@ -122,10 +142,10 @@ class TestEigensolver:
         assert np.array_equal(m, before)
 
     def test_sweep_cap_raises(self):
-        # the message names the ordering that ran out of sweeps, in the band
-        # and outside it, for one matrix and for a stack
+        # the message names the ordering that ran out of sweeps, below the
+        # round-robin threshold and above it, for one matrix and for a stack
         rng = np.random.default_rng(8)
-        for n, ordering in [(10, "row-major"), (T_LO, "round-robin"), (T_HI + 1, "row-major")]:
+        for n, ordering in [(10, "row-major"), (T_LO, "round-robin"), (T_HI + 1, "round-robin")]:
             m = random_symmetric(rng, n)
             for arg in (m, np.array([m, random_symmetric(rng, n)])):
                 with pytest.raises(ConvergenceError, match=f"{ordering} ordering, order {n}"):
@@ -470,7 +490,7 @@ def graph_matrices(max_order: int):
 
 
 class TestRotationSequence:
-    """The numpy kernels, single and stacked, reproduce the reference loop
+    """The row-major kernels, single and stacked, reproduce the reference loop
     bit for bit: same pairs, same skips, same arithmetic, same sweeps."""
 
     @pytest.mark.parametrize("n", range(1, 25))
@@ -486,17 +506,13 @@ class TestRotationSequence:
             assert same_bits(row, want)
 
     def test_star_subdivisions(self):
-        # the acceptance-01 matrices, N = 5..99: the row-major kernel itself
-        # for all of them, and symmetric_eigenvalues below the round-robin band
-        for n in range(3, 51):
+        # the acceptance-01 matrices below the round-robin threshold, N =
+        # 5..31, solved two-sided as raw R(S); randic_eigenvalues solves
+        # them one-sided
+        for n in range(3, (T_LO + 1) // 2 + 1):
             m = randic_matrix(subdivision(generate("star", n)))
             want, _ = reference_jacobi(m)
-            a = m.copy()
-            target = 1e-12 * max(1.0, float(np.linalg.norm(m)))
-            assert _jacobi_numpy(a, 100, target)
-            assert same_bits(np.sort(np.diagonal(a))[::-1], want), n
-            if m.shape[0] < T_LO:
-                assert same_bits(symmetric_eigenvalues(m), want), n
+            assert same_bits(symmetric_eigenvalues(m), want), n
 
     @pytest.mark.parametrize("n", [T_LO, T_LO + 3])
     def test_round_robin_stack_matches_single(self, n):
@@ -542,35 +558,27 @@ class TestKernelBits:
         for _ in range(2):
             m = random_symmetric(rng, n)
             a, target = kernel_input(m)
-            b = a.copy()
             assert _jacobi_list(a, 100, target)
-            assert _jacobi_numpy(b, 100, target)
-            assert same_bits(a, b)
             want, _ = reference_jacobi(m)
             assert same_bits(np.sort(np.diagonal(a))[::-1], want)
 
     def test_list_kernel_graphs(self):
         for g, m in graph_matrices(T_LO - 1):
             a, target = kernel_input(m)
-            b = a.copy()
             assert _jacobi_list(a, 100, target)
-            assert _jacobi_numpy(b, 100, target)
-            assert same_bits(a, b), (g.n, g.edges)
             want, _ = reference_jacobi(m)
             assert same_bits(np.sort(np.diagonal(a))[::-1], want), (g.n, g.edges)
 
     def test_list_kernel_rotates_nan(self):
         # abs(nan) <= skip is false, so a NaN entry is rotated and spreads,
-        # as in the numpy kernel, rather than being skipped
+        # as in the row-major scalar loop, rather than being skipped
         m = random_symmetric(np.random.default_rng(6), 5)
         m[1, 3] = m[3, 1] = np.nan
-        a, b = m.copy(), m.copy()
+        a = m.copy()
         assert not _jacobi_list(a, 2, 1e-12)
-        assert not _jacobi_numpy(b, 2, 1e-12)
-        assert np.array_equal(np.isnan(a), np.isnan(b))
         assert np.isnan(a).sum() > 2
 
-    @pytest.mark.parametrize("n", [T_LO, T_LO + 1, 47, 64, 101, T_HI - 1, T_HI])
+    @pytest.mark.parametrize("n", [T_LO, T_LO + 1, 47, 64, 101, T_HI - 1, T_HI, T_HI + 1, 160])
     def test_round_robin_random(self, n):
         m = random_symmetric(np.random.default_rng(3000 + n), n)
         a, target = kernel_input(m)
@@ -621,7 +629,6 @@ class TestDispatch:
 
     KERNELS = (
         "_jacobi_list",
-        "_jacobi_numpy",
         "_jacobi_round_robin",
         "_jacobi_stack",
         "_jacobi_one_sided",
@@ -650,11 +657,13 @@ class TestDispatch:
             ((T_LO - 1, T_LO - 1), "_jacobi_list"),
             ((T_LO, T_LO), "_jacobi_round_robin"),
             ((T_HI, T_HI), "_jacobi_round_robin"),
-            ((T_HI + 1, T_HI + 1), "_jacobi_numpy"),
+            ((T_HI + 1, T_HI + 1), "_jacobi_round_robin"),
             ((3, T_LO - 1, T_LO - 1), "_jacobi_stack"),
             # a stack of one takes the single-matrix kernel of its order
             ((1, T_LO - 1, T_LO - 1), "_jacobi_list"),
-            ((1, T_HI + 1, T_HI + 1), "_jacobi_numpy"),
+            ((1, T_HI + 1, T_HI + 1), "_jacobi_round_robin"),
+            # from the threshold up a stack is solved one matrix at a time
+            ((2, T_HI + 1, T_HI + 1), "_jacobi_round_robin"),
         ],
     )
     def test_kernel_by_shape(self, monkeypatch, shape, kernel):
@@ -664,8 +673,21 @@ class TestDispatch:
         m = np.broadcast_to(m, shape).copy()
         calls = self.spy(monkeypatch)
         symmetric_eigenvalues(m)
-        assert {name for name, _ in calls} == {kernel}
-        assert calls[0][1] == (shape if kernel == "_jacobi_stack" else (n, n))
+        if kernel == "_jacobi_stack":
+            assert calls == [(kernel, shape)]
+        else:
+            assert calls == [(kernel, (n, n))] * (shape[0] if len(shape) == 3 else 1)
+
+    def test_kernels_are_listed(self):
+        # every kernel defined in the module is spied on here, and only those
+        import randic.linalg as linalg
+
+        defined = {
+            name
+            for name, f in vars(linalg).items()
+            if name.startswith("_jacobi_") and callable(f) and f.__module__ == linalg.__name__
+        }
+        assert defined == set(self.KERNELS)
 
     @pytest.mark.parametrize(
         "g",
@@ -789,7 +811,7 @@ class TestClustering:
         assert mults == (1,) * len(reps)
 
     def test_spectrum_wrapper(self):
-        s = eigenvalues(np.diag([1.0, 1.0, 2.0]))
+        s = Spectrum.of(symmetric_eigenvalues(np.diag([1.0, 1.0, 2.0])))
         assert isinstance(s, Spectrum)
         assert s.k == 2
         assert s.multiplicities == (1, 2)

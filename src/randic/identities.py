@@ -777,10 +777,11 @@ def _scan_spectra(
 
     The chunk's matrices are built as stacks by ``_chunk_matrices``.  R(G)
     is solved as one stack by the two-sided ``symmetric_eigenvalues``.  Each
-    edge-count group's blocks B of R(S) are solved once, as one stack of
-    equal shape, by the one-sided ``singular_values``, and each R(S)
-    spectrum is laid out from sigma(B) by ``_bipartite_eigenvalues``: the
-    bits of ``randic_eigenvalues(subdivision(g))``.  Yields, one group per
+    edge-count group's blocks B of R(S) form one stack of equal shape,
+    solved by ``singular_values`` in one call of the one-sided kernel, the
+    kernel that solves a single B as a stack of one; each R(S) spectrum is
+    laid out from sigma(B) by ``_bipartite_eigenvalues``: the bits of
+    ``randic_eigenvalues(subdivision(g))``.  Yields, one group per
     edge count m, (the group's indices into ``edge_lists``, its stack of
     R(G), its stack of R-spectra, its stack of R(S)-spectra or None), one
     row per member: the rows the checks read.

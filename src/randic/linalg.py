@@ -26,12 +26,12 @@ returning junk.
 ``singular_values`` is the one-sided (Hestenes) form, for one k x w block
 with k <= w or an equal-shape stack of them: it rotates pairs of rows, in
 the same round-robin rounds, until the rows are orthogonal, and returns
-their norms.  A stack of two or more is solved in lockstep
-(``_jacobi_one_sided_stack``), a single block by ``_jacobi_one_sided``, with
-the same bits.  A bipartite graph's R = [[0, B], [B^T, 0]] has eigenvalues
-+-sigma(B) and zeros, so the block B is solved alone: a sweep visits
-k(k - 1)/2 row pairs of length w instead of the (k + w)(k + w - 1)/2 pairs
-of R, most of which are zero by construction.
+their norms.  One kernel, ``_jacobi_one_sided``, solves every input as a
+(B, k, w) stack, a single block as a stack of one, and a block gets the
+same bits in any stack.  A bipartite graph's R = [[0, B], [B^T, 0]] has
+eigenvalues +-sigma(B) and zeros, so the block B is solved alone: a sweep
+visits k(k - 1)/2 row pairs of length w instead of the (k + w)(k + w - 1)/2
+pairs of R, most of which are zero by construction.
 ``spectra.randic_eigenvalues`` (under ``randic_energy``, ``randic_spectrum``,
 ``verify``'s subdivisions and the ``energy`` and ``spectrum`` commands) does
 this for one graph, and the scans for every subdivision, one stack per edge
@@ -193,6 +193,19 @@ def _rotate_pairs(
     return c2 * x - s2 * swapped
 
 
+def _rotation(
+    d: np.ndarray, twice: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Jacobi rotation of each pair of a round from d = aqq - app and
+    twice = 2 apq: t, and the columns c2 = (c; c) and s2 = (s; -s) that
+    ``_rotate_pairs`` takes.  t = sign(theta) / (|theta| + sqrt(theta^2 + 1))
+    with theta = d / twice, multiplied through by twice."""
+    t = twice / (d + np.copysign(np.hypot(d, twice), d))
+    c = 1.0 / np.hypot(t, 1.0)
+    s = t * c
+    return t, np.concatenate((c, c))[:, None], np.concatenate((s, -s))[:, None]
+
+
 @lru_cache(maxsize=64)
 def _round_robin_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin pairs of one sweep over order n >= 2, as arrays p < q of
@@ -257,15 +270,7 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
             k = apq.size
             ends = diag[idx]
             app, aqq = ends[:k], ends[k:]
-            # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with
-            # theta = (aqq - app) / (2 apq), multiplied through by 2 apq
-            d = aqq - app
-            twice = 2.0 * apq
-            t = twice / (d + np.copysign(np.hypot(d, twice), d))
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            c2 = np.concatenate((c, c))[:, None]
-            s2 = np.concatenate((s, -s))[:, None]
+            t, c2, s2 = _rotation(aqq - app, 2.0 * apq)
             rows = _rotate_pairs(a[idx], a[swap], c2, s2)
             # the block of the pairs' own columns still needs its column
             # rotation; rotating the rows of its transpose does that on
@@ -285,38 +290,51 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
 
 
 def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
-    """One-sided (Hestenes) kernel in round-robin order; mutates the (n, m)
-    block ``b`` toward mutually orthogonal rows, whose norms are then its
-    singular values.
+    """One-sided (Hestenes) kernel in round-robin order; mutates each block
+    of the C-contiguous (B, k, w) stack ``b`` toward mutually orthogonal
+    rows, whose norms are then its singular values.
 
-    A sweep runs the rounds of ``_round_robin_schedule(n)``, as the
-    two-sided kernel does, but rotates rows only: each round gathers its
-    pairs' rows and takes their squared norms alpha, beta and dot products
-    gamma from the rows themselves, so ``b b^T`` is never formed.  A pair
-    rotates when |gamma| > tol * sqrt(alpha * beta), with tol = eps * sqrt(m),
-    the scale of the rounding error in a dot product of length m: rows that
+    The stack is viewed as B * k rows of length w.  A sweep runs the rounds
+    of ``_round_robin_schedule(k)``, as the two-sided kernel does, with each
+    pair offset by k * block, so one round takes its pairs in every block.
+    It rotates rows only: each round gathers its pairs' rows and takes their
+    squared norms alpha, beta and dot products gamma from the rows
+    themselves, so ``b b^T`` is never formed.  A pair rotates when
+    |gamma| > tol * sqrt(alpha * beta), with tol = eps * sqrt(w), the scale
+    of the rounding error in a dot product of length w: rows that
     orthogonal give singular values correct to a small multiple of tol,
     relative to each value (Demmel and Veselic, SIAM J. Matrix Anal. Appl.
-    13(4), 1992).  A row of norm at most tol * ||b||_F counts as zero and is
-    left alone: re-orthogonalizing such a row against the others cancels
-    nearly all of it and leaves it no more orthogonal, so a rank-deficient
-    block would rotate until its null rows underflow.  A sweep
-    that rotates nothing ends the iteration; returns False when each of the
-    ``max_sweeps`` sweeps rotated some pair.
+    13(4), 1992).  A row of norm at most tol * ||block||_F, its own block's
+    norm, counts as zero and is left alone: re-orthogonalizing such a row
+    against the others cancels nearly all of it and leaves it no more
+    orthogonal, so a rank-deficient block would rotate until its null rows
+    underflow.  Only the pairs that pass the rule are rotated, each by
+    arithmetic on its own rows, so a block takes the same rotations and
+    bits in any stack; a block whose sweep rotates nothing rotates nothing
+    after it.  A sweep that rotates nothing in any block ends the
+    iteration; returns False when each of the ``max_sweeps`` sweeps rotated
+    some pair.
     """
-    n, m = b.shape
-    if n < 2:
+    count, k, w = b.shape
+    if k < 2:
         return True
-    ps, qs = _round_robin_schedule(n)
+    flat = np.reshape(b, (count * k, w), copy=False)
+    ps, qs = _round_robin_schedule(k)
+    # each round's pairs in every block, block by block: (rounds, B * k // 2)
+    offsets = k * np.arange(count)[:, None]
+    ps = (ps[:, None] + offsets).reshape(len(ps), -1)
+    qs = (qs[:, None] + offsets).reshape(len(qs), -1)
     pairs = np.hstack((ps, qs))
     swaps = np.hstack((qs, ps))
     half = ps.shape[1]
-    tol = np.finfo(np.float64).eps * math.sqrt(m)
-    floor = (tol * float(np.linalg.norm(b))) ** 2
+    tol = np.finfo(np.float64).eps * math.sqrt(w)
+    # each block's own norm, once per pair of the round
+    norm = np.array([float(np.linalg.norm(x)) for x in b])
+    floor = np.repeat(np.square(tol * norm), k // 2)
     for _ in range(max_sweeps):
         rotated = False
         for idx, swap in zip(pairs, swaps):
-            rows = b[idx]
+            rows = flat[idx]
             norms = np.einsum("ij,ij->i", rows, rows)
             alpha, beta = norms[:half], norms[half:]
             gamma = np.einsum("ij,ij->i", rows[:half], rows[half:])
@@ -333,65 +351,8 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
                 rows, idx, swap = rows[both], idx[both], swap[both]
             # the rotation that zeroes gamma, in the form of the two-sided
             # kernel with (aqq - app, apq) = (beta - alpha, gamma)
-            d = beta - alpha
-            twice = 2.0 * gamma
-            t = twice / (d + np.copysign(np.hypot(d, twice), d))
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            c2 = np.concatenate((c, c))[:, None]
-            s2 = np.concatenate((s, -s))[:, None]
-            b[idx] = _rotate_pairs(rows, b[swap], c2, s2)
-        if not rotated:
-            return True
-    return False
-
-
-def _jacobi_one_sided_stack(b: np.ndarray, max_sweeps: int) -> bool:
-    """Lockstep form of ``_jacobi_one_sided`` over a stack of shape (B, k, w);
-    mutates each block toward mutually orthogonal rows.
-
-    Every round of ``_round_robin_schedule(k)`` gathers its pairs' rows for
-    the whole stack at once.  Each (block, pair) is judged by the rule of
-    the single kernel, against its own block's floor, and a pair that does
-    not rotate gets t = 0, so c = 1 and s = 0: its rows are c x - s y = x
-    again, bit for bit (up to the sign of a zero).  A block therefore takes
-    exactly the rotations it takes alone, and a block whose sweep rotates
-    nothing rotates nothing after it, as the single kernel would stop there.
-    The stack stops after a sweep in which no block rotates; returns False
-    when each of the ``max_sweeps`` sweeps rotated some pair.
-    """
-    k, w = b.shape[1:]
-    if k < 2:
-        return True
-    ps, qs = _round_robin_schedule(k)
-    pairs = np.hstack((ps, qs))
-    swaps = np.hstack((qs, ps))
-    half = ps.shape[1]
-    tol = np.finfo(np.float64).eps * math.sqrt(w)
-    # each block's own norm, by the call the single kernel makes
-    floor = np.square(tol * np.array([float(np.linalg.norm(x)) for x in b]))[:, None]
-    for _ in range(max_sweeps):
-        rotated = False
-        for idx, swap in zip(pairs, swaps):
-            rows = b[:, idx]
-            norms = np.einsum("bij,bij->bi", rows, rows)
-            alpha, beta = norms[:, :half], norms[:, half:]
-            gamma = np.einsum("bij,bij->bi", rows[:, :half], rows[:, half:])
-            hit = (np.abs(gamma) > tol * np.sqrt(alpha * beta)) & (
-                np.minimum(alpha, beta) > floor
-            )
-            if not hit.any():
-                continue
-            rotated = True
-            # a pair left alone gets t = 0 / (1 + hypot(1, 0)) = 0 exactly
-            d = np.where(hit, beta - alpha, 1.0)
-            twice = np.where(hit, 2.0 * gamma, 0.0)
-            t = twice / (d + np.copysign(np.hypot(d, twice), d))
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            c2 = np.concatenate((c, c), axis=1)[:, :, None]
-            s2 = np.concatenate((s, -s), axis=1)[:, :, None]
-            b[:, idx] = _rotate_pairs(rows, b[:, swap], c2, s2)
+            _, c2, s2 = _rotation(beta - alpha, 2.0 * gamma)
+            flat[idx] = _rotate_pairs(rows, flat[swap], c2, s2)
         if not rotated:
             return True
     return False
@@ -400,9 +361,9 @@ def _jacobi_one_sided_stack(b: np.ndarray, max_sweeps: int) -> bool:
 def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
     """Singular values of a (k, w) matrix with k <= w, descending, by the
     one-sided kernel on a copy: the k row norms of the orthogonalized rows.
-    A stack of shape (B, k, w) gives one descending row per block, solved in
-    lockstep by ``_jacobi_one_sided_stack``; a stack of one takes the
-    single-block kernel, with the same bits.
+    A stack of shape (B, k, w) gives one descending row per block.  Either
+    way the kernel runs once, on the (B, k, w) stack (B = 1 for one
+    matrix), and a block gets the same bits in any stack as alone.
 
     Built for the biadjacency block B of a bipartite R = [[0, B], [B^T, 0]],
     whose eigenvalues are then +-sigma(B) and zeros.  Raises ValueError for
@@ -417,11 +378,7 @@ def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.n
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     stack = a[None] if a.ndim == 2 else a
-    if len(stack) == 1:
-        converged = _jacobi_one_sided(stack[0], max_sweeps)
-    else:
-        converged = _jacobi_one_sided_stack(stack, max_sweeps)
-    if not converged:
+    if not _jacobi_one_sided(stack, max_sweeps):
         _sweep_cap_reached(max_sweeps, "one-sided", f"{a.shape[-2]}x{a.shape[-1]}")
     norms = np.sqrt(np.einsum("bij,bij->bi", stack, stack))
     return np.sort(norms, axis=1)[:, ::-1].reshape(a.shape[:-1])
@@ -461,8 +418,9 @@ def symmetric_eigenvalues(
     arithmetic.  Either way a matrix gets the same eigenvalue bits in a
     stack as alone.  Raises ConvergenceError if the sweep cap is exhausted.
 
-    The scans solve only R(G) here; the subdivisions' R(S) are bipartite
-    and go to ``singular_values`` as stacks of their blocks B.
+    The scans solve only R(G) here; the subdivisions' R(S) are bipartite,
+    and each edge-count group's blocks B go to ``singular_values`` as one
+    stack, solved by a single call of the one-sided kernel.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:

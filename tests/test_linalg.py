@@ -24,7 +24,6 @@ from randic.linalg import (
     coefficient_residual,
     _jacobi_list,
     _jacobi_one_sided,
-    _jacobi_one_sided_stack,
     _jacobi_round_robin,
     _jacobi_stack,
     _off_norm,
@@ -251,16 +250,25 @@ class TestOneSided:
 
 
 def one_sided_alone(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_jacobi_one_sided`` on a copy of one block: the rotated block and
+    """``reference_one_sided`` on a copy of one block: the rotated block and
     its row norms."""
     a = block.copy()
-    assert _jacobi_one_sided(a, 100)
+    assert reference_one_sided(a, 100)
     return a, np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
+def stack_solved(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_jacobi_one_sided`` on a copy of a (B, k, w) stack: the rotated
+    stack and its row norms."""
+    stack = blocks.copy()
+    assert _jacobi_one_sided(stack, 100)
+    return stack, np.sqrt(np.einsum("bij,bij->bi", stack, stack))
+
+
 class TestOneSidedStack:
-    """The lockstep one-sided kernel gives every block the bits it gets
-    alone, and ``singular_values`` takes stacks."""
+    """The one-sided kernel gives every block of a stack the bits that the
+    frozen single-block kernel gives it alone, and ``singular_values`` takes
+    stacks."""
 
     @staticmethod
     def subdivision_blocks(order: int, step: int = 1):
@@ -273,9 +281,7 @@ class TestOneSidedStack:
     @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 31)])
     def test_bits_equal_single_kernel_on_scan_groups(self, order, step):
         for blocks in self.subdivision_blocks(order, step):
-            stack = blocks.copy()
-            assert _jacobi_one_sided_stack(stack, 100)
-            norms = np.sqrt(np.einsum("bij,bij->bi", stack, stack))
+            stack, norms = stack_solved(blocks)
             values = singular_values(blocks)
             for block, got, got_norms, row in zip(blocks, stack, norms, values):
                 want, want_norms = one_sided_alone(block)
@@ -299,13 +305,26 @@ class TestOneSidedStack:
                 np.zeros((k, w)),
             ]
         )
-        stack = blocks.copy()
-        assert _jacobi_one_sided_stack(stack, 100)
-        for block, got in zip(blocks, stack):
-            want, _ = one_sided_alone(block)
+        stack, norms = stack_solved(blocks)
+        for block, got, got_norms in zip(blocks, stack, norms):
+            want, want_norms = one_sided_alone(block)
             assert np.array_equal(got, want)
+            assert same_bits(got_norms, want_norms)
         for block, row in zip(blocks, singular_values(blocks)):
             assert same_bits(row, singular_values(block))
+
+    @pytest.mark.parametrize(
+        "kind,orders",
+        [("star", range(3, 63)), ("path", range(2, 63)), ("cycle", range(3, 63))],
+    )
+    def test_bits_equal_single_kernel_on_subdivisions(self, kind, orders):
+        # the blocks B of S(star/path/cycle n), each as a stack of one
+        for n in orders:
+            block = _biadjacency(subdivision(generate(kind, n)))
+            stack, norms = stack_solved(block[None])
+            want, want_norms = one_sided_alone(block)
+            assert np.array_equal(stack[0], want), n
+            assert same_bits(norms[0], want_norms), n
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -326,32 +345,36 @@ class TestOneSidedStack:
             oracle = np.linalg.svd(block, compute_uv=False)
             assert np.max(np.abs(row - oracle), initial=0.0) < 1e-11 * scale
 
-    def test_stack_of_one_takes_single_kernel(self, monkeypatch):
+    def test_every_shape_takes_one_kernel_call(self, monkeypatch):
+        # a block, a stack of one and a stack of two: one call each, on the
+        # (B, k, w) stack
         import randic.linalg as linalg
 
         calls = []
-        for name in ("_jacobi_one_sided", "_jacobi_one_sided_stack"):
-            kernel = getattr(linalg, name)
+        kernel = linalg._jacobi_one_sided
 
-            def spied(a, *args, _name=name, _kernel=kernel):
-                calls.append((_name, a.shape))
-                return _kernel(a, *args)
+        def spied(a, *args):
+            calls.append(a.shape)
+            return kernel(a, *args)
 
-            monkeypatch.setattr(linalg, name, spied)
+        monkeypatch.setattr(linalg, "_jacobi_one_sided", spied)
         b = np.random.default_rng(2).standard_normal((1, 4, 7))
+        single = singular_values(b[0])
+        assert calls == [(1, 4, 7)]
+        calls.clear()
         values = singular_values(b)
-        assert calls == [("_jacobi_one_sided", (4, 7))]
+        assert calls == [(1, 4, 7)]
         assert values.shape == (1, 4)
-        assert same_bits(values[0], singular_values(b[0]))
+        assert same_bits(values[0], single)
         calls.clear()
         singular_values(np.concatenate((b, b)))
-        assert calls == [("_jacobi_one_sided_stack", (2, 4, 7))]
+        assert calls == [(2, 4, 7)]
 
     def test_sweep_cap_raises(self):
         stack = np.random.default_rng(4).standard_normal((3, 6, 9))
         with pytest.raises(ConvergenceError, match="one-sided ordering, order 6x9"):
             singular_values(stack, max_sweeps=0)
-        assert not _jacobi_one_sided_stack(stack.copy(), 1)
+        assert not _jacobi_one_sided(stack.copy(), 1)
 
     def test_input_is_not_mutated(self):
         stack = np.random.default_rng(5).standard_normal((4, 3, 5))
@@ -464,6 +487,50 @@ def reference_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool
             a[idx] = rows
             a[:, idx] = rows.T
     return _off_norm(a) < target
+
+
+def reference_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
+    """The single-block one-sided kernel, kept frozen: one (n, m) block, its
+    floor a Python float, the rotation written out.  Mutates ``b`` like the
+    kernel."""
+    n, m = b.shape
+    if n < 2:
+        return True
+    ps, qs = _round_robin_schedule(n)
+    pairs = np.hstack((ps, qs))
+    swaps = np.hstack((qs, ps))
+    half = ps.shape[1]
+    tol = np.finfo(np.float64).eps * math.sqrt(m)
+    floor = (tol * float(np.linalg.norm(b))) ** 2
+    for _ in range(max_sweeps):
+        rotated = False
+        for idx, swap in zip(pairs, swaps):
+            rows = b[idx]
+            norms = np.einsum("ij,ij->i", rows, rows)
+            alpha, beta = norms[:half], norms[half:]
+            gamma = np.einsum("ij,ij->i", rows[:half], rows[half:])
+            hit = (np.abs(gamma) > tol * np.sqrt(alpha * beta)) & (
+                np.minimum(alpha, beta) > floor
+            )
+            rotating = np.count_nonzero(hit)
+            if not rotating:
+                continue
+            rotated = True
+            if rotating < half:
+                alpha, beta, gamma = alpha[hit], beta[hit], gamma[hit]
+                both = np.concatenate((hit, hit))
+                rows, idx, swap = rows[both], idx[both], swap[both]
+            d = beta - alpha
+            twice = 2.0 * gamma
+            t = twice / (d + np.copysign(np.hypot(d, twice), d))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            c2 = np.concatenate((c, c))[:, None]
+            s2 = np.concatenate((s, -s))[:, None]
+            b[idx] = c2 * rows - s2 * b[swap]
+        if not rotated:
+            return True
+    return False
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -632,9 +699,8 @@ class TestDispatch:
         "_jacobi_round_robin",
         "_jacobi_stack",
         "_jacobi_one_sided",
-        "_jacobi_one_sided_stack",
     )
-    ONE_SIDED = {"_jacobi_one_sided", "_jacobi_one_sided_stack"}
+    ONE_SIDED = {"_jacobi_one_sided"}
     TWO_SIDED = set(KERNELS) - ONE_SIDED
 
     def spy(self, monkeypatch):
@@ -704,13 +770,13 @@ class TestDispatch:
         ids=["P2", "P10", "star7", "C36", "S(petersen)", "S(K9)", "P3+K23"],
     )
     def test_bipartite_graph_takes_one_sided_kernel(self, monkeypatch, g):
-        shape = _biadjacency(g).shape
+        shape = (1, *_biadjacency(g).shape)
         calls = self.spy(monkeypatch)
         values = randic_eigenvalues(g)
         randic_energy(g)
         randic_spectrum(g)
         assert calls == [("_jacobi_one_sided", shape)] * 3
-        assert shape[0] <= shape[1] and sum(shape) == g.n
+        assert shape[1] <= shape[2] and sum(shape[1:]) == g.n
         assert values.shape == (g.n,)
 
     @pytest.mark.parametrize(
@@ -739,43 +805,41 @@ class TestDispatch:
 
     def test_verify_solves_subdivision_one_sided(self, monkeypatch):
         # R(G) on the two-sided kernel of its order, then S(G), always
-        # bipartite, once on its block B by the single-block one-sided kernel
+        # bipartite, once on its block B, a stack of one, by the one-sided
+        # kernel
         graphs = (generate("path", 6), generate("cycle", 8), generate("star", 5), generate("petersen"))
         calls = self.spy(monkeypatch)
         for g in graphs:
             verify_all(g)
         assert calls[::2] == [("_jacobi_list", (g.n, g.n)) for g in graphs]
         assert calls[1::2] == [
-            ("_jacobi_one_sided", _biadjacency(subdivision(g)).shape) for g in graphs
+            ("_jacobi_one_sided", (1, *_biadjacency(subdivision(g)).shape)) for g in graphs
         ]
 
     @pytest.mark.parametrize(
-        "impostor,kernel",
-        [(generate("cycle", 7), "_jacobi_list"), (generate("star", 7), "_jacobi_one_sided")],
+        "impostor,kernel,shape",
+        [
+            (generate("cycle", 7), "_jacobi_list", (7, 7)),
+            (generate("star", 7), "_jacobi_one_sided", (1, *_biadjacency(generate("star", 7)).shape)),
+        ],
         ids=["C7", "star7"],
     )
-    def test_claimed_subdivision_keeps_its_own_path(self, monkeypatch, impostor, kernel):
+    def test_claimed_subdivision_keeps_its_own_path(self, monkeypatch, impostor, kernel, shape):
         # a claimed subdivision goes through randic_eigenvalues: C7 has an
         # odd cycle and stays two-sided, so the negative controls keep that
         # path, while the bipartite star is solved on its block
         g = generate("path", 4)
         calls = self.spy(monkeypatch)
         assert not verify_subdivision_energy(g, subdivided=impostor).passed
-        assert calls[0] == ("_jacobi_list", (4, 4))
-        assert [name for name, _ in calls[1:]] == [kernel]
+        assert calls == [("_jacobi_list", (4, 4)), (kernel, shape)]
 
     @pytest.mark.parametrize("order", [3, 4, 5])
     def test_scan_solves_subdivisions_one_sided(self, monkeypatch, order):
         # R(G) two-sided, as one stack of the chunk; R(S) only on its blocks
-        # B, by a one-sided kernel, once per edge-count group
+        # B, by the one-sided kernel, once per edge-count group
         graphs = sorted(enumerate_connected_graphs(order), key=lambda g: g.m)
         _, groups = _chunk_matrices(order, [g.edges for g in graphs], True)
-        one_sided = [
-            ("_jacobi_one_sided", block.shape[1:])
-            if len(block) == 1
-            else ("_jacobi_one_sided_stack", block.shape)
-            for _, block in groups
-        ]
+        one_sided = [("_jacobi_one_sided", block.shape) for _, block in groups]
         calls = self.spy(monkeypatch)
         scan_small_graphs(order, rank_energy=True)
         assert calls == [("_jacobi_stack", (len(graphs), order, order))] + one_sided

@@ -318,7 +318,9 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     count, k, w = b.shape
     if k < 2:
         return True
-    flat = np.reshape(b, (count * k, w), copy=False)
+    if not b.flags.c_contiguous:
+        raise ValueError("the one-sided kernel rotates a C-contiguous stack in place")
+    flat = b.reshape(count * k, w)
     ps, qs = _round_robin_schedule(k)
     # each round's pairs in every block, block by block: (rounds, B * k // 2)
     offsets = k * np.arange(count)[:, None]
@@ -370,7 +372,7 @@ def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.n
     non-finite entries, and ConvergenceError, naming the one-sided ordering,
     if the sweep cap is exhausted.
     """
-    a = np.array(b, dtype=np.float64)
+    a = np.array(b, dtype=np.float64, order="C")
     if a.ndim not in (2, 3) or a.shape[-2] > a.shape[-1]:
         raise ValueError(
             f"expected an (n, m) matrix with n <= m, or a stack of them, got shape {a.shape}"

@@ -382,6 +382,21 @@ class TestOneSidedStack:
         singular_values(stack)
         assert same_bits(stack, before)
 
+    def test_any_memory_layout(self):
+        # a transposed or strided stack gives the bits of its C-ordered copy
+        base = np.random.default_rng(6).standard_normal((3, 7, 4))
+        views = [np.transpose(base, (0, 2, 1)), np.asfortranarray(base[:, :4, :]), base[::2, :3, ::-1]]
+        for view in views:
+            assert not view.flags.c_contiguous
+            assert same_bits(singular_values(view), singular_values(np.ascontiguousarray(view)))
+            for block, row in zip(view, singular_values(view)):
+                assert same_bits(row, singular_values(block))
+
+    def test_kernel_refuses_a_stack_it_cannot_rotate_in_place(self):
+        stack = np.asfortranarray(np.random.default_rng(7).standard_normal((2, 3, 5)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _jacobi_one_sided(stack, 100)
+
     def test_rejects_non_finite(self):
         stack = np.ones((3, 2, 4))
         stack[1, 0, 2] = np.nan

@@ -385,7 +385,11 @@ class TestOneSidedStack:
     def test_any_memory_layout(self):
         # a transposed or strided stack gives the bits of its C-ordered copy
         base = np.random.default_rng(6).standard_normal((3, 7, 4))
-        views = [np.transpose(base, (0, 2, 1)), np.asfortranarray(base[:, :4, :]), base[::2, :3, ::-1]]
+        views = [
+            np.transpose(base, (0, 2, 1)),
+            np.asfortranarray(base[:, :4, :]),
+            base[::2, :3, ::-1],
+        ]
         for view in views:
             assert not view.flags.c_contiguous
             assert same_bits(singular_values(view), singular_values(np.ascontiguousarray(view)))

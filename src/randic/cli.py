@@ -59,9 +59,10 @@ from .identities import (
     verify_subdivision_charpoly,
     verify_subdivision_energy,
 )
+from .linalg import Spectrum
 # symmetric_eigenvalues is not called here; it stays bound because
 # bench/test_bench.py checks that the tracer wraps it under randic.cli
-from .linalg import CLUSTER_TOL, cluster_distinct, symmetric_eigenvalues  # noqa: F401
+from .linalg import symmetric_eigenvalues  # noqa: F401
 from .spectra import randic_eigenvalues, randic_energy, randic_index
 
 MATRIX_CHOICES = ("randic", "laplacian", "signless", "all")
@@ -194,17 +195,17 @@ def _graph_header(graph: dict) -> list[str]:
 
 
 def _spectrum_block(name: str, values) -> tuple[list[str], dict]:
-    distinct, mults = cluster_distinct(values, CLUSTER_TOL)
+    s = Spectrum.of(values)
     lines = [
         f"matrix {name}",
-        "eigenvalues " + " ".join(fmt(v) for v in values),
+        "eigenvalues " + " ".join(fmt(v) for v in s.values),
         "distinct "
-        + " ".join(f"{fmt(v)}x{m}" for v, m in zip(distinct, mults)),
+        + " ".join(f"{fmt(v)}x{m}" for v, m in zip(s.distinct, s.multiplicities)),
     ]
     payload = {
-        "eigenvalues": values.tolist(),
-        "distinct": list(distinct),
-        "multiplicities": list(mults),
+        "eigenvalues": list(s.values),
+        "distinct": list(s.distinct),
+        "multiplicities": list(s.multiplicities),
     }
     return lines, payload
 

@@ -38,7 +38,10 @@ hands them each edge-count group it solved, and the functions above a
 group of one, so the subdivision checks' arithmetic runs once per stack.
 R(S) is bipartite, and every path solves it one-sided, on its biadjacency
 block: the functions above through ``randic_eigenvalues``, a scan on the
-stack of its group's blocks, with the same bits.
+stack of its group's blocks, with the same bits.  A scan folds the reports
+of each mask range, in mask order, into one running tally and one
+``ScanSummary``, and encodes graph6 only for the graphs it reports: the
+counterexamples and the two energy extremes.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .graphs import (
     subdivision,
 )
 from .linalg import (
-    CLUSTER_TOL,
     charpoly_coefficients,
     cluster_distinct,
     product_over_roots,
@@ -147,7 +149,7 @@ def _clamp_small(values: np.ndarray) -> np.ndarray:
 def _distinct_values(r: np.ndarray) -> tuple[float, ...]:
     """Distinct eigenvalues of the matrix ``r``, descending: solved once
     and clustered once, as ``_check_reports`` does."""
-    distinct, _ = cluster_distinct(symmetric_eigenvalues(r), CLUSTER_TOL)
+    distinct, _ = cluster_distinct(symmetric_eigenvalues(r))
     return distinct
 
 
@@ -606,7 +608,7 @@ def _check_reports(
                 stacked[name] = _subdivision_reports(name, n, m, theta, rho_s)
     reports = []
     for i, g in enumerate(graphs):
-        distinct, _ = cluster_distinct(rho[i], CLUSTER_TOL)
+        distinct, _ = cluster_distinct(rho[i])
         outcomes: list[tuple[str, VerificationReport | Classification]] = []
         for name in checks:
             if name in stacked:
@@ -675,43 +677,27 @@ class ScanSummary:
         return not self.counterexamples
 
 
-def _scan_outcomes(
-    graphs: Sequence[Graph],
-    checks: Sequence[str],
-    r: np.ndarray,
-    rho: np.ndarray,
-    rho_s: np.ndarray | None,
-) -> list[tuple[list[tuple[str, bool, dict[str, float]]], float]]:
-    """Run the requested checks on a stack of graphs of one order and size
-    from their matrices and solved spectra, as ``_check_reports`` takes
-    them.
-
-    Returns, per graph, (per-check outcomes, direct R-energy of the graph).
-    """
-    results = []
-    for row, reports in zip(rho, _check_reports(graphs, checks, r, rho, rho_s)):
-        outcomes: list[tuple[str, bool, dict[str, float]]] = []
-        for name, result in reports:
-            if isinstance(result, Classification):
-                consistent = result.consistent
-                outcomes.append((name, consistent, {"consistent": 0.0 if consistent else 1.0}))
-            else:
-                outcomes.append((name, result.passed, result.residuals))
-        results.append((outcomes, energy_of(row)))
-    return results
+def _outcome(result: VerificationReport | Classification) -> tuple[bool, dict[str, float]]:
+    """(passed, residuals) of one check as a scan counts it: a
+    classification passes when consistent, with the residual ``consistent``
+    0.0 if so and 1.0 if not."""
+    if isinstance(result, Classification):
+        return result.consistent, {"consistent": 0.0 if result.consistent else 1.0}
+    return result.passed, result.residuals
 
 
 def _scan_one(
     g: Graph, checks: Sequence[str], rho: np.ndarray, rho_s: np.ndarray | None
 ) -> tuple[list[tuple[str, bool, dict[str, float]]], float]:
-    """``_scan_outcomes`` of one graph, with R(G) built here: ``rho`` of
-    R(G), and ``rho_s`` of R(S(G)), which is None when no subdivision check
-    is requested."""
+    """(name, passed, residuals) of each requested check on one graph, as a
+    scan folds them, and the graph's direct R-energy, with R(G) built here:
+    ``rho`` of R(G), and ``rho_s`` of R(S(G)), which is None when no
+    subdivision check is requested."""
     r = randic_matrix(g)
-    ((outcomes, energy),) = _scan_outcomes(
+    (reports,) = _check_reports(
         [g], checks, r[None], rho[None], None if rho_s is None else rho_s[None]
     )
-    return outcomes, energy
+    return [(name, *_outcome(result)) for name, result in reports], energy_of(rho)
 
 
 def _chunk_matrices(
@@ -833,40 +819,49 @@ def _scan_range(
 ) -> ScanSummary:
     """Scan the masks in [start, stop): graphs are taken in mask order, in
     chunks of SCAN_CHUNK; each chunk's matrices are built and solved as
-    whole stacks, and checked once per edge count.  Each graph becomes a
-    summary of one graph, and ``_merge`` folds those in mask order."""
+    whole stacks, and checked once per edge count.  The chunk's reports are
+    then folded in mask order, by ``_merge``'s rules, into one tally, and
+    the range's one summary is built from it.  A graph's graph6 is encoded
+    only when it fails a check or, at the end, holds an energy extreme."""
     need_subdivision = any(c in checks for c in SUBDIVISION_CHECKS)
     masks = _connected_masks(order, start, stop)
-
-    def graph_summaries() -> Iterator[ScanSummary]:
-        while edge_lists := [edges for _, edges in islice(masks, SCAN_CHUNK)]:
-            graphs = [Graph(order, edges) for edges in edge_lists]
-            results: list = [None] * len(graphs)
-            for members, r, rho, rho_s in _scan_spectra(order, edge_lists, need_subdivision):
-                group = [graphs[i] for i in members]
-                for i, result in zip(members, _scan_outcomes(group, checks, r, rho, rho_s)):
-                    results[i] = result
-            for g, (outcomes, energy) in zip(graphs, results):
-                failed = [(name, res) for name, passed, res in outcomes if not passed]
-                code = encode_graph6(g) if failed or rank_energy else None
-                extreme = (code, energy) if rank_energy else None
-                yield ScanSummary(
-                    order=order,
-                    checks=checks,
-                    graph_count=1,
-                    counterexamples=tuple(
-                        Counterexample(code, name, dict(res)) for name, res in failed
-                    ),
-                    worst_residuals={
-                        f"{name}.{key}": value
-                        for name, _, res in outcomes
-                        for key, value in res.items()
-                    },
-                    lowest_energy=extreme,
-                    highest_energy=extreme,
-                )
-
-    return _merge(order, checks, graph_summaries())
+    count = 0
+    counterexamples: list[Counterexample] = []
+    worst: dict[str, float] = {}
+    low = high = None  # (Graph, energy), when rank_energy
+    while edge_lists := [edges for _, edges in islice(masks, SCAN_CHUNK)]:
+        graphs = [Graph(order, edges) for edges in edge_lists]
+        results: list = [None] * len(graphs)
+        for members, r, rho, rho_s in _scan_spectra(order, edge_lists, need_subdivision):
+            checked = _check_reports([graphs[i] for i in members], checks, r, rho, rho_s)
+            for i, row, reports in zip(members, rho, checked):
+                results[i] = reports, energy_of(row) if rank_energy else None
+        count += len(graphs)
+        for g, (reports, energy) in zip(graphs, results):
+            code = None
+            for name, result in reports:
+                passed, residuals = _outcome(result)
+                for key, value in residuals.items():
+                    key = f"{name}.{key}"
+                    if key not in worst or value > worst[key]:
+                        worst[key] = value
+                if not passed:
+                    code = code or encode_graph6(g)
+                    counterexamples.append(Counterexample(code, name, dict(residuals)))
+            if rank_energy:
+                if low is None or energy < low[1]:
+                    low = (g, energy)
+                if high is None or energy > high[1]:
+                    high = (g, energy)
+    return ScanSummary(
+        order=order,
+        checks=checks,
+        graph_count=count,
+        counterexamples=tuple(counterexamples),
+        worst_residuals={k: worst[k] for k in sorted(worst)},
+        lowest_energy=None if low is None else (encode_graph6(low[0]), low[1]),
+        highest_energy=None if high is None else (encode_graph6(high[0]), high[1]),
+    )
 
 
 def scan_small_graphs(

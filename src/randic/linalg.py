@@ -452,22 +452,20 @@ def _sweep_cap_reached(max_sweeps: int, ordering: str, order: int | str) -> NoRe
     )
 
 
-def cluster_distinct(
-    values: Iterable[float], tol: float = CLUSTER_TOL
-) -> tuple[tuple[float, ...], tuple[int, ...]]:
+def cluster_distinct(values: Iterable[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Collapse near-equal values into (representatives, multiplicities).
 
     Values are grouped descending with a greedy gap rule: a value joins the
-    current cluster when it sits within ``tol`` of the cluster's most recent
-    member.  Each representative is the cluster mean, which keeps the
-    operation idempotent for well separated spectra.
+    current cluster when it sits within ``CLUSTER_TOL`` of the cluster's
+    most recent member.  Each representative is the cluster mean, which
+    keeps the operation idempotent for well separated spectra.
     """
     vals = sorted(values, reverse=True)
     if not vals:
         return (), ()
     clusters: list[list[float]] = [[vals[0]]]
     for v in vals[1:]:
-        if clusters[-1][-1] - v <= tol:
+        if clusters[-1][-1] - v <= CLUSTER_TOL:
             clusters[-1].append(v)
         else:
             clusters.append([v])
@@ -492,7 +490,7 @@ class Spectrum:
     @classmethod
     def of(cls, values: np.ndarray) -> "Spectrum":
         """Descending eigenvalues, clustered at ``CLUSTER_TOL``."""
-        distinct, mults = cluster_distinct(values, CLUSTER_TOL)
+        distinct, mults = cluster_distinct(values)
         return cls(tuple(values.tolist()), distinct, mults)
 
 

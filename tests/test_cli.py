@@ -286,6 +286,29 @@ class TestScanCommand:
         assert payload["passed"] is True
         assert payload["lowest_energy"]["value"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_counterexamples_listed(self, capsys, monkeypatch, order):
+        # below the energy check's roundoff some graphs fail; the text
+        # output lists the first 20 failures in mask order
+        import randic.identities
+        from randic.graphs import enumerate_connected_graphs
+        from randic.identities import verify_subdivision_energy
+
+        monkeypatch.setattr(randic.identities, "ENERGY_TOL", 1e-15)
+        failing = [
+            encode_graph6(g)
+            for g in enumerate_connected_graphs(order)
+            if not verify_subdivision_energy(g).passed
+        ]
+        assert failing
+        code, out, _ = run(capsys, "scan", "--order", str(order))
+        assert code == 1
+        lines = out.splitlines()
+        at = lines.index(f"counterexamples {len(failing)}")
+        listed = lines[at + 1 : -1]
+        assert listed == [f"  {c} energy energy_match" for c in failing[:20]]
+        assert lines[-1] == "result FAIL"
+
     def test_zero_worst_residual_is_printed(self, capsys):
         code, out, _ = run(capsys, "scan", "--order", "4")
         assert code == 0

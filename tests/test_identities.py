@@ -26,8 +26,9 @@ from randic.identities import (
     Counterexample,
     ScanSummary,
     _chunk_matrices,
+    _check_reports,
     _merge,
-    _scan_outcomes,
+    _outcome,
     _scan_spectra,
     _scan_one,
     classify_distinct_count,
@@ -245,13 +246,9 @@ class TestVerifyAll:
         seen = 0
         for members, r, rho, rho_s in _scan_spectra(order, [g.edges for g in graphs], True):
             group = [graphs[i] for i in members]
-            for g, (outcomes, _) in zip(group, _scan_outcomes(group, SCAN_CHECKS, r, rho, rho_s)):
-                verified = [
-                    (name, v.consistent, {"consistent": 0.0 if v.consistent else 1.0})
-                    if name == "classification"
-                    else (name, v.passed, v.residuals)
-                    for name, v in verify_all(g).items()
-                ]
+            for g, reports in zip(group, _check_reports(group, SCAN_CHECKS, r, rho, rho_s)):
+                outcomes = [(name, *_outcome(v)) for name, v in reports]
+                verified = [(name, *_outcome(v)) for name, v in verify_all(g).items()]
                 if outcomes != verified:
                     mismatched.append(encode_graph6(g))
                 seen += 1
@@ -280,6 +277,27 @@ class TestDecidedOnce:
         builds = self.count_calls(monkeypatch, "Graph")
         assert scan_small_graphs(4).graph_count == 38
         assert (len(clusterings), len(builds)) == (38, 38)
+
+    def test_graph6_only_for_reported_graphs(self, monkeypatch):
+        codes = self.count_calls(monkeypatch, "encode_graph6")
+        assert scan_small_graphs(4).passed
+        assert len(codes) == 0
+        # the two energy extremes, encoded once the range is folded
+        assert scan_small_graphs(4, rank_energy=True).passed
+        assert len(codes) == 2
+
+    def test_one_summary_per_mask_range(self, monkeypatch):
+        summaries = self.count_calls(monkeypatch, "ScanSummary")
+        ranges = self.count_calls(monkeypatch, "_scan_range")
+        scan_small_graphs(4, rank_energy=True)
+        assert (len(ranges), len(summaries)) == (1, 1)
+
+    def test_energy_summed_only_when_ranked(self, monkeypatch):
+        energies = self.count_calls(monkeypatch, "energy_of")
+        scan_small_graphs(4, checks=("classification",))
+        assert len(energies) == 0
+        scan_small_graphs(4, checks=("classification",), rank_energy=True)
+        assert len(energies) == 38
 
     @pytest.mark.parametrize("g", [generate("petersen"), generate("path", 10)], ids=encode_graph6)
     def test_verify_all(self, monkeypatch, g):
@@ -513,8 +531,7 @@ class TestScan:
             scan_small_graphs(3, checks=())
 
 
-@functools.lru_cache(maxsize=None)
-def per_graph_scan(order: int):
+def per_graph_reference(order: int):
     """Scan outcome with each graph's spectra solved alone, merged in
     enumeration order: R(G) by symmetric_eigenvalues, and R(S(G)) by
     randic_eigenvalues, which solves the subdivision's block B one-sided."""
@@ -539,6 +556,9 @@ def per_graph_scan(order: int):
         if high is None or energy > high[1]:
             high = (code, energy)
     return count, tuple(counterexamples), {k: worst[k] for k in sorted(worst)}, low, high
+
+
+per_graph_scan = functools.lru_cache(maxsize=None)(per_graph_reference)
 
 
 class TestBatchedScan:
@@ -596,3 +616,28 @@ class TestBatchedScan:
                 assert row_s.tobytes() == randic_eigenvalues(subdivision(g)).tobytes()
                 seen += 1
         assert seen == len(graphs)
+
+
+class TestCounterexamples:
+    """An energy tolerance below the check's roundoff fails some graphs of
+    orders 4 and 5 and passes the rest, so a scan has counterexamples to
+    report; they must be the per-graph reference's, in mask order."""
+
+    @pytest.mark.parametrize("order", [4, 5])
+    @pytest.mark.parametrize("jobs,chunk", [(1, None), (2, None), (1, 7)])
+    def test_scan_lists_the_failing_graphs(self, order, jobs, chunk, monkeypatch, inline_pools):
+        monkeypatch.setattr(randic.identities, "ENERGY_TOL", 1e-15)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if chunk is not None:
+            monkeypatch.setattr(randic.identities, "SCAN_CHUNK", chunk)
+        count, counterexamples, worst, low, high = per_graph_reference(order)
+        failing = {c.graph6 for c in counterexamples}
+        assert 0 < len(failing) < count
+        assert {c.check for c in counterexamples} == {"energy"}
+        summary = scan_small_graphs(order, rank_energy=True, jobs=jobs)
+        assert inline_pools == ([2] if jobs > 1 else [])
+        assert not summary.passed
+        assert summary.graph_count == count
+        assert summary.counterexamples == counterexamples
+        assert summary.worst_residuals == worst
+        assert (summary.lowest_energy, summary.highest_energy) == (low, high)

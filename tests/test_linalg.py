@@ -879,9 +879,10 @@ class TestClustering:
         assert reps[2] == pytest.approx(-0.5, abs=1e-12)
 
     def test_respects_tolerance(self):
-        reps, mults = cluster_distinct([0.0, 1e-3], tol=1e-4)
+        # CLUSTER_TOL = 1e-7 is the only tolerance: a gap above it splits
+        reps, mults = cluster_distinct([0.0, 2e-7])
         assert mults == (1, 1)
-        reps, mults = cluster_distinct([0.0, 1e-3], tol=1e-2)
+        reps, mults = cluster_distinct([0.0, 0.5e-7])
         assert mults == (2,)
 
     def test_empty(self):

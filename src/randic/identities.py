@@ -23,25 +23,28 @@ rho_1 = 1 > rho_2 > ... > rho_k,
 
 with the left side also required to be nonzero (no factor can be dropped).
 
-Each check is a report builder over already solved spectra: rho of R(G)
-and rho_S of R(S).  The spectrum of I + R(G) is theta = 1 + rho, read off
-rho, never solved.  The number k of distinct eigenvalues, which the
-rank-one identity, the classification and the local conditions read, is
-decided once per graph by clustering rho at CLUSTER_TOL: in
-``_check_reports`` for ``verify_all`` and scans, and in
-``_distinct_values`` for the single-check functions.  The public
-``verify_*`` functions check their preconditions, solve what their check
-needs once and call the builder; ``verify_all`` solves R(G) and R(S) once
-each and runs every applicable check on the shared spectra.  The builders
-take stacks of graphs of one order and size, one row per graph: a scan
-hands them each edge-count group it solved, and the functions above a
-group of one, so the subdivision checks' arithmetic runs once per stack.
-R(S) is bipartite, and every path solves it one-sided, on its biadjacency
-block: the functions above through ``randic_eigenvalues``, a scan on the
-stack of its group's blocks, with the same bits.  A scan folds the reports
-of each mask range, in mask order, into one running tally and one
-``ScanSummary``, and encodes graph6 only for the graphs it reports: the
-counterexamples and the two energy extremes.
+Each check runs over already solved spectra, rho of R(G) and rho_S of
+R(S), for a stack of graphs of one order and size, one row per graph
+(``_check_stack``): it yields a pass-flag array and one residual array per
+key.  The spectrum of I + R(G) is theta = 1 + rho, read off rho, never
+solved.  The number k of distinct eigenvalues, which the rank-one
+identity, the classification and the local conditions read, is decided
+once per stack by clustering the rows of rho at CLUSTER_TOL; the rank-one
+products of the rows sharing a k run as stacked matmuls.  A scan hands
+``_check_stack`` each edge-count group it solved and folds the arrays of
+each mask range straight into one running tally and one ``ScanSummary``:
+the worst value per key, counterexamples from the failing rows, in mask
+order, and the energy extremes.  It builds no report, and encodes graph6
+only for the graphs it reports: the counterexamples and the two energy
+extremes.  The public ``verify_*`` functions check their preconditions,
+solve what their check needs once and run the same pass on a group of
+one; ``verify_all`` solves R(G) and R(S) once each and runs every
+applicable check on the shared spectra.  Only they build
+``VerificationReport`` and ``Classification`` objects, with their detail
+text, from row 0 of the arrays.  R(S) is bipartite, and every path solves
+it one-sided, on its biadjacency block: the functions above through
+``randic_eigenvalues``, a scan on the stack of its group's blocks, with
+the same bits.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,7 +69,8 @@ from .graphs import (
 from .linalg import (
     charpoly_coefficients,
     cluster_distinct,
-    product_over_roots,
+    cluster_rows,
+    product_over_root_rows,
     singular_values,
     symmetric_eigenvalues,
 )
@@ -132,6 +136,33 @@ def _report(
     )
 
 
+@dataclass(frozen=True)
+class _Checked:
+    """One check's outcome over a stack of graphs of one order and size.
+
+    ``rows`` are the stack rows the check applies to, ascending, and
+    ``passed`` and each array of ``residuals`` hold one entry per such row:
+    a scan folds these arrays as they are.  ``report(j)`` builds the
+    outcome object of the j-th such row, which only ``verify`` and the
+    single-check functions ask for."""
+
+    rows: np.ndarray
+    passed: np.ndarray
+    residuals: dict[str, np.ndarray]
+    report: Callable[[int], VerificationReport | Classification]
+
+
+def _passed(residuals: dict[str, np.ndarray], tolerance: float) -> np.ndarray:
+    """Per row, whether every residual is below ``tolerance``: the
+    verdict of ``_report`` on each row."""
+    return np.logical_and.reduce([r < tolerance for r in residuals.values()])
+
+
+def _row(arrays: dict[str, np.ndarray], j: int) -> dict[str, float]:
+    """Entry j of each array, by key."""
+    return {key: float(values[j]) for key, values in arrays.items()}
+
+
 def _clamp_small(values: np.ndarray) -> np.ndarray:
     """Zero out entries within ZERO_EIGENVALUE_SLACK of zero; reject anything
     below minus that slack, which would mean the solver returned a nonsense
@@ -148,7 +179,7 @@ def _clamp_small(values: np.ndarray) -> np.ndarray:
 
 def _distinct_values(r: np.ndarray) -> tuple[float, ...]:
     """Distinct eigenvalues of the matrix ``r``, descending: solved once
-    and clustered once, as ``_check_reports`` does."""
+    and clustered once, as ``_check_stack`` clusters a stack."""
     distinct, _ = cluster_distinct(symmetric_eigenvalues(r))
     return distinct
 
@@ -205,8 +236,7 @@ def _subdivision_report(
     r = randic_matrix(g)
     rho = symmetric_eigenvalues(r)
     rho_s = randic_eigenvalues(s)
-    (((_, report),),) = _check_reports([g], (name,), r[None], rho[None], rho_s[None])
-    return report
+    return _check_stack([g], (name,), r[None], rho[None], rho_s[None])[name].report(0)
 
 
 def verify_subdivision_charpoly(
@@ -250,11 +280,12 @@ def verify_eigenvalue_correspondence(
     return _subdivision_report("correspondence", g, subdivided)
 
 
-def _energy_residuals(theta: np.ndarray, direct: float) -> dict[str, float]:
-    """Residual of the direct energy ``direct`` of R(S) against the closed
-    form over ``theta``."""
-    closed = math.sqrt(2.0) * math.fsum(math.sqrt(t) for t in theta.tolist())
-    return {"energy_match": abs(direct - closed)}
+def _energy_residuals(theta: np.ndarray, direct: np.ndarray) -> dict[str, np.ndarray]:
+    """Residual, one per row, of the direct energies ``direct`` (B,) of
+    R(S) against the closed form over the rows of ``theta`` (B, n), each
+    summed by math.fsum."""
+    closed = [math.fsum(row) for row in np.sqrt(theta).tolist()]
+    return {"energy_match": np.abs(direct - math.sqrt(2.0) * np.array(closed))}
 
 
 def verify_subdivision_energy(
@@ -264,47 +295,36 @@ def verify_subdivision_energy(
     return _subdivision_report("energy", g, subdivided)
 
 
-def _subdivision_reports(
+def _subdivision_checked(
     name: str, n: int, m: int, theta: np.ndarray, rho_s: np.ndarray
-) -> list[VerificationReport]:
-    """Reports of the subdivision check ``name``, one per row of the stacks
-    ``theta`` (B, n) and ``rho_s`` (B, N) of graphs with n vertices and m
-    edges each."""
+) -> _Checked:
+    """The subdivision check ``name`` over the stacks ``theta`` (B, n) and
+    ``rho_s`` (B, N) of graphs with n vertices and m edges each."""
+    values: dict[str, np.ndarray] = {}
+    detail = ""
     if name == "charpoly":
         # a wrong-order claimed subdivision still compares cleanly, against
         # zero padding
+        label, tolerance = "subdivision-charpoly", CHARPOLY_TOL
         residuals = _charpoly_residuals(n, m, theta, rho_s)
-        return [
-            _report("subdivision-charpoly", CHARPOLY_TOL, dict(zip(residuals, row)))
-            for row in zip(*(v.tolist() for v in residuals.values()))
-        ]
-    if name == "correspondence":
+    elif name == "correspondence":
+        label, tolerance = "subdivision-correspondence", CORRESPONDENCE_TOL
         if rho_s.shape[1] != n + m:
-            return [
-                _report(
-                    "subdivision-correspondence",
-                    CORRESPONDENCE_TOL,
-                    {"order_mismatch": float(abs(rho_s.shape[1] - (n + m)))},
-                    detail="claimed subdivision has the wrong number of vertices",
-                )
-                for _ in rho_s
-            ]
-        return [
-            _report("subdivision-correspondence", CORRESPONDENCE_TOL, {"eigenvalue_match": r})
-            for r in _correspondence_residual(n, m, theta, rho_s).tolist()
-        ]
-    reports = []
-    for t, row in zip(theta, rho_s):
-        direct = energy_of(row)
-        reports.append(
-            _report(
-                "subdivision-energy",
-                ENERGY_TOL,
-                _energy_residuals(t, direct),
-                values={"energy": direct},
-            )
-        )
-    return reports
+            gap = float(abs(rho_s.shape[1] - (n + m)))
+            residuals = {"order_mismatch": np.full(len(theta), gap)}
+            detail = "claimed subdivision has the wrong number of vertices"
+        else:
+            residuals = {"eigenvalue_match": _correspondence_residual(n, m, theta, rho_s)}
+    else:
+        label, tolerance = "subdivision-energy", ENERGY_TOL
+        values = {"energy": np.array([energy_of(row) for row in rho_s.tolist()])}
+        residuals = _energy_residuals(theta, values["energy"])
+    return _Checked(
+        np.arange(len(theta)),
+        _passed(residuals, tolerance),
+        residuals,
+        lambda j: _report(label, tolerance, _row(residuals, j), _row(values, j), detail),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,48 +353,69 @@ def verify_k_distinct_identity(
     if g.m == 0:
         raise PreconditionError("the rank-one identity needs at least one edge")
     r = randic_matrix(g)
-    distinct = _distinct_values(r) if roots is None else None
-    return _k_distinct_identity(g, r, distinct, roots, constant)
-
-
-def _k_distinct_identity(
-    g: Graph,
-    r: np.ndarray,
-    distinct: tuple[float, ...] | None,
-    roots: Sequence[float] | None = None,
-    constant: float | None = None,
-) -> VerificationReport:
-    """``verify_k_distinct_identity`` on a connected graph with at least one
-    edge, given R = ``r`` and its distinct eigenvalues (unused when
-    ``roots`` is given)."""
-    tolerance = IDENTITY_TOL_SCALE * g.n * g.n
     if roots is None:
-        if abs(distinct[0] - 1.0) > tolerance:
-            raise ConvergenceError(
-                f"largest eigenvalue {distinct[0]!r} is not 1 within tolerance"
-            )
-        roots = distinct[1:]
-    roots = tuple(float(x) for x in roots)
-    product = product_over_roots(r, roots)
-    c = (
-        constant
-        if constant is not None
-        else math.prod(1.0 - x for x in roots) / (2.0 * g.m)
-    )
-    alpha = np.sqrt(np.array(g.degrees, dtype=np.float64))
-    target = c * np.outer(alpha, alpha)
-    identity = float(np.max(np.abs(product - target)))
+        rho = symmetric_eigenvalues(r)
+        return _check_stack([g], ("identity",), r[None], rho[None], None)["identity"].report(0)
+    given = np.array([[float(x) for x in roots]])
+    degrees = (r != 0).sum(axis=1)[None]
+    count = np.array([given.shape[1]])
+    return _identity_checked(g.n, g.m, r[None], degrees, given, count, constant).report(0)
+
+
+def _root_products(roots: np.ndarray) -> np.ndarray:
+    """prod_j (1 - roots[b, j]) for each row b of a (B, j) array, one
+    column at a time from the left, as math.prod multiplies a row."""
+    c = np.ones(len(roots))
+    for column in (1.0 - roots).T:
+        c = c * column
+    return c
+
+
+def _identity_checked(
+    n: int,
+    m: int,
+    r: np.ndarray,
+    degrees: np.ndarray,
+    roots: np.ndarray,
+    count: np.ndarray,
+    constant: float | None = None,
+) -> _Checked:
+    """The rank-one identity over a stack ``r`` (B, n, n) of R(G) for graphs
+    with n vertices, m edges and the vertex degrees in the rows of
+    ``degrees``: row b takes the first count[b] entries of row b of
+    ``roots`` as rho_2..rho_k.  The rows sharing a count form one stack
+    whose product runs as count stacked matmuls.  ``constant`` pins c for
+    every row instead of deriving it from the roots."""
+    tolerance = IDENTITY_TOL_SCALE * n * n
+    b = len(r)
+    identity, peak, c = np.empty(b), np.empty(b), np.empty(b)
+    alpha = np.sqrt(degrees.astype(np.float64))
+    counts = sorted(set(count.tolist()))
+    for j in counts:
+        # rows that all share a count are taken whole, as views
+        rows = np.flatnonzero(count == j) if len(counts) > 1 else slice(None)
+        factors = roots[rows, :j]
+        product = product_over_root_rows(r[rows], factors)
+        c[rows] = _root_products(factors) / (2.0 * m) if constant is None else constant
+        target = c[rows, None, None] * (alpha[rows, :, None] * alpha[rows, None, :])
+        identity[rows] = np.abs(product - target).max(axis=(1, 2))
+        peak[rows] = np.abs(product).max(axis=(1, 2))
     # passed requires max|product| > tolerance, phrased as a residual so the
     # report invariant stays "all residuals below tolerance"
-    peak = float(np.max(np.abs(product)))
-    minimality = max(0.0, 2.0 * tolerance - peak)
-    return _report(
-        "rank-one-identity",
-        tolerance,
-        {"identity": identity, "minimality": minimality},
-        values={"constant": c, "distinct_count": float(len(roots) + 1)},
-        detail=f"roots used: {', '.join(fmt(x) for x in roots)}",
-    )
+    short = 2.0 * tolerance - peak
+    residuals = {"identity": identity, "minimality": np.where(short > 0.0, short, 0.0)}
+
+    def report(j: int) -> VerificationReport:
+        used = roots[j, : count[j]].tolist()
+        return _report(
+            "rank-one-identity",
+            tolerance,
+            _row(residuals, j),
+            values={"constant": float(c[j]), "distinct_count": float(count[j] + 1)},
+            detail=f"roots used: {', '.join(fmt(x) for x in used)}",
+        )
+
+    return _Checked(np.arange(b), _passed(residuals, tolerance), residuals, report)
 
 
 # ---------------------------------------------------------------------------
@@ -442,32 +483,47 @@ def classify_distinct_count(g: Graph) -> Classification:
         raise PreconditionError("classification needs a connected graph")
     if g.n < 2:
         raise PreconditionError("classification needs at least two vertices")
-    return _classify(g, _distinct_values(randic_matrix(g)))
+    r = randic_matrix(g)
+    rho = symmetric_eigenvalues(r)
+    checked = _check_stack([g], ("classification",), r[None], rho[None], None)
+    return checked["classification"].report(0)
 
 
-def _classify(g: Graph, distinct: tuple[float, ...]) -> Classification:
-    """``classify_distinct_count`` on a connected graph of order at least 2,
-    given its distinct R-eigenvalues ``distinct``."""
-    k = len(distinct)
-    complete = g.m == g.n * (g.n - 1) // 2
-    regular = g.is_regular()
-    srg = is_strongly_regular(g)
-    two_ok = (k == 2) == complete
-    three_ok = (regular and k == 3) == (srg is not None)
-    consistent = two_ok and three_ok
-    parts = [f"k={k}", f"complete={complete}", f"regular={regular}"]
-    if srg is not None:
-        parts.append(
-            f"srg=({srg.order},{srg.degree},{srg.adjacent_common},{srg.nonadjacent_common})"
+def _classification_checked(
+    graphs: Sequence[Graph], degrees: np.ndarray, k: np.ndarray
+) -> _Checked:
+    """The classification over a stack of connected graphs of one order
+    n >= 2 and size, from their vertex degrees (B, n) and distinct-value
+    counts k (B,): completeness is read from the size, regularity from the
+    degrees, and only regular graphs are tested for strong regularity.  A
+    row's residual ``consistent`` is 0.0 if consistent and 1.0 if not."""
+    n, m = graphs[0].n, graphs[0].m
+    complete = m == n * (n - 1) // 2
+    regular = degrees.min(axis=1) == degrees.max(axis=1)
+    srg = {i: is_strongly_regular(graphs[i]) for i in np.flatnonzero(regular).tolist()}
+    strongly = np.zeros(len(graphs), dtype=bool)
+    strongly[[i for i, params in srg.items() if params is not None]] = True
+    consistent = ((k == 2) == complete) & ((regular & (k == 3)) == strongly)
+    residuals = {"consistent": np.where(consistent, 0.0, 1.0)}
+
+    def report(j: int) -> Classification:
+        count, even, params = int(k[j]), bool(regular[j]), srg.get(j)
+        parts = [f"k={count}", f"complete={complete}", f"regular={even}"]
+        if params is not None:
+            parts.append(
+                f"srg=({params.order},{params.degree},"
+                f"{params.adjacent_common},{params.nonadjacent_common})"
+            )
+        return Classification(
+            distinct_count=count,
+            is_complete=complete,
+            is_regular=even,
+            srg=params,
+            consistent=bool(consistent[j]),
+            detail=" ".join(parts),
         )
-    return Classification(
-        distinct_count=k,
-        is_complete=complete,
-        is_regular=regular,
-        srg=srg,
-        consistent=consistent,
-        detail=" ".join(parts),
-    )
+
+    return _Checked(np.arange(len(graphs)), consistent, residuals, report)
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +594,12 @@ def _local_residuals(g: Graph, distinct: tuple[float, ...]) -> dict[str, float]:
     }
 
 
+_LOCAL_VERDICT_KEYS = ("degree_sums", "adjacent_weighted", "nonadjacent_weighted")
+
+
 def _local_report(res: dict[str, float]) -> VerificationReport:
     """Report over the residuals of ``_local_residuals``."""
-    verdict = {
-        "degree_sums": res["degree_sums"],
-        "adjacent_weighted": res["adjacent_weighted"],
-        "nonadjacent_weighted": res["nonadjacent_weighted"],
-    }
+    verdict = {key: res[key] for key in _LOCAL_VERDICT_KEYS}
     info = {
         "count_adjacent": res["count_adjacent"],
         "count_nonadjacent": res["count_nonadjacent"],
@@ -570,8 +625,23 @@ def verify_local_conditions(g: Graph) -> VerificationReport:
     return _local_report(local_condition_residuals(g))
 
 
+def _local_checked(graphs: Sequence[Graph], k: np.ndarray, distinct: np.ndarray) -> _Checked:
+    """The local conditions over the rows of a stack with exactly three
+    distinct eigenvalues, in the first three slots of their rows of
+    ``distinct``; each graph's residuals are taken alone."""
+    rows = np.flatnonzero(k == 3)
+    found = [_local_residuals(graphs[i], tuple(distinct[i, :3].tolist())) for i in rows.tolist()]
+    residuals = {
+        key: np.array([res[key] for res in found], dtype=np.float64)
+        for key in _LOCAL_VERDICT_KEYS
+    }
+    return _Checked(
+        rows, _passed(residuals, LOCAL_TOL), residuals, lambda j: _local_report(found[j])
+    )
+
+
 # ---------------------------------------------------------------------------
-# Every applicable check on one graph, each matrix solved once
+# Every applicable check on a stack of graphs, each matrix solved once
 # ---------------------------------------------------------------------------
 
 
@@ -579,53 +649,51 @@ SUBDIVISION_CHECKS = ("charpoly", "correspondence", "energy")
 SCAN_CHECKS = SUBDIVISION_CHECKS + ("identity", "classification", "local")
 
 
-def _check_reports(
+def _check_stack(
     graphs: Sequence[Graph],
     checks: Sequence[str],
     r: np.ndarray,
     rho: np.ndarray,
     rho_s: np.ndarray | None,
-) -> list[list[tuple[str, VerificationReport | Classification]]]:
-    """(name, outcome) of each requested check, in the order of ``checks``,
-    for each graph of ``graphs``, from their matrices and solved spectra.
-    The graphs share their order n and size m; row i of ``r`` (B, n, n) is
-    R(G_i), row i of ``rho`` (B, n) its spectrum, and row i of ``rho_s``
-    (B, N) that of R(S(G_i)), which may be None when no subdivision check is
-    requested.
+) -> dict[str, _Checked]:
+    """Each requested check, keyed in the order of ``checks``, over a stack
+    of graphs ``graphs`` of one order n and size m, from their matrices and
+    solved spectra: row i of ``r`` (B, n, n) is R(G_i), row i of ``rho``
+    (B, n) its spectrum, and row i of ``rho_s`` (B, N) that of R(S(G_i)),
+    which may be None when no subdivision check is requested.
 
     The subdivision checks read the spectrum of I + R(G) as theta = 1 + rho,
-    near-zeros clamped, and their arithmetic runs once over the whole stack;
-    each graph's report reads its row.  This is where k is decided: each row
-    of rho is clustered once, at CLUSTER_TOL, and the identity, the
-    classification and the local conditions all read those distinct values.
-    ``local`` yields nothing unless there are exactly three."""
-    stacked: dict[str, list[VerificationReport]] = {}
+    near-zeros clamped.  This is where k is decided: the rows of rho are
+    clustered at once, at CLUSTER_TOL, and the identity, the classification
+    and the local conditions all read those distinct values.  Every check's
+    arithmetic runs on the whole stack, except the local conditions, which
+    apply only to the rows with exactly three distinct values and take
+    each such graph alone."""
+    n, m = graphs[0].n, graphs[0].m
     if rho_s is not None:
         theta = _clamp_small(1.0 + rho)
-        n, m = graphs[0].n, graphs[0].m
-        for name in checks:
-            if name in SUBDIVISION_CHECKS:
-                stacked[name] = _subdivision_reports(name, n, m, theta, rho_s)
-    reports = []
-    for i, g in enumerate(graphs):
-        distinct, _ = cluster_distinct(rho[i])
-        outcomes: list[tuple[str, VerificationReport | Classification]] = []
-        for name in checks:
-            if name in stacked:
-                outcome = stacked[name][i]
-            elif name == "identity":
-                outcome = _k_distinct_identity(g, r[i], distinct)
-            elif name == "classification":
-                outcome = _classify(g, distinct)
-            elif name == "local":
-                if len(distinct) != 3:
-                    continue
-                outcome = _local_report(_local_residuals(g, distinct))
-            else:
-                raise ValueError(f"unknown check {name!r}")
-            outcomes.append((name, outcome))
-        reports.append(outcomes)
-    return reports
+    if {"identity", "classification", "local"}.intersection(checks):
+        k, distinct, _ = cluster_rows(rho)
+        degrees = (r != 0).sum(axis=2)
+    checked: dict[str, _Checked] = {}
+    for name in checks:
+        if name in SUBDIVISION_CHECKS:
+            checked[name] = _subdivision_checked(name, n, m, theta, rho_s)
+        elif name == "identity":
+            tolerance = IDENTITY_TOL_SCALE * n * n
+            off = np.flatnonzero(np.abs(distinct[:, 0] - 1.0) > tolerance)
+            if off.size:
+                raise ConvergenceError(
+                    f"largest eigenvalue {float(distinct[off[0], 0])!r} is not 1 within tolerance"
+                )
+            checked[name] = _identity_checked(n, m, r, degrees, distinct[:, 1:], k - 1)
+        elif name == "classification":
+            checked[name] = _classification_checked(graphs, degrees, k)
+        elif name == "local":
+            checked[name] = _local_checked(graphs, k, distinct)
+        else:
+            raise ValueError(f"unknown check {name!r}")
+    return checked
 
 
 def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
@@ -637,17 +705,17 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     R(G) is solved once, two-sided, then R(S(G)) once, one-sided on its
     biadjacency block by ``randic_eigenvalues``, and every check reads the
     shared spectra, through the code a scan runs on a stack, here of one
-    graph: the results equal those of the single-check functions, and those
-    of a scan bit for bit.  ``g`` must be connected with every degree
-    positive.
+    graph, whose row 0 gives each report: the results equal those of the
+    single-check functions, and those of a scan bit for bit.  ``g`` must be
+    connected with every degree positive.
     """
     r = randic_matrix(g)
     rho = symmetric_eigenvalues(r)
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
     rho_s = randic_eigenvalues(subdivision(g))
-    (reports,) = _check_reports([g], SCAN_CHECKS, r[None], rho[None], rho_s[None])
-    return dict(reports)
+    checked = _check_stack([g], SCAN_CHECKS, r[None], rho[None], rho_s[None])
+    return {name: c.report(0) for name, c in checked.items() if c.rows.size}
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +745,6 @@ class ScanSummary:
         return not self.counterexamples
 
 
-def _outcome(result: VerificationReport | Classification) -> tuple[bool, dict[str, float]]:
-    """(passed, residuals) of one check as a scan counts it: a
-    classification passes when consistent, with the residual ``consistent``
-    0.0 if so and 1.0 if not."""
-    if isinstance(result, Classification):
-        return result.consistent, {"consistent": 0.0 if result.consistent else 1.0}
-    return result.passed, result.residuals
-
-
 def _scan_one(
     g: Graph, checks: Sequence[str], rho: np.ndarray, rho_s: np.ndarray | None
 ) -> tuple[list[tuple[str, bool, dict[str, float]]], float]:
@@ -694,10 +753,15 @@ def _scan_one(
     ``rho`` of R(G), and ``rho_s`` of R(S(G)), which is None when no
     subdivision check is requested."""
     r = randic_matrix(g)
-    (reports,) = _check_reports(
+    checked = _check_stack(
         [g], checks, r[None], rho[None], None if rho_s is None else rho_s[None]
     )
-    return [(name, *_outcome(result)) for name, result in reports], energy_of(rho)
+    outcomes = [
+        (name, bool(c.passed[0]), _row(c.residuals, 0))
+        for name, c in checked.items()
+        if c.rows.size
+    ]
+    return outcomes, energy_of(rho)
 
 
 def _chunk_matrices(
@@ -819,10 +883,14 @@ def _scan_range(
 ) -> ScanSummary:
     """Scan the masks in [start, stop): graphs are taken in mask order, in
     chunks of SCAN_CHUNK; each chunk's matrices are built and solved as
-    whole stacks, and checked once per edge count.  The chunk's reports are
-    then folded in mask order, by ``_merge``'s rules, into one tally, and
-    the range's one summary is built from it.  A graph's graph6 is encoded
-    only when it fails a check or, at the end, holds an energy extreme."""
+    whole stacks, and checked once per edge count.  Each group's check
+    arrays are folded, by ``_merge``'s rules, into one tally for the range:
+    the worst value per key is the largest of its array; the failing rows
+    become counterexamples, in mask order and then check order, each with
+    its residual dict; and the energy extremes go to the first graph in
+    mask order on ties.  No report is built, and a graph's graph6 is
+    encoded only when it fails a check or, at the end, holds an energy
+    extreme."""
     need_subdivision = any(c in checks for c in SUBDIVISION_CHECKS)
     masks = _connected_masks(order, start, stop)
     count = 0
@@ -831,28 +899,35 @@ def _scan_range(
     low = high = None  # (Graph, energy), when rank_energy
     while edge_lists := [edges for _, edges in islice(masks, SCAN_CHUNK)]:
         graphs = [Graph(order, edges) for edges in edge_lists]
-        results: list = [None] * len(graphs)
+        failed: list[tuple[int, int, str, dict[str, float]]] = []
+        energies = np.empty(len(graphs))
         for members, r, rho, rho_s in _scan_spectra(order, edge_lists, need_subdivision):
-            checked = _check_reports([graphs[i] for i in members], checks, r, rho, rho_s)
-            for i, row, reports in zip(members, rho, checked):
-                results[i] = reports, energy_of(row) if rank_energy else None
-        count += len(graphs)
-        for g, (reports, energy) in zip(graphs, results):
-            code = None
-            for name, result in reports:
-                passed, residuals = _outcome(result)
-                for key, value in residuals.items():
-                    key = f"{name}.{key}"
+            checked = _check_stack([graphs[i] for i in members], checks, r, rho, rho_s)
+            for position, name in enumerate(checks):
+                outcome = checked[name]
+                if not outcome.rows.size:
+                    continue
+                for key, values in outcome.residuals.items():
+                    key, value = f"{name}.{key}", float(np.max(values))
                     if key not in worst or value > worst[key]:
                         worst[key] = value
-                if not passed:
-                    code = code or encode_graph6(g)
-                    counterexamples.append(Counterexample(code, name, dict(residuals)))
+                for j in np.flatnonzero(~outcome.passed).tolist():
+                    row = members[outcome.rows[j]]
+                    failed.append((row, position, name, _row(outcome.residuals, j)))
             if rank_energy:
-                if low is None or energy < low[1]:
-                    low = (g, energy)
-                if high is None or energy > high[1]:
-                    high = (g, energy)
+                energies[members] = [energy_of(row) for row in rho.tolist()]
+        count += len(graphs)
+        codes: dict[int, str] = {}
+        for i, _, name, residuals in sorted(failed, key=lambda f: f[:2]):
+            if i not in codes:
+                codes[i] = encode_graph6(graphs[i])
+            counterexamples.append(Counterexample(codes[i], name, residuals))
+        if rank_energy:
+            i, j = int(np.argmin(energies)), int(np.argmax(energies))
+            if low is None or energies[i] < low[1]:
+                low = (graphs[i], float(energies[i]))
+            if high is None or energies[j] > high[1]:
+                high = (graphs[j], float(energies[j]))
     return ScanSummary(
         order=order,
         checks=checks,

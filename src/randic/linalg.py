@@ -36,6 +36,12 @@ pairs of R, most of which are zero by construction.
 ``verify``'s subdivisions and the ``energy`` and ``spectrum`` commands) does
 this for one graph, and the scans for every subdivision, one stack per edge
 count.
+
+The helpers the checks read work on stacks too, one row or matrix per
+graph, with the bits of their one-matrix forms: ``cluster_rows`` clusters
+descending spectra (``cluster_distinct`` is its one-row form) and
+``product_over_root_rows`` forms prod (M - r_i I) per matrix
+(``product_over_roots`` is the per-matrix loop it matches).
 """
 
 from __future__ import annotations
@@ -67,6 +73,16 @@ def _off_norms(stack: np.ndarray) -> np.ndarray:
     b, n = stack.shape[0], stack.shape[-1]
     squares = np.triu(stack, 1) ** 2
     return np.sqrt(2.0 * np.sum(squares.reshape(b, n * n), axis=1))
+
+
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (B, k, w) stack, as
+    ``np.linalg.norm`` takes a row-major matrix: the square root of one dot
+    product of its entries in row-major order, here one batched matmul for
+    the stack.  (``np.linalg.norm`` sums a column-major matrix in column
+    order, which can round differently unless the matrix is symmetric.)"""
+    flat = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])).reshape(-1)
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -331,8 +347,7 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     half = ps.shape[1]
     tol = np.finfo(np.float64).eps * math.sqrt(w)
     # each block's own norm, once per pair of the round
-    norm = np.array([float(np.linalg.norm(x)) for x in b])
-    floor = np.repeat(np.square(tol * norm), k // 2)
+    floor = np.repeat(np.square(tol * _frobenius_norms(b)), k // 2)
     for _ in range(max_sweeps):
         rotated = False
         for idx, swap in zip(pairs, swaps):
@@ -392,7 +407,7 @@ def _prepared(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     non-finite entries and asymmetry beyond roundoff."""
     if stack.size and not np.all(np.isfinite(stack)):
         raise ValueError("matrix has non-finite entries")
-    scale = np.array([float(np.linalg.norm(x)) for x in stack])
+    scale = _frobenius_norms(stack)
     # one temporary serves the asymmetry test and the symmetrised copy
     work = np.subtract(stack, stack.swapaxes(1, 2), out=np.empty(stack.shape))
     if stack.size:
@@ -452,26 +467,53 @@ def _sweep_cap_reached(max_sweeps: int, ordering: str, order: int | str) -> NoRe
     )
 
 
-def cluster_distinct(values: Iterable[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Collapse near-equal values into (representatives, multiplicities).
+def cluster_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cluster each descending row of a (B, n) stack by the greedy gap rule:
+    a value joins the current cluster when it sits within ``CLUSTER_TOL``
+    of the cluster's most recent member, so a row breaks wherever
+    consecutive values differ by more than that (or by NaN).
 
-    Values are grouped descending with a greedy gap rule: a value joins the
-    current cluster when it sits within ``CLUSTER_TOL`` of the cluster's
-    most recent member.  Each representative is the cluster mean, which
-    keeps the operation idempotent for well separated spectra.
+    Returns (k, reps, sizes): k (B,) counts each row's clusters, and reps
+    and sizes (B, n) hold its clusters' representatives and sizes,
+    descending, in the first k slots, padded with NaN and 0.  A
+    representative is the cluster mean ``math.fsum(members) / size``; a
+    single member's is its value plus 0.0, which is that mean exactly
+    (fsum turns -0.0 into 0.0), so fsum runs only on clusters of two or
+    more.
+    """
+    b, n = rows.shape
+    flat = rows.ravel()
+    starts = np.ones((b, n), dtype=bool)
+    np.logical_not(rows[:, :-1] - rows[:, 1:] <= CLUSTER_TOL, out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    ends = np.empty_like(first)
+    ends[:-1] = first[1:]
+    ends[-1:] = flat.size
+    size = ends - first
+    mean = flat[first] + 0.0
+    for i in np.flatnonzero(size > 1).tolist():
+        members = flat[first[i] : ends[i]].tolist()
+        mean[i] = math.fsum(members) / len(members)
+    # each cluster's row, and its slot among that row's clusters
+    where = (first // max(n, 1), np.cumsum(starts, axis=1).ravel()[first] - 1)
+    reps = np.full((b, n), np.nan)
+    sizes = np.zeros((b, n), dtype=np.intp)
+    reps[where] = mean
+    sizes[where] = size
+    return starts.sum(axis=1), reps, sizes
+
+
+def cluster_distinct(values: Iterable[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Collapse near-equal values into (representatives, multiplicities):
+    the one-row form of ``cluster_rows`` on the values sorted descending.
+    Each representative is the cluster mean, which keeps the operation
+    idempotent for well separated spectra.
     """
     vals = sorted(values, reverse=True)
     if not vals:
         return (), ()
-    clusters: list[list[float]] = [[vals[0]]]
-    for v in vals[1:]:
-        if clusters[-1][-1] - v <= CLUSTER_TOL:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    reps = tuple(math.fsum(c) / len(c) for c in clusters)
-    mults = tuple(len(c) for c in clusters)
-    return reps, mults
+    (k,), reps, sizes = cluster_rows(np.array([vals], dtype=np.float64))
+    return tuple(reps[0, :k].tolist()), tuple(sizes[0, :k].tolist())
 
 
 @dataclass(frozen=True)
@@ -587,4 +629,18 @@ def product_over_roots(m: np.ndarray, roots: Sequence[float]) -> np.ndarray:
     eye = np.eye(n)
     for r in roots:
         out = out @ (m - r * eye)
+    return out
+
+
+def product_over_root_rows(m: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """``product_over_roots`` over a (B, n, n) stack, matrix b with the
+    roots of row b of the (B, k) array ``roots``: k stacked matmuls, each
+    applying one column of roots to every matrix, from I as the per-matrix
+    loop starts, so each matrix gets that loop's bits."""
+    eye = np.eye(m.shape[-1])
+    if not roots.shape[1]:
+        return np.repeat(eye[None], len(m), axis=0)
+    out = eye  # matmul applies it to every matrix of the stack
+    for column in roots.T:
+        out = np.matmul(out, m - column[:, None, None] * eye)
     return out

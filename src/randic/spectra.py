@@ -125,7 +125,7 @@ def randic_spectrum(g: Graph) -> Spectrum:
 
 def energy_of(values) -> float:
     """Sum of absolute values, accumulated with compensated summation."""
-    return math.fsum(abs(v) for v in values)
+    return math.fsum(map(abs, values))
 
 
 def randic_energy(g: Graph) -> float:

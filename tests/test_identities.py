@@ -23,12 +23,14 @@ from randic.identities import (
     ENERGY_TOL,
     LOCAL_TOL,
     SCAN_CHECKS,
+    Classification,
     Counterexample,
     ScanSummary,
+    _check_stack,
     _chunk_matrices,
-    _check_reports,
     _merge,
-    _outcome,
+    _root_products,
+    _row,
     _scan_spectra,
     _scan_one,
     classify_distinct_count,
@@ -210,6 +212,26 @@ class TestRankOneIdentity:
         with pytest.raises(PreconditionError):
             verify_k_distinct_identity(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    def test_root_products_equal_math_prod(self):
+        # c's numerator, column by column over a stack of root rows, has
+        # the bits of math.prod on each row alone
+        rng = np.random.default_rng(7)
+        for width in range(7):
+            roots = rng.uniform(-1.0, 1.0, size=(50, width))
+            roots[::5] = np.round(roots[::5], 1)
+            got = _root_products(roots)
+            want = [math.prod(1.0 - x for x in row) for row in roots.tolist()]
+            assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def as_counted(result):
+    """(passed, residuals) of a report as a scan counts it: a
+    classification passes when consistent, with the residual
+    ``consistent`` 0.0 if so and 1.0 if not."""
+    if isinstance(result, Classification):
+        return result.consistent, {"consistent": 0.0 if result.consistent else 1.0}
+    return result.passed, result.residuals
+
 
 class TestVerifyAll:
     @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=lambda g: encode_graph6(g))
@@ -240,16 +262,26 @@ class TestVerifyAll:
         # both paths read theta = 1 + rho off the same R solve, and R(S)'s
         # spectrum off the same one-sided solve of its block, so every
         # residual agrees exactly, not just within tolerance; the scan side
-        # runs on the stacks and rows that _scan_spectra gives a scan
+        # runs on the stacks and rows that _scan_spectra gives a scan, and
+        # each row's arrays and report equal verify_all's report
         graphs = list(enumerate_connected_graphs(order))[::step]
         mismatched = []
         seen = 0
         for members, r, rho, rho_s in _scan_spectra(order, [g.edges for g in graphs], True):
             group = [graphs[i] for i in members]
-            for g, reports in zip(group, _check_reports(group, SCAN_CHECKS, r, rho, rho_s)):
-                outcomes = [(name, *_outcome(v)) for name, v in reports]
-                verified = [(name, *_outcome(v)) for name, v in verify_all(g).items()]
-                if outcomes != verified:
+            checked = _check_stack(group, SCAN_CHECKS, r, rho, rho_s)
+            for i, g in enumerate(group):
+                counted, reports = {}, {}
+                for name, c in checked.items():
+                    for j in np.flatnonzero(c.rows == i).tolist():
+                        counted[name] = (bool(c.passed[j]), _row(c.residuals, j))
+                        reports[name] = c.report(j)
+                verified = verify_all(g)
+                if (
+                    list(counted) != list(verified)
+                    or counted != {name: as_counted(v) for name, v in verified.items()}
+                    or reports != verified
+                ):
                     mismatched.append(encode_graph6(g))
                 seen += 1
         assert seen == len(graphs)
@@ -257,8 +289,9 @@ class TestVerifyAll:
 
 
 class TestDecidedOnce:
-    """k is decided by one clustering of rho per graph, and a scan builds
-    each of its graphs once."""
+    """k is decided by one clustering of the rho stack per edge-count
+    group, a scan builds each of its graphs once, and it builds reports
+    and residual dicts only where they are read."""
 
     @staticmethod
     def count_calls(monkeypatch, name: str) -> list:
@@ -273,10 +306,31 @@ class TestDecidedOnce:
         return calls
 
     def test_order_four_scan(self, monkeypatch):
-        clusterings = self.count_calls(monkeypatch, "cluster_distinct")
+        # the 38 graphs of order 4 have 3, 4, 5 or 6 edges: four groups of
+        # 16 trees, 15, 6 and K4
+        clusterings = self.count_calls(monkeypatch, "cluster_rows")
         builds = self.count_calls(monkeypatch, "Graph")
         assert scan_small_graphs(4).graph_count == 38
-        assert (len(clusterings), len(builds)) == (38, 38)
+        assert (len(clusterings), len(builds)) == (4, 38)
+        assert sorted(len(rho) for (rho,) in clusterings) == [1, 6, 15, 16]
+
+    def test_passing_scan_builds_no_reports(self, monkeypatch):
+        reports = self.count_calls(monkeypatch, "VerificationReport")
+        classifications = self.count_calls(monkeypatch, "Classification")
+        texts = self.count_calls(monkeypatch, "fmt")
+        assert scan_small_graphs(5, rank_energy=True).passed
+        assert (len(reports), len(classifications), len(texts)) == (0, 0, 0)
+        # the counters do see the reports that verify builds
+        verify_all(generate("petersen"))
+        assert (len(reports), len(classifications)) == (5, 1)
+        assert texts
+
+    def test_residual_dicts_only_for_failing_graphs(self, monkeypatch):
+        monkeypatch.setattr(randic.identities, "ENERGY_TOL", 1e-15)
+        dicts = self.count_calls(monkeypatch, "_row")
+        summary = scan_small_graphs(5, rank_energy=True)
+        assert 0 < len(summary.counterexamples) < summary.graph_count
+        assert len(dicts) == len(summary.counterexamples)
 
     def test_graph6_only_for_reported_graphs(self, monkeypatch):
         codes = self.count_calls(monkeypatch, "encode_graph6")
@@ -301,7 +355,7 @@ class TestDecidedOnce:
 
     @pytest.mark.parametrize("g", [generate("petersen"), generate("path", 10)], ids=encode_graph6)
     def test_verify_all(self, monkeypatch, g):
-        clusterings = self.count_calls(monkeypatch, "cluster_distinct")
+        clusterings = self.count_calls(monkeypatch, "cluster_rows")
         verify_all(g)
         assert len(clusterings) == 1
 

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randic.errors import ConvergenceError
-from randic.graphs import Graph, enumerate_connected_graphs, generate, subdivision
+from randic.graphs import (
+    Graph,
+    _connected_masks,
+    enumerate_connected_graphs,
+    generate,
+    subdivision,
+)
 from randic.identities import (
     _chunk_matrices,
     scan_small_graphs,
@@ -15,20 +21,26 @@ from randic.identities import (
     verify_subdivision_energy,
 )
 from randic.linalg import (
+    CLUSTER_TOL,
+    CONVERGENCE_RTOL,
     ROUND_ROBIN_MIN_ORDER,
     Polynomial,
     Spectrum,
     charpoly_coefficients,
     charpoly_from_eigenvalues,
     cluster_distinct,
+    cluster_rows,
     coefficient_residual,
     _jacobi_list,
     _jacobi_one_sided,
     _jacobi_round_robin,
     _jacobi_stack,
     _off_norm,
+    _frobenius_norms,
     _off_norms,
+    _prepared,
     _round_robin_schedule,
+    product_over_root_rows,
     product_over_roots,
     singular_values,
     substitute_quadratic,
@@ -870,7 +882,76 @@ class TestDispatch:
         assert singular_values(b).shape == (36,)
 
 
+def reference_cluster(values) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The greedy gap rule one value at a time, frozen from the per-graph
+    clustering that ``cluster_rows`` replaced: a value joins the current
+    cluster when it sits within CLUSTER_TOL of the cluster's most recent
+    member, and each representative is math.fsum(cluster) / len(cluster)."""
+    vals = sorted(values, reverse=True)
+    if not vals:
+        return (), ()
+    clusters = [[vals[0]]]
+    for v in vals[1:]:
+        if clusters[-1][-1] - v <= CLUSTER_TOL:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    return tuple(math.fsum(c) / len(c) for c in clusters), tuple(len(c) for c in clusters)
+
+
+def graph_stacks(order: int, step: int = 1):
+    """The R(G) stack of every ``step``-th connected graph of ``order``, as
+    a scan builds it, sorted by edge count."""
+    graphs = sorted(list(enumerate_connected_graphs(order))[::step], key=lambda g: g.m)
+    return _chunk_matrices(order, [g.edges for g in graphs], False)[0]
+
+
+def same_rows(k, reps, sizes, row: int, want) -> bool:
+    """Whether row ``row`` of ``cluster_rows``' output holds the clusters
+    ``want`` = (representatives, sizes), bit for bit, with NaN and 0 after
+    them."""
+    got = tuple(reps[row, : k[row]].tolist()), tuple(sizes[row, : k[row]].tolist())
+    pad = reps[row, k[row] :]
+    return (
+        got == want
+        and np.array(want[0]).tobytes() == reps[row, : k[row]].tobytes()
+        and bool(np.all(np.isnan(pad)))
+        and not sizes[row, k[row] :].any()
+    )
+
+
 class TestClustering:
+    HAND_BUILT = [
+        # a gap of exactly CLUSTER_TOL joins, one ulp above it splits
+        [0.9, 0.5, CLUSTER_TOL, 0.0, -1.0],
+        [0.9, 0.5, np.nextafter(CLUSTER_TOL, 1.0), 0.0, -1.0],
+        # a chain whose links are each within the tolerance, spanning 3e-7
+        [0.5, 0.5 - 0.75e-7, 0.5 - 1.5e-7, 0.5 - 2.25e-7, 0.5 - 3e-7],
+        [0.25, 0.25, 0.25, 0.25, 0.25],
+        # a lone -0.0 is represented by +0.0, as math.fsum gives it
+        [1.0, -0.0, -1.0, -1.0, -1.0],
+    ]
+
+    def test_hand_built_rows_match_reference(self):
+        rows = np.array(self.HAND_BUILT)
+        k, reps, sizes = cluster_rows(rows)
+        for i, row in enumerate(self.HAND_BUILT):
+            assert same_rows(k, reps, sizes, i, reference_cluster(row)), row
+            assert cluster_distinct(row) == reference_cluster(row)
+        assert k.tolist() == [4, 5, 1, 1, 3]
+        assert math.copysign(1.0, reps[4, 1]) == 1.0
+
+    @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 37)])
+    def test_scan_rows_match_reference(self, order, step):
+        # the R-spectra of orders 2-5 and of every 37th graph of order 6,
+        # clustered as one stack, give each row the reference's k and
+        # representatives
+        rho = symmetric_eigenvalues(graph_stacks(order, step))
+        k, reps, sizes = cluster_rows(rho)
+        want = [reference_cluster(row) for row in rho]
+        assert [i for i, w in enumerate(want) if not same_rows(k, reps, sizes, i, w)] == []
+        assert set(k.tolist()) <= set(range(2, order + 1))
+
     def test_groups_near_values(self):
         reps, mults = cluster_distinct([1.0, 1.0 + 1e-9, 0.5, -0.5, -0.5 + 1e-12])
         assert mults == (2, 1, 2)
@@ -1001,9 +1082,90 @@ class TestPolynomial:
         # gap of 100 against a largest coefficient of 100
         assert coefficient_residual(p, r) == pytest.approx(1.0)
 
+    def test_product_over_root_rows_without_roots(self):
+        m = np.stack([np.diag([1.0, 2.0]), np.eye(2)])
+        product = product_over_root_rows(m, np.zeros((2, 0)))
+        assert product.flags.writeable
+        assert same_bits(product, np.stack([np.eye(2), np.eye(2)]))
+
     def test_product_over_roots_annihilates(self):
         m = np.diag([1.0, 2.0, 3.0])
         assert np.allclose(product_over_roots(m, [1.0, 2.0, 3.0]), 0.0)
         partial = product_over_roots(m, [2.0, 3.0])
         assert partial[0, 0] == pytest.approx((1 - 2) * (1 - 3))
         assert partial[1, 1] == pytest.approx(0.0)
+
+
+class TestStackedPieces:
+    """The stacked forms a scan's checks use give each matrix the bits of
+    the per-matrix computation."""
+
+    @staticmethod
+    def products_match(r: np.ndarray) -> list[int]:
+        # grouped by k as the identity check groups a stack, each with the
+        # distinct values past the first as its roots
+        k, reps, _ = cluster_rows(symmetric_eigenvalues(r))
+        mismatched = []
+        for count in sorted(set(k.tolist())):
+            rows = np.flatnonzero(k == count)
+            roots = reps[rows, 1:count]
+            stacked = product_over_root_rows(r[rows], roots)
+            for i, got, row in zip(rows.tolist(), stacked, roots.tolist()):
+                if not same_bits(got, product_over_roots(r[i], row)):
+                    mismatched.append(i)
+        return mismatched
+
+    @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 37)])
+    def test_product_equals_product_over_roots(self, order, step):
+        assert self.products_match(graph_stacks(order, step)) == []
+
+    def test_product_on_stacks_of_one(self):
+        rng = np.random.default_rng(12)
+        order = 12
+        edges = {(i, int(rng.integers(i))) for i in range(1, order)}
+        while len(edges) < 20:
+            u, v = sorted(rng.choice(order, size=2, replace=False).tolist())
+            edges.add((v, u))
+        graphs = [generate("petersen"), Graph.from_edges(order, edges)]
+        for g in graphs:
+            assert self.products_match(randic_matrix(g)[None]) == []
+
+    @staticmethod
+    def norms_match(stack: np.ndarray) -> bool:
+        want = np.array([float(np.linalg.norm(x)) for x in stack])
+        return same_bits(_frobenius_norms(stack), want)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7])
+    def test_frobenius_norms_equal_np_linalg_norm(self, order):
+        # the norms behind _prepared's targets and the one-sided kernel's
+        # zero-row floors come from one batched matmul per stack; each
+        # equals np.linalg.norm on its matrix alone, bit for bit, on every
+        # R(G) stack and subdivision block stack of orders 2-6 and of a
+        # 10,000-mask slice of order 7
+        if order < 7:
+            graphs = sorted(enumerate_connected_graphs(order), key=lambda g: g.m)
+            edge_lists = [g.edges for g in graphs]
+        else:
+            sliced = [edges for _, edges in _connected_masks(7, 1_000_000, 1_010_000)]
+            edge_lists = sorted(sliced, key=len)
+        r, groups = _chunk_matrices(order, edge_lists, True)
+        assert self.norms_match(r)
+        assert all(self.norms_match(blocks) for _, blocks in groups)
+        _, target = _prepared(r)
+        assert same_bits(target, CONVERGENCE_RTOL * np.maximum(1.0, _frobenius_norms(r)))
+
+    def test_frobenius_norms_on_single_blocks_and_random_stacks(self):
+        # star-sweep's blocks, one at a time, and random stacks as strided
+        # views and, symmetric, in column-major order
+        for n in range(3, 51):
+            assert self.norms_match(_biadjacency(subdivision(generate("star", n)))[None])
+        rng = np.random.default_rng(3)
+        for k, w in ((1, 1), (2, 2), (5, 5), (3, 8), (9, 9), (17, 20), (33, 33)):
+            stack = rng.standard_normal((6, k, w)) * 10.0
+            assert all(self.norms_match(view) for view in (stack, stack[::2], stack[:, ::-1]))
+            if k == w:
+                symmetric = stack + stack.transpose(0, 2, 1)
+                assert self.norms_match(np.asfortranarray(symmetric))
+                assert self.norms_match(symmetric.transpose(0, 2, 1))
+        assert _frobenius_norms(np.zeros((0, 4, 4))).shape == (0,)
+        assert _prepared(np.zeros((0, 4, 4)))[1].shape == (0,)

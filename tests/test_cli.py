@@ -131,6 +131,10 @@ class TestVerifyCommand:
             (("spectrum", "gen:petersen", "--matrix", "all"), [10]),
             (("spectrum", "gen:petersen", "--matrix", "laplacian"), [10]),
             (("spectrum", "gen:petersen", "--matrix", "signless"), [10]),
+            (("verify", "gen:petersen", "--check", "local"), [10]),
+            (("verify", "gen:petersen", "--check", "classification"), [10]),
+            (("verify", "gen:petersen", "--check", "charpoly"), [10, (10, 15)]),
+            (("verify", "gen:petersen", "--check", "correspondence"), [10, (10, 15)]),
         ],
     )
     def test_one_solve_per_matrix(self, capsys, monkeypatch, argv, orders):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import randic.identities
-from randic.errors import PreconditionError
+from randic.errors import IsolatedVertexError, PreconditionError
 from randic.graphs import (
     Graph,
     encode_graph6,
@@ -224,6 +224,17 @@ class TestRankOneIdentity:
             assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
+ISOLATED_VERTEX = Graph(3, ((0, 1),))
+TWO_COMPONENTS = Graph.from_edges(4, [(0, 1), (2, 3)])
+SINGLE_VERTEX = Graph(1, ())
+SUBDIVISION_VERIFIERS = (
+    verify_subdivision_charpoly,
+    verify_eigenvalue_correspondence,
+    verify_subdivision_energy,
+)
+LOCAL_VERIFIERS = (verify_local_conditions, local_condition_residuals)
+
+
 def as_counted(result):
     """(passed, residuals) of a report as a scan counts it: a
     classification passes when consistent, with the residual
@@ -353,11 +364,29 @@ class TestDecidedOnce:
         scan_small_graphs(4, checks=("classification",), rank_energy=True)
         assert len(energies) == 38
 
-    @pytest.mark.parametrize("g", [generate("petersen"), generate("path", 10)], ids=encode_graph6)
-    def test_verify_all(self, monkeypatch, g):
+    @pytest.mark.parametrize(
+        "check,g,count",
+        [
+            pytest.param(verify_all, g, 1, id=encode_graph6(g))
+            for g in (generate("petersen"), generate("path", 10))
+        ]
+        # the subdivision checks read no k; Petersen has three distinct
+        # eigenvalues, so the local conditions apply
+        + [
+            pytest.param(check, generate("petersen"), 0, id=check.__name__)
+            for check in SUBDIVISION_VERIFIERS
+        ]
+        + [
+            pytest.param(check, generate("petersen"), 1, id=check.__name__)
+            for check in (verify_k_distinct_identity, classify_distinct_count, *LOCAL_VERIFIERS)
+        ],
+    )
+    def test_verify_all(self, monkeypatch, check, g, count):
+        # k is decided by the one clustering of the group of one, never a
+        # second time
         clusterings = self.count_calls(monkeypatch, "cluster_rows")
-        verify_all(g)
-        assert len(clusterings) == 1
+        check(g)
+        assert len(clusterings) == count
 
 
 class TestClassification:
@@ -445,6 +474,91 @@ class TestLocalConditions:
             verify_local_conditions(generate("complete", 4))
         with pytest.raises(PreconditionError):
             verify_local_conditions(generate("path", 4))
+
+
+def rejection(check, g, error, message):
+    name = {ISOLATED_VERTEX: "isolated", TWO_COMPONENTS: "disconnected", SINGLE_VERTEX: "single"}[g]
+    return pytest.param(check, g, error, message, id=f"{check.__name__}-{name}")
+
+
+class TestRejectedInputs:
+    """Which precondition each public verifier checks first: the exception
+    type and message on a graph with an isolated vertex, a disconnected
+    graph without one, and the one-vertex graph."""
+
+    @pytest.mark.parametrize(
+        "check,g,error,message",
+        [
+            rejection(verify_all, ISOLATED_VERTEX, IsolatedVertexError, "vertex 2 has degree zero"),
+            rejection(
+                verify_all,
+                TWO_COMPONENTS,
+                PreconditionError,
+                "the rank-one identity needs a connected graph",
+            ),
+            rejection(verify_all, SINGLE_VERTEX, IsolatedVertexError, "vertex 0 has degree zero"),
+        ]
+        + [
+            rejection(check, ISOLATED_VERTEX, IsolatedVertexError, "vertex 2 has degree zero")
+            for check in SUBDIVISION_VERIFIERS
+        ]
+        + [
+            rejection(
+                check, SINGLE_VERTEX, PreconditionError, "subdivision checks need at least one edge"
+            )
+            for check in SUBDIVISION_VERIFIERS
+        ]
+        + [
+            rejection(
+                verify_k_distinct_identity,
+                g,
+                PreconditionError,
+                "the rank-one identity needs a connected graph",
+            )
+            for g in (ISOLATED_VERTEX, TWO_COMPONENTS)
+        ]
+        + [
+            rejection(
+                verify_k_distinct_identity,
+                SINGLE_VERTEX,
+                PreconditionError,
+                "the rank-one identity needs at least one edge",
+            ),
+        ]
+        + [
+            rejection(
+                classify_distinct_count, g, PreconditionError, "classification needs a connected graph"
+            )
+            for g in (ISOLATED_VERTEX, TWO_COMPONENTS)
+        ]
+        + [
+            rejection(
+                classify_distinct_count,
+                SINGLE_VERTEX,
+                PreconditionError,
+                "classification needs at least two vertices",
+            ),
+        ]
+        + [
+            rejection(check, g, PreconditionError, "local conditions need a connected graph")
+            for check in LOCAL_VERIFIERS
+            for g in (ISOLATED_VERTEX, TWO_COMPONENTS)
+        ]
+        + [
+            rejection(check, SINGLE_VERTEX, IsolatedVertexError, "vertex 0 has degree zero")
+            for check in LOCAL_VERIFIERS
+        ],
+    )
+    def test_rejected(self, check, g, error, message):
+        with pytest.raises(ValueError) as raised:
+            check(g)
+        assert (raised.type, str(raised.value)) == (error, message)
+
+    @pytest.mark.parametrize("check", SUBDIVISION_VERIFIERS, ids=lambda check: check.__name__)
+    def test_subdivision_checks_accept_disconnected(self, check):
+        # the subdivision identities need no connectivity, only edges and
+        # positive degrees
+        assert check(TWO_COMPONENTS).passed
 
 
 @pytest.fixture

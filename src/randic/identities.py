@@ -36,13 +36,13 @@ each mask range straight into one running tally and one ``ScanSummary``:
 the worst value per key, counterexamples from the failing rows, in mask
 order, and the energy extremes.  It builds no report, and encodes graph6
 only for the graphs it reports: the counterexamples and the two energy
-extremes.  The public ``verify_*`` functions check their preconditions,
-solve what their check needs once and run the same pass on a group of
-one; ``verify_all`` solves R(G) and R(S) once each and runs every
-applicable check on the shared spectra.  Only they build
+extremes.  ``verify_all`` and the single-check functions check their
+preconditions and take one path, ``_verify``: it solves R(G), and R(S)
+only for a subdivision check, once each, runs the same pass on a group
+of one, so k is decided in ``_check_stack`` on every path, and builds the
 ``VerificationReport`` and ``Classification`` objects, with their detail
 text, from row 0 of the arrays.  R(S) is bipartite, and every path solves
-it one-sided, on its biadjacency block: the functions above through
+it one-sided, on its biadjacency block: ``_verify`` through
 ``randic_eigenvalues``, a scan on the stack of its group's blocks, with
 the same bits.
 """
@@ -68,7 +68,6 @@ from .graphs import (
 )
 from .linalg import (
     charpoly_coefficients,
-    cluster_distinct,
     cluster_rows,
     product_over_root_rows,
     singular_values,
@@ -76,6 +75,7 @@ from .linalg import (
 )
 from .spectra import (
     _bipartite_eigenvalues,
+    _inverse_sqrt_degrees,
     energy_of,
     randic_eigenvalues,
     randic_matrix,
@@ -143,8 +143,7 @@ class _Checked:
     ``rows`` are the stack rows the check applies to, ascending, and
     ``passed`` and each array of ``residuals`` hold one entry per such row:
     a scan folds these arrays as they are.  ``report(j)`` builds the
-    outcome object of the j-th such row, which only ``verify`` and the
-    single-check functions ask for."""
+    outcome object of the j-th such row, which a scan never asks for."""
 
     rows: np.ndarray
     passed: np.ndarray
@@ -175,13 +174,6 @@ def _clamp_small(values: np.ndarray) -> np.ndarray:
             f"{ZERO_EIGENVALUE_SLACK:g}"
         )
     return out
-
-
-def _distinct_values(r: np.ndarray) -> tuple[float, ...]:
-    """Distinct eigenvalues of the matrix ``r``, descending: solved once
-    and clustered once, as ``_check_stack`` clusters a stack."""
-    distinct, _ = cluster_distinct(symmetric_eigenvalues(r))
-    return distinct
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +219,11 @@ def _charpoly_residuals(
 def _subdivision_report(
     name: str, g: Graph, subdivided: Graph | None
 ) -> VerificationReport:
-    """Report of the subdivision check ``name`` on G, from the R-spectra of
-    G and of its subdivision or the claimed ``subdivided`` graph standing
-    in for it."""
+    """Report of the subdivision check ``name`` on G, against its
+    subdivision or the claimed ``subdivided`` graph standing in for it."""
     if g.m == 0:
         raise PreconditionError("subdivision checks need at least one edge")
-    s = subdivision(g) if subdivided is None else subdivided
-    r = randic_matrix(g)
-    rho = symmetric_eigenvalues(r)
-    rho_s = randic_eigenvalues(s)
-    return _check_stack([g], (name,), r[None], rho[None], rho_s[None])[name].report(0)
+    return _verify(g, (name,), subdivided)[name]
 
 
 def verify_subdivision_charpoly(
@@ -346,16 +333,15 @@ def verify_k_distinct_identity(
     whereas a rederived c shifts both sides together and can mask most of
     the damage.  The reported residuals include a minimality term that
     fails when the product is the zero matrix, i.e. when the root list is
-    too long.
+    too long.  Only this negative control builds R(G) outside ``_verify``.
     """
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
     if g.m == 0:
         raise PreconditionError("the rank-one identity needs at least one edge")
-    r = randic_matrix(g)
     if roots is None:
-        rho = symmetric_eigenvalues(r)
-        return _check_stack([g], ("identity",), r[None], rho[None], None)["identity"].report(0)
+        return _verify(g, ("identity",))["identity"]
+    r = randic_matrix(g)
     given = np.array([[float(x) for x in roots]])
     degrees = (r != 0).sum(axis=1)[None]
     count = np.array([given.shape[1]])
@@ -483,10 +469,7 @@ def classify_distinct_count(g: Graph) -> Classification:
         raise PreconditionError("classification needs a connected graph")
     if g.n < 2:
         raise PreconditionError("classification needs at least two vertices")
-    r = randic_matrix(g)
-    rho = symmetric_eigenvalues(r)
-    checked = _check_stack([g], ("classification",), r[None], rho[None], None)
-    return checked["classification"].report(0)
+    return _verify(g, ("classification",))["classification"]
 
 
 def _classification_checked(
@@ -549,19 +532,13 @@ def local_condition_residuals(g: Graph) -> dict[str, float]:
     in special cases, so their residuals are reported separately under the
     ``count_*`` keys; they are informational, not part of any verdict.
     """
-    if not is_connected(g):
-        raise PreconditionError("local conditions need a connected graph")
-    return _local_residuals(g, _distinct_values(randic_matrix(g)))
+    report = verify_local_conditions(g)
+    return {**report.residuals, **report.values}
 
 
-def _local_residuals(g: Graph, distinct: tuple[float, ...]) -> dict[str, float]:
-    """``local_condition_residuals`` on a connected graph, given its
-    distinct R-eigenvalues ``distinct``, descending."""
-    if len(distinct) != 3:
-        raise PreconditionError(
-            f"local conditions need exactly three distinct eigenvalues, got {len(distinct)}"
-        )
-    rho2, rho3 = distinct[1], distinct[2]
+def _local_residuals(g: Graph, rho2: float, rho3: float) -> dict[str, float]:
+    """``local_condition_residuals`` on a connected graph whose distinct
+    R-eigenvalues are 1 > ``rho2`` > ``rho3``."""
     c = (1.0 - rho2) * (1.0 - rho3) / (2.0 * g.m)
     deg = g.degrees
     worst_degree = 0.0
@@ -621,16 +598,25 @@ def verify_local_conditions(g: Graph) -> VerificationReport:
 
     The verdict covers the degree-sum condition and the two weighted
     common-neighborhood conditions.  The raw-count variants are surfaced in
-    ``values`` and ``detail`` only, since they fail on ordinary graphs."""
-    return _local_report(local_condition_residuals(g))
+    ``values`` and ``detail`` only, since they fail on ordinary graphs.
+    k is read from the classification of the same solve."""
+    if not is_connected(g):
+        raise PreconditionError("local conditions need a connected graph")
+    reports = _verify(g, ("classification", "local"))
+    if "local" not in reports:
+        raise PreconditionError(
+            "local conditions need exactly three distinct eigenvalues, "
+            f"got {reports['classification'].distinct_count}"
+        )
+    return reports["local"]
 
 
 def _local_checked(graphs: Sequence[Graph], k: np.ndarray, distinct: np.ndarray) -> _Checked:
     """The local conditions over the rows of a stack with exactly three
-    distinct eigenvalues, in the first three slots of their rows of
-    ``distinct``; each graph's residuals are taken alone."""
+    distinct eigenvalues, 1 > rho_2 > rho_3 in the first three slots of
+    their rows of ``distinct``; each graph's residuals are taken alone."""
     rows = np.flatnonzero(k == 3)
-    found = [_local_residuals(graphs[i], tuple(distinct[i, :3].tolist())) for i in rows.tolist()]
+    found = [_local_residuals(graphs[i], *distinct[i, 1:3].tolist()) for i in rows.tolist()]
     residuals = {
         key: np.array([res[key] for res in found], dtype=np.float64)
         for key in _LOCAL_VERDICT_KEYS
@@ -702,19 +688,30 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     identity, the classification, and the local conditions when R has
     exactly three distinct eigenvalues.
 
-    R(G) is solved once, two-sided, then R(S(G)) once, one-sided on its
-    biadjacency block by ``randic_eigenvalues``, and every check reads the
-    shared spectra, through the code a scan runs on a stack, here of one
-    graph, whose row 0 gives each report: the results equal those of the
-    single-check functions, and those of a scan bit for bit.  ``g`` must be
-    connected with every degree positive.
+    The results equal those of the single-check functions, and those of a
+    scan bit for bit.  ``g`` must have every degree positive, tested first,
+    and be connected.
     """
-    r = randic_matrix(g)
-    rho = symmetric_eigenvalues(r)
+    _inverse_sqrt_degrees(g)
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
-    rho_s = randic_eigenvalues(subdivision(g))
-    checked = _check_stack([g], SCAN_CHECKS, r[None], rho[None], rho_s[None])
+    return _verify(g, SCAN_CHECKS)
+
+
+def _verify(
+    g: Graph, checks: Sequence[str], subdivided: Graph | None = None
+) -> dict[str, VerificationReport | Classification]:
+    """The report of each check of ``checks`` that applies to ``g``, in
+    check order, from R(G) solved once and, only for a subdivision check,
+    R(S(G)) or R of the claimed ``subdivided`` graph solved once by
+    ``randic_eigenvalues``: ``_check_stack`` on the group of one decides k
+    and which checks apply.  Preconditions are the caller's."""
+    r = randic_matrix(g)
+    rho = symmetric_eigenvalues(r)
+    rho_s = None
+    if any(name in SUBDIVISION_CHECKS for name in checks):
+        rho_s = randic_eigenvalues(subdivision(g) if subdivided is None else subdivided)[None]
+    checked = _check_stack([g], checks, r[None], rho[None], rho_s)
     return {name: c.report(0) for name, c in checked.items() if c.rows.size}
 
 

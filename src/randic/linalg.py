@@ -375,7 +375,7 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     return False
 
 
-def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
+def singular_values(b: np.ndarray) -> np.ndarray:
     """Singular values of a (k, w) matrix with k <= w, descending, by the
     one-sided kernel on a copy: the k row norms of the orthogonalized rows.
     A stack of shape (B, k, w) gives one descending row per block.  Either
@@ -385,7 +385,7 @@ def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.n
     Built for the biadjacency block B of a bipartite R = [[0, B], [B^T, 0]],
     whose eigenvalues are then +-sigma(B) and zeros.  Raises ValueError for
     non-finite entries, and ConvergenceError, naming the one-sided ordering,
-    if the sweep cap is exhausted.
+    after ``DEFAULT_MAX_SWEEPS`` sweeps.
     """
     a = np.array(b, dtype=np.float64, order="C")
     if a.ndim not in (2, 3) or a.shape[-2] > a.shape[-1]:
@@ -395,8 +395,8 @@ def singular_values(b: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.n
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     stack = a[None] if a.ndim == 2 else a
-    if not _jacobi_one_sided(stack, max_sweeps):
-        _sweep_cap_reached(max_sweeps, "one-sided", f"{a.shape[-2]}x{a.shape[-1]}")
+    if not _jacobi_one_sided(stack, DEFAULT_MAX_SWEEPS):
+        _sweep_cap_reached("one-sided", f"{a.shape[-2]}x{a.shape[-1]}")
     norms = np.sqrt(np.einsum("bij,bij->bi", stack, stack))
     return np.sort(norms, axis=1)[:, ::-1].reshape(a.shape[:-1])
 
@@ -421,9 +421,7 @@ def _prepared(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return work, CONVERGENCE_RTOL * np.maximum(1.0, scale)
 
 
-def symmetric_eigenvalues(
-    m: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS
-) -> np.ndarray:
+def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
     ``m`` is one matrix of shape (n, n), or a stack of shape (B, n, n) whose
@@ -433,7 +431,7 @@ def symmetric_eigenvalues(
     the lockstep kernel, and one matrix, alone or as a stack of one, by the
     list kernel; both apply the same row-major rotations with the same
     arithmetic.  Either way a matrix gets the same eigenvalue bits in a
-    stack as alone.  Raises ConvergenceError if the sweep cap is exhausted.
+    stack as alone.  Raises ConvergenceError after ``DEFAULT_MAX_SWEEPS``.
 
     The scans solve only R(G) here; the subdivisions' R(S) are bipartite,
     and each edge-count group's blocks B go to ``singular_values`` as one
@@ -446,23 +444,24 @@ def symmetric_eigenvalues(
         )
     stack = a[None] if a.ndim == 2 else a
     b, n = stack.shape[0], stack.shape[-1]
+    max_sweeps = DEFAULT_MAX_SWEEPS
     work, target = _prepared(stack)
     if n >= ROUND_ROBIN_MIN_ORDER:
         for i in range(b):
             if not _jacobi_round_robin(work[i], max_sweeps, float(target[i])):
-                _sweep_cap_reached(max_sweeps, "round-robin", n)
+                _sweep_cap_reached("round-robin", n)
     elif b == 1:
         if not _jacobi_list(work[0], max_sweeps, float(target[0])):
-            _sweep_cap_reached(max_sweeps, "row-major", n)
+            _sweep_cap_reached("row-major", n)
     elif b and not _jacobi_stack(work, max_sweeps, target):
-        _sweep_cap_reached(max_sweeps, "row-major", n)
+        _sweep_cap_reached("row-major", n)
     diagonal = np.diagonal(work, axis1=1, axis2=2)
     return np.sort(diagonal, axis=1)[:, ::-1].reshape(a.shape[:-1])
 
 
-def _sweep_cap_reached(max_sweeps: int, ordering: str, order: int | str) -> NoReturn:
+def _sweep_cap_reached(ordering: str, order: int | str) -> NoReturn:
     raise ConvergenceError(
-        f"Jacobi sweep cap of {max_sweeps} reached without convergence "
+        f"Jacobi sweep cap of {DEFAULT_MAX_SWEEPS} reached without convergence "
         f"({ordering} ordering, order {order})"
     )
 

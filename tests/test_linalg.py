@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import randic.linalg
 from randic.errors import ConvergenceError
 from randic.graphs import (
     Graph,
@@ -152,15 +153,16 @@ class TestEigensolver:
         symmetric_eigenvalues(m)
         assert np.array_equal(m, before)
 
-    def test_sweep_cap_raises(self):
+    def test_sweep_cap_raises(self, monkeypatch):
         # the message names the ordering that ran out of sweeps, below the
         # round-robin threshold and above it, for one matrix and for a stack
+        monkeypatch.setattr(randic.linalg, "DEFAULT_MAX_SWEEPS", 0)
         rng = np.random.default_rng(8)
         for n, ordering in [(10, "row-major"), (T_LO, "round-robin"), (T_HI + 1, "round-robin")]:
             m = random_symmetric(rng, n)
             for arg in (m, np.array([m, random_symmetric(rng, n)])):
                 with pytest.raises(ConvergenceError, match=f"{ordering} ordering, order {n}"):
-                    symmetric_eigenvalues(arg, max_sweeps=0)
+                    symmetric_eigenvalues(arg)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, T_LO, T_LO + 1, T_HI])
     def test_round_robin_schedule(self, n):
@@ -192,10 +194,11 @@ class TestEigensolver:
         assert same_bits(a, a.T.copy())
 
     @pytest.mark.parametrize("n", [T_LO, T_LO + 1, T_HI])
-    def test_diagonal_input_returns_at_once(self, n):
+    def test_diagonal_input_returns_at_once(self, monkeypatch, n):
+        monkeypatch.setattr(randic.linalg, "DEFAULT_MAX_SWEEPS", 0)
         m = np.diag(np.arange(n, dtype=np.float64))
         before = m.copy()
-        vals = symmetric_eigenvalues(m, max_sweeps=0)
+        vals = symmetric_eigenvalues(m)
         assert same_bits(vals, np.arange(n, dtype=np.float64)[::-1])
         assert same_bits(m, before)
 
@@ -240,16 +243,18 @@ class TestOneSided:
         assert np.max(np.abs(mine - np.linalg.svd(b, compute_uv=False))) < 1e-11 * scale
         assert np.all(mine[rank:] < 1e-13 * scale)
 
-    def test_orthogonal_rows_return_at_once(self):
+    def test_orthogonal_rows_return_at_once(self, monkeypatch):
+        monkeypatch.setattr(randic.linalg, "DEFAULT_MAX_SWEEPS", 1)
         b = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, -4.0]])
         before = b.copy()
-        assert same_bits(singular_values(b, max_sweeps=1), np.array([4.0, 3.0]))
+        assert same_bits(singular_values(b), np.array([4.0, 3.0]))
         assert same_bits(b, before)
 
-    def test_sweep_cap_raises(self):
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(randic.linalg, "DEFAULT_MAX_SWEEPS", 0)
         b = np.random.default_rng(4).standard_normal((6, 9))
         with pytest.raises(ConvergenceError, match="one-sided ordering, order 6x9"):
-            singular_values(b, max_sweeps=0)
+            singular_values(b)
 
     @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 3, 2)])
     def test_rejects_bad_shapes(self, shape):
@@ -382,10 +387,11 @@ class TestOneSidedStack:
         singular_values(np.concatenate((b, b)))
         assert calls == [(2, 4, 7)]
 
-    def test_sweep_cap_raises(self):
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(randic.linalg, "DEFAULT_MAX_SWEEPS", 0)
         stack = np.random.default_rng(4).standard_normal((3, 6, 9))
         with pytest.raises(ConvergenceError, match="one-sided ordering, order 6x9"):
-            singular_values(stack, max_sweeps=0)
+            singular_values(stack)
         assert not _jacobi_one_sided(stack.copy(), 1)
 
     def test_input_is_not_mutated(self):
@@ -639,11 +645,12 @@ class TestRotationSequence:
         for row, (want, _) in zip(got, results):
             assert same_bits(row, want)
 
-    def test_stack_sweep_cap_raises(self):
+    def test_stack_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(randic.linalg, "DEFAULT_MAX_SWEEPS", 0)
         rng = np.random.default_rng(8)
         stack = np.array([random_symmetric(rng, 6) for _ in range(4)])
         with pytest.raises(ConvergenceError):
-            symmetric_eigenvalues(stack, max_sweeps=0)
+            symmetric_eigenvalues(stack)
 
 
 class TestKernelBits:
@@ -875,10 +882,12 @@ class TestDispatch:
         scan_small_graphs(order, rank_energy=True)
         assert calls == [("_jacobi_stack", (len(graphs), order, order))] + one_sided
 
-    def test_one_sided_sweep_cap_raises(self):
+    def test_one_sided_sweep_cap_raises(self, monkeypatch):
         b = _biadjacency(subdivision(generate("cycle", 36)))
-        with pytest.raises(ConvergenceError, match="one-sided ordering, order 36x36"):
-            singular_values(b, max_sweeps=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(randic.linalg, "DEFAULT_MAX_SWEEPS", 1)
+            with pytest.raises(ConvergenceError, match="one-sided ordering, order 36x36"):
+                singular_values(b)
         assert singular_values(b).shape == (36,)
 
 

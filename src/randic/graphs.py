@@ -5,12 +5,18 @@ Vertices are integers ``0..n-1``.  Edges are stored as a sorted tuple of
 ``(u, v)`` pairs with ``u < v``, so every iteration order in the package is
 deterministic.  Construction is permissive about isolated vertices; the
 spectral layer rejects them where degree weights would be undefined.
+
+The enumeration names a graph on n vertices by its edge mask: bit k selects
+pair k of the lexicographic ``vertex_pairs(n)``.  ``_connected_masks`` tests
+masks for connectivity a block at a time with integer array operations and
+yields the connected ones as ints, in increasing order, so a scan works on
+masks and their bits and builds a ``Graph`` only for a graph it prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -283,38 +289,55 @@ def vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def _mask_is_connected(n: int, adj_bits: list[int]) -> bool:
-    visited = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        fresh = adj_bits[v] & ~visited
-        while fresh:
-            low = fresh & -fresh
-            visited |= low
-            stack.append(low.bit_length() - 1)
-            fresh ^= low
-    return visited == (1 << n) - 1
+@lru_cache(maxsize=64)
+def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ends i < j of the pairs of ``vertex_pairs(n)``, in that order, as
+    two arrays; cached per n, so read-only."""
+    ends = np.triu_indices(n, 1)
+    for end in ends:
+        end.setflags(write=False)
+    return ends
 
 
-def _connected_masks(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+# masks tested for connectivity per block of integer array operations
+_MASK_BLOCK = 1 << 15
+
+
+def _connected_masks(n: int, start: int, stop: int) -> Iterator[int]:
+    """Yield, in increasing order and one int per graph, each edge mask in
+    [start, stop) whose graph on n vertices is connected.
+
+    The masks are tested a block at a time with integer array operations:
+    each vertex's adjacency bitset is gathered from the mask bits, and the
+    set reached from vertex 0 grows by every neighbourhood of a reached
+    vertex, n - 1 times, which reaches every vertex of its component.  For
+    n >= 2 connectivity also rules out isolated vertices."""
     pairs = vertex_pairs(n)
-    for mask in range(start, stop):
-        adj_bits = [0] * n
-        edges = []
-        mm = mask
-        k = 0
-        while mm:
-            if mm & 1:
-                u, v = pairs[k]
-                adj_bits[u] |= 1 << v
-                adj_bits[v] |= 1 << u
-                edges.append(pairs[k])
-            mm >>= 1
-            k += 1
-        # connectivity implies no isolated vertex for n >= 2
-        if _mask_is_connected(n, adj_bits):
-            yield mask, tuple(edges)
+    everyone = (1 << n) - 1
+    for lo in range(start, stop, _MASK_BLOCK):
+        masks = np.arange(lo, min(lo + _MASK_BLOCK, stop), dtype=np.int64)
+        adjacent = [np.zeros_like(masks) for _ in range(n)]
+        for k, (u, v) in enumerate(pairs):
+            bit = (masks >> k) & 1
+            adjacent[u] |= bit << v
+            adjacent[v] |= bit << u
+        reached = np.ones_like(masks)
+        for _ in range(n - 1):
+            for v in range(n):
+                # all ones where v is reached, else zero
+                reached |= adjacent[v] & -((reached >> v) & 1)
+        yield from masks[reached == everyone].tolist()
+
+
+def _mask_edges(n: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """The sorted edge tuple of an edge mask over ``vertex_pairs(n)``."""
+    return tuple(pair for k, pair in enumerate(vertex_pairs(n)) if mask >> k & 1)
+
+
+def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
+    """The bits of each edge mask, one row of n(n - 1)/2 zeros and ones
+    per mask, column k for pair k of ``vertex_pairs(n)``."""
+    return (masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1
 
 
 def edge_mask_count(n: int) -> int:
@@ -334,5 +357,5 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
         raise ValueError(
             f"enumeration supports orders 2..{ENUMERATION_MAX_ORDER}, got {n}"
         )
-    for _, edges in _connected_masks(n, 0, edge_mask_count(n)):
-        yield Graph(n, edges)
+    for mask in _connected_masks(n, 0, edge_mask_count(n)):
+        yield Graph(n, _mask_edges(n, mask))

@@ -24,27 +24,33 @@ rho_1 = 1 > rho_2 > ... > rho_k,
 with the left side also required to be nonzero (no factor can be dropped).
 
 Each check runs over already solved spectra, rho of R(G) and rho_S of
-R(S), for a stack of graphs of one order and size, one row per graph
+R(S), for a stack of connected graphs of one order, one row per graph
 (``_check_stack``): it yields a pass-flag array and one residual array per
 key.  The spectrum of I + R(G) is theta = 1 + rho, read off rho, never
 solved.  The number k of distinct eigenvalues, which the rank-one
 identity, the classification and the local conditions read, is decided
 once per stack by clustering the rows of rho at CLUSTER_TOL; the rank-one
-products of the rows sharing a k run as stacked matmuls.  A scan hands
-``_check_stack`` each edge-count group it solved and folds the arrays of
-each mask range straight into one running tally and one ``ScanSummary``:
-the worst value per key, counterexamples from the failing rows, in mask
-order, and the energy extremes.  It builds no report, and encodes graph6
-only for the graphs it reports: the counterexamples and the two energy
-extremes.  ``verify_all`` and the single-check functions check their
-preconditions and take one path, ``_verify``: it solves R(G), and R(S)
-only for a subdivision check, once each, runs the same pass on a group
-of one, so k is decided in ``_check_stack`` on every path, and builds the
-``VerificationReport`` and ``Classification`` objects, with their detail
-text, from row 0 of the arrays.  R(S) is bipartite, and every path solves
-it one-sided, on its biadjacency block: ``_verify`` through
-``randic_eigenvalues``, a scan on the stack of its group's blocks, with
-the same bits.
+products of the rows sharing a k run as stacked matmuls.  The structural
+tests read the adjacency A = (R != 0) of the stack, never a Graph: strong
+regularity from the integer entries of A^2 of the regular rows, and the
+local conditions from the counts, per degree, of each vertex's
+neighbours and each pair's common neighbours, each distinct count vector
+summed once by ``math.fsum``.  A scan takes the connected graphs of a mask
+range as edge masks, SCAN_CHUNK at a time; it runs the checks of R(G)
+alone once per chunk and the subdivision checks once per edge-count
+group, and folds the arrays straight into one running tally and one
+``ScanSummary``: the worst value per key, counterexamples from the failing
+rows, in mask order, and the energy extremes.  It builds no report, and
+builds a Graph and its graph6 only for the graphs it reports: the
+counterexamples and the two energy extremes.  ``verify_all`` and the
+single-check functions check their preconditions and take one path,
+``_verify``: it solves R(G), and R(S) only for a subdivision check, once
+each, runs the same pass on a stack of one, so k is decided in
+``_check_stack`` on every path, and builds the ``VerificationReport`` and
+``Classification`` objects, with their detail text, from row 0 of the
+arrays.  R(S) is bipartite, and every path solves it one-sided, on its
+biadjacency block: ``_verify`` through ``randic_eigenvalues``, a scan on
+the stack of its group's blocks, with the same bits.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -61,6 +67,9 @@ from .errors import ConvergenceError, PreconditionError
 from .graphs import (
     Graph,
     _connected_masks,
+    _mask_bits,
+    _mask_edges,
+    _pair_ends,
     edge_mask_count,
     encode_graph6,
     is_connected,
@@ -138,7 +147,7 @@ def _report(
 
 @dataclass(frozen=True)
 class _Checked:
-    """One check's outcome over a stack of graphs of one order and size.
+    """One check's outcome over a stack of graphs of one order.
 
     ``rows`` are the stack rows the check applies to, ascending, and
     ``passed`` and each array of ``residuals`` hold one entry per such row:
@@ -223,7 +232,7 @@ def _subdivision_report(
     subdivision or the claimed ``subdivided`` graph standing in for it."""
     if g.m == 0:
         raise PreconditionError("subdivision checks need at least one edge")
-    return _verify(g, (name,), subdivided)[name]
+    return _verify(g, (name,), subdivided)[0][name]
 
 
 def verify_subdivision_charpoly(
@@ -340,12 +349,14 @@ def verify_k_distinct_identity(
     if g.m == 0:
         raise PreconditionError("the rank-one identity needs at least one edge")
     if roots is None:
-        return _verify(g, ("identity",))["identity"]
+        return _verify(g, ("identity",))[0]["identity"]
     r = randic_matrix(g)
     given = np.array([[float(x) for x in roots]])
     degrees = (r != 0).sum(axis=1)[None]
     count = np.array([given.shape[1]])
-    return _identity_checked(g.n, g.m, r[None], degrees, given, count, constant).report(0)
+    return _identity_checked(
+        g.n, np.array([g.m]), r[None], degrees, given, count, constant
+    ).report(0)
 
 
 def _root_products(roots: np.ndarray) -> np.ndarray:
@@ -359,7 +370,7 @@ def _root_products(roots: np.ndarray) -> np.ndarray:
 
 def _identity_checked(
     n: int,
-    m: int,
+    m: np.ndarray,
     r: np.ndarray,
     degrees: np.ndarray,
     roots: np.ndarray,
@@ -367,7 +378,7 @@ def _identity_checked(
     constant: float | None = None,
 ) -> _Checked:
     """The rank-one identity over a stack ``r`` (B, n, n) of R(G) for graphs
-    with n vertices, m edges and the vertex degrees in the rows of
+    with n vertices, m[b] edges and the vertex degrees in the rows of
     ``degrees``: row b takes the first count[b] entries of row b of
     ``roots`` as rho_2..rho_k.  The rows sharing a count form one stack
     whose product runs as count stacked matmuls.  ``constant`` pins c for
@@ -382,7 +393,7 @@ def _identity_checked(
         rows = np.flatnonzero(count == j) if len(counts) > 1 else slice(None)
         factors = roots[rows, :j]
         product = product_over_root_rows(r[rows], factors)
-        c[rows] = _root_products(factors) / (2.0 * m) if constant is None else constant
+        c[rows] = _root_products(factors) / (2.0 * m[rows]) if constant is None else constant
         target = c[rows, None, None] * (alpha[rows, :, None] * alpha[rows, None, :])
         identity[rows] = np.abs(product - target).max(axis=(1, 2))
         peak[rows] = np.abs(product).max(axis=(1, 2))
@@ -425,28 +436,38 @@ def is_strongly_regular(g: Graph) -> SrgParameters | None:
 
     Requires connected, regular, neither complete nor edgeless, and uniform
     common-neighbor counts over adjacent pairs and over nonadjacent pairs.
+    The stacked test of a scan's classification on a stack of one.
     """
-    # regularity first: it reads the degrees alone, and rejects nearly every
-    # graph a scan visits before the traversal builds neighbor sets
-    if g.n < 2 or not g.is_regular() or not is_connected(g):
+    if not g.is_regular():
         return None
-    if g.m == 0 or g.m == g.n * (g.n - 1) // 2:
-        return None
-    adjacent: set[int] = set()
-    nonadjacent: set[int] = set()
-    for i in range(g.n):
-        ni = g.neighbors(i)
-        for j in range(i + 1, g.n):
-            count = len(ni & g.neighbors(j))
-            (adjacent if j in ni else nonadjacent).add(count)
-            if len(adjacent) > 1 or len(nonadjacent) > 1:
-                return None
-    return SrgParameters(
-        order=g.n,
-        degree=g.degrees[0],
-        adjacent_common=adjacent.pop(),
-        nonadjacent_common=nonadjacent.pop(),
-    )
+    return _strongly_regular(g.adjacency[None] != 0)[0]
+
+
+def _strongly_regular(a: np.ndarray) -> list[SrgParameters | None]:
+    """``is_strongly_regular`` of each graph of a stack of regular graphs of
+    one order n, given by its adjacency (B, n, n) as booleans.
+
+    The common-neighbor counts are the integer entries of A^2, from one
+    stacked matmul (exact in floats).  Uniform counts over the adjacent
+    pairs and over the nonadjacent pairs need both kinds of pair, so they
+    rule out the edgeless and the complete graphs; a nonadjacent count
+    mu > 0 then puts every vertex within distance 2 of every other, and
+    a regular, non-complete connected graph has a nonadjacent pair at
+    distance 2, so mu > 0 is exactly connectivity."""
+    b, n = a.shape[:2]
+    ones = a.astype(np.float64)
+    common = np.matmul(ones, ones)
+    nonadjacent = ~a
+    nonadjacent[:, range(n), range(n)] = False
+    kinds = (a, nonadjacent)
+    lam, mu = (np.min(common, axis=(1, 2), where=w, initial=n) for w in kinds)
+    lam_top, mu_top = (np.max(common, axis=(1, 2), where=w, initial=-1.0) for w in kinds)
+    strong = (lam == lam_top) & (mu == mu_top) & (mu > 0)
+    degree = a[:, 0].sum(axis=1)
+    return [
+        SrgParameters(n, int(degree[i]), int(lam[i]), int(mu[i])) if strong[i] else None
+        for i in range(b)
+    ]
 
 
 @dataclass(frozen=True)
@@ -469,29 +490,30 @@ def classify_distinct_count(g: Graph) -> Classification:
         raise PreconditionError("classification needs a connected graph")
     if g.n < 2:
         raise PreconditionError("classification needs at least two vertices")
-    return _verify(g, ("classification",))["classification"]
+    return _verify(g, ("classification",))[0]["classification"]
 
 
 def _classification_checked(
-    graphs: Sequence[Graph], degrees: np.ndarray, k: np.ndarray
+    n: int, m: np.ndarray, a: np.ndarray, degrees: np.ndarray, k: np.ndarray
 ) -> _Checked:
     """The classification over a stack of connected graphs of one order
-    n >= 2 and size, from their vertex degrees (B, n) and distinct-value
-    counts k (B,): completeness is read from the size, regularity from the
-    degrees, and only regular graphs are tested for strong regularity.  A
-    row's residual ``consistent`` is 0.0 if consistent and 1.0 if not."""
-    n, m = graphs[0].n, graphs[0].m
+    n >= 2, from their sizes m (B,), adjacency a (B, n, n) as booleans,
+    vertex degrees (B, n) and distinct-value counts k (B,): completeness is
+    read from the size, regularity from the degrees, and only regular
+    graphs are tested for strong regularity.  A row's residual
+    ``consistent`` is 0.0 if consistent and 1.0 if not."""
     complete = m == n * (n - 1) // 2
     regular = degrees.min(axis=1) == degrees.max(axis=1)
-    srg = {i: is_strongly_regular(graphs[i]) for i in np.flatnonzero(regular).tolist()}
-    strongly = np.zeros(len(graphs), dtype=bool)
+    even = np.flatnonzero(regular)
+    srg = dict(zip(even.tolist(), _strongly_regular(a[even])))
+    strongly = np.zeros(len(m), dtype=bool)
     strongly[[i for i, params in srg.items() if params is not None]] = True
     consistent = ((k == 2) == complete) & ((regular & (k == 3)) == strongly)
     residuals = {"consistent": np.where(consistent, 0.0, 1.0)}
 
     def report(j: int) -> Classification:
-        count, even, params = int(k[j]), bool(regular[j]), srg.get(j)
-        parts = [f"k={count}", f"complete={complete}", f"regular={even}"]
+        count, whole, params = int(k[j]), bool(complete[j]), srg.get(j)
+        parts = [f"k={count}", f"complete={whole}", f"regular={bool(regular[j])}"]
         if params is not None:
             parts.append(
                 f"srg=({params.order},{params.degree},"
@@ -499,14 +521,14 @@ def _classification_checked(
             )
         return Classification(
             distinct_count=count,
-            is_complete=complete,
-            is_regular=even,
+            is_complete=whole,
+            is_regular=bool(regular[j]),
             srg=params,
             consistent=bool(consistent[j]),
             detail=" ".join(parts),
         )
 
-    return _Checked(np.arange(len(graphs)), consistent, residuals, report)
+    return _Checked(np.arange(len(m)), consistent, residuals, report)
 
 
 # ---------------------------------------------------------------------------
@@ -536,46 +558,76 @@ def local_condition_residuals(g: Graph) -> dict[str, float]:
     return {**report.residuals, **report.values}
 
 
-def _local_residuals(g: Graph, rho2: float, rho3: float) -> dict[str, float]:
-    """``local_condition_residuals`` on a connected graph whose distinct
-    R-eigenvalues are 1 > ``rho2`` > ``rho3``."""
-    c = (1.0 - rho2) * (1.0 - rho3) / (2.0 * g.m)
-    deg = g.degrees
-    worst_degree = 0.0
-    for i in range(g.n):
-        lhs = math.fsum(1.0 / deg[j] for j in g.neighbors(i))
-        rhs = c * deg[i] ** 2 - rho2 * rho3 * deg[i]
-        worst_degree = max(worst_degree, abs(lhs - rhs))
-    worst_adj = worst_nonadj = 0.0
-    worst_adj_count = worst_nonadj_count = 0.0
-    for i in range(g.n):
-        ni = g.neighbors(i)
-        for j in range(i + 1, g.n):
-            common = ni & g.neighbors(j)
-            weighted = math.fsum(1.0 / deg[k] for k in common)
-            count = float(len(common))
-            if j in ni:
-                rhs = c * deg[i] * deg[j] + rho2 + rho3
-                worst_adj = max(worst_adj, abs(weighted - rhs))
-                worst_adj_count = max(worst_adj_count, abs(count - rhs))
-            else:
-                rhs = c * deg[i] * deg[j]
-                worst_nonadj = max(worst_nonadj, abs(weighted - rhs))
-                worst_nonadj_count = max(worst_nonadj_count, abs(count - rhs))
-    return {
-        "degree_sums": worst_degree,
-        "adjacent_weighted": worst_adj,
-        "nonadjacent_weighted": worst_nonadj,
-        "count_adjacent": worst_adj_count,
-        "count_nonadjacent": worst_nonadj_count,
+def _degree_weighted_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_d counts[..., d] / values[d] over the last axis of an integer
+    array, as ``math.fsum`` of counts[..., d] copies of 1.0 / values[d]:
+    the sum, over a vertex set with counts[..., d] members of degree
+    values[d], of 1 / its degree, with the bits of ``math.fsum`` over the
+    members in any order, fsum being correctly rounded.  Each distinct
+    count vector is summed once."""
+    weights = [1.0 / d for d in values.tolist()]
+    rows = list(map(tuple, counts.reshape(-1, len(weights)).tolist()))
+    sums = {
+        row: math.fsum(chain.from_iterable(map(repeat, weights, row)))
+        for row in dict.fromkeys(rows)
     }
+    return np.array([sums[row] for row in rows], dtype=np.float64).reshape(counts.shape[:-1])
+
+
+def _local_residuals(
+    n: int,
+    m: np.ndarray,
+    a: np.ndarray,
+    degrees: np.ndarray,
+    rho2: np.ndarray,
+    rho3: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """``local_condition_residuals``, one entry per row, on a stack of
+    connected graphs of order n, with m (B,) edges, adjacency a (B, n, n)
+    as booleans and vertex degrees (B, n), whose distinct R-eigenvalues are
+    1 > rho2 > rho3, (B,) each.
+
+    Every sum of 1 / d_k over a neighbourhood or a common neighbourhood is
+    read off its count of members per degree: neighbours from A times the
+    one-hot degree matrix H, common neighbours of i and j per degree value
+    d from A diag(H_d) A; both count exactly in floats."""
+    c = (1.0 - rho2) * (1.0 - rho3) / (2.0 * m)
+    # the distinct degrees, ascending; the first np.unique call of a
+    # process costs over a megabyte of resident memory
+    values = np.flatnonzero(np.bincount(degrees.ravel()))
+    ones = a.astype(np.float64)
+    onehot = (degrees[:, :, None] == values).astype(np.float64)  # (B, n, D)
+    i, j = _pair_ends(n)
+    neighbours = np.matmul(ones, onehot).astype(np.intp)
+    common = np.empty((len(a), len(i), len(values)), dtype=np.intp)
+    for d in range(len(values)):
+        common[:, :, d] = np.matmul(ones * onehot[:, None, :, d], ones)[:, i, j]
+    lhs = _degree_weighted_sums(neighbours, values)
+    weighted = _degree_weighted_sums(common, values)
+    count = common.sum(axis=2).astype(np.float64)
+    c, rho2, rho3 = c[:, None], rho2[:, None], rho3[:, None]
+    rhs = c * degrees**2 - rho2 * rho3 * degrees
+    product = c * degrees[:, i] * degrees[:, j]
+    adjacent = a[:, i, j]
+    # every gap is >= +0.0, so a 0.0 in place of the pairs of the other
+    # kind leaves each maximum as it is
+    worst = {"degree_sums": np.max(np.abs(lhs - rhs), axis=1, initial=0.0)}
+    for key, target, where in (
+        ("adjacent", product + rho2 + rho3, adjacent),
+        ("nonadjacent", product, ~adjacent),
+    ):
+        for label, got in ((f"{key}_weighted", weighted), (f"count_{key}", count)):
+            gap = np.where(where, np.abs(got - target), 0.0)
+            worst[label] = np.max(gap, axis=1, initial=0.0)
+    return {key: worst[key] for key in _LOCAL_KEYS}
 
 
 _LOCAL_VERDICT_KEYS = ("degree_sums", "adjacent_weighted", "nonadjacent_weighted")
+_LOCAL_KEYS = _LOCAL_VERDICT_KEYS + ("count_adjacent", "count_nonadjacent")
 
 
 def _local_report(res: dict[str, float]) -> VerificationReport:
-    """Report over the residuals of ``_local_residuals``."""
+    """Report over one row of the residuals of ``_local_residuals``."""
     verdict = {key: res[key] for key in _LOCAL_VERDICT_KEYS}
     info = {
         "count_adjacent": res["count_adjacent"],
@@ -599,30 +651,42 @@ def verify_local_conditions(g: Graph) -> VerificationReport:
     The verdict covers the degree-sum condition and the two weighted
     common-neighborhood conditions.  The raw-count variants are surfaced in
     ``values`` and ``detail`` only, since they fail on ordinary graphs.
-    k is read from the classification of the same solve."""
+    k is read from the clustering that decides whether the conditions
+    apply."""
     if not is_connected(g):
         raise PreconditionError("local conditions need a connected graph")
-    reports = _verify(g, ("classification", "local"))
+    reports, k = _verify(g, ("local",))
     if "local" not in reports:
         raise PreconditionError(
-            "local conditions need exactly three distinct eigenvalues, "
-            f"got {reports['classification'].distinct_count}"
+            f"local conditions need exactly three distinct eigenvalues, got {k}"
         )
     return reports["local"]
 
 
-def _local_checked(graphs: Sequence[Graph], k: np.ndarray, distinct: np.ndarray) -> _Checked:
+def _local_checked(
+    n: int,
+    m: np.ndarray,
+    a: np.ndarray,
+    degrees: np.ndarray,
+    k: np.ndarray,
+    distinct: np.ndarray,
+) -> _Checked:
     """The local conditions over the rows of a stack with exactly three
     distinct eigenvalues, 1 > rho_2 > rho_3 in the first three slots of
-    their rows of ``distinct``; each graph's residuals are taken alone."""
+    their rows of ``distinct``, taken as one stack."""
     rows = np.flatnonzero(k == 3)
-    found = [_local_residuals(graphs[i], *distinct[i, 1:3].tolist()) for i in rows.tolist()]
-    residuals = {
-        key: np.array([res[key] for res in found], dtype=np.float64)
-        for key in _LOCAL_VERDICT_KEYS
-    }
+    if rows.size:
+        found = _local_residuals(
+            n, m[rows], a[rows], degrees[rows], distinct[rows, 1], distinct[rows, 2]
+        )
+    else:
+        found = {key: np.empty(0) for key in _LOCAL_KEYS}
+    residuals = {key: found[key] for key in _LOCAL_VERDICT_KEYS}
     return _Checked(
-        rows, _passed(residuals, LOCAL_TOL), residuals, lambda j: _local_report(found[j])
+        rows,
+        _passed(residuals, LOCAL_TOL),
+        residuals,
+        lambda j: _local_report(_row(found, j)),
     )
 
 
@@ -636,35 +700,40 @@ SCAN_CHECKS = SUBDIVISION_CHECKS + ("identity", "classification", "local")
 
 
 def _check_stack(
-    graphs: Sequence[Graph],
+    n: int,
+    m: np.ndarray,
     checks: Sequence[str],
     r: np.ndarray,
     rho: np.ndarray,
     rho_s: np.ndarray | None,
-) -> dict[str, _Checked]:
+) -> tuple[dict[str, _Checked], np.ndarray | None]:
     """Each requested check, keyed in the order of ``checks``, over a stack
-    of graphs ``graphs`` of one order n and size m, from their matrices and
-    solved spectra: row i of ``r`` (B, n, n) is R(G_i), row i of ``rho``
-    (B, n) its spectrum, and row i of ``rho_s`` (B, N) that of R(S(G_i)),
-    which may be None when no subdivision check is requested.
+    of connected graphs of one order n, from their matrices and solved
+    spectra: row i of ``m`` (B,) is the edge count of G_i, row i of ``r``
+    (B, n, n) is R(G_i), row i of ``rho`` (B, n) its spectrum, and row i of
+    ``rho_s`` (B, N) that of R(S(G_i)), which is None when no subdivision
+    check is requested; a subdivision check needs every row to have the
+    same m.  Returns the checks and k, each row's number of distinct
+    eigenvalues, or None when no requested check reads it.
 
     The subdivision checks read the spectrum of I + R(G) as theta = 1 + rho,
     near-zeros clamped.  This is where k is decided: the rows of rho are
     clustered at once, at CLUSTER_TOL, and the identity, the classification
     and the local conditions all read those distinct values.  Every check's
-    arithmetic runs on the whole stack, except the local conditions, which
-    apply only to the rows with exactly three distinct values and take
-    each such graph alone."""
-    n, m = graphs[0].n, graphs[0].m
+    arithmetic runs on the whole stack; the local conditions apply only to
+    the rows with exactly three distinct values.  The structural tests
+    read the adjacency A = (r != 0), as booleans."""
     if rho_s is not None:
         theta = _clamp_small(1.0 + rho)
+    k = None
     if {"identity", "classification", "local"}.intersection(checks):
         k, distinct, _ = cluster_rows(rho)
-        degrees = (r != 0).sum(axis=2)
+        a = r != 0
+        degrees = a.sum(axis=2)
     checked: dict[str, _Checked] = {}
     for name in checks:
         if name in SUBDIVISION_CHECKS:
-            checked[name] = _subdivision_checked(name, n, m, theta, rho_s)
+            checked[name] = _subdivision_checked(name, n, int(m[0]), theta, rho_s)
         elif name == "identity":
             tolerance = IDENTITY_TOL_SCALE * n * n
             off = np.flatnonzero(np.abs(distinct[:, 0] - 1.0) > tolerance)
@@ -674,12 +743,12 @@ def _check_stack(
                 )
             checked[name] = _identity_checked(n, m, r, degrees, distinct[:, 1:], k - 1)
         elif name == "classification":
-            checked[name] = _classification_checked(graphs, degrees, k)
+            checked[name] = _classification_checked(n, m, a, degrees, k)
         elif name == "local":
-            checked[name] = _local_checked(graphs, k, distinct)
+            checked[name] = _local_checked(n, m, a, degrees, k, distinct)
         else:
             raise ValueError(f"unknown check {name!r}")
-    return checked
+    return checked, k
 
 
 def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
@@ -695,24 +764,26 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     _inverse_sqrt_degrees(g)
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
-    return _verify(g, SCAN_CHECKS)
+    return _verify(g, SCAN_CHECKS)[0]
 
 
 def _verify(
     g: Graph, checks: Sequence[str], subdivided: Graph | None = None
-) -> dict[str, VerificationReport | Classification]:
+) -> tuple[dict[str, VerificationReport | Classification], int | None]:
     """The report of each check of ``checks`` that applies to ``g``, in
     check order, from R(G) solved once and, only for a subdivision check,
     R(S(G)) or R of the claimed ``subdivided`` graph solved once by
-    ``randic_eigenvalues``: ``_check_stack`` on the group of one decides k
-    and which checks apply.  Preconditions are the caller's."""
+    ``randic_eigenvalues``: ``_check_stack`` on the stack of one decides k
+    and which checks apply.  Returns the reports and k, or None when no
+    requested check reads k.  Preconditions are the caller's."""
     r = randic_matrix(g)
     rho = symmetric_eigenvalues(r)
     rho_s = None
     if any(name in SUBDIVISION_CHECKS for name in checks):
         rho_s = randic_eigenvalues(subdivision(g) if subdivided is None else subdivided)[None]
-    checked = _check_stack([g], checks, r[None], rho[None], rho_s)
-    return {name: c.report(0) for name, c in checked.items() if c.rows.size}
+    checked, k = _check_stack(g.n, np.array([g.m]), checks, r[None], rho[None], rho_s)
+    reports = {name: c.report(0) for name, c in checked.items() if c.rows.size}
+    return reports, None if k is None else int(k[0])
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +821,8 @@ def _scan_one(
     ``rho`` of R(G), and ``rho_s`` of R(S(G)), which is None when no
     subdivision check is requested."""
     r = randic_matrix(g)
-    checked = _check_stack(
-        [g], checks, r[None], rho[None], None if rho_s is None else rho_s[None]
+    checked, _ = _check_stack(
+        g.n, np.array([g.m]), checks, r[None], rho[None], None if rho_s is None else rho_s[None]
     )
     outcomes = [
         (name, bool(c.passed[0]), _row(c.residuals, 0))
@@ -762,39 +833,41 @@ def _scan_one(
 
 
 def _chunk_matrices(
-    order: int, edge_lists: Sequence[Sequence[tuple[int, int]]], subdivided: bool
+    order: int, masks: np.ndarray, subdivided: bool
 ) -> tuple[np.ndarray, list[tuple[slice, np.ndarray | None]]]:
     """R(G) of a chunk of connected graphs of one order, and the blocks B of
-    their subdivisions, built as stacks straight from their sorted edge
-    lists; the chunk must be ordered by edge count.
+    their subdivisions, built as stacks straight from the bits of their
+    edge masks (int64, over ``graphs.vertex_pairs(order)``); the chunk must be
+    ordered by edge count.
 
     Returns R(G) as one (B, n, n) stack and, one per edge count m, the
     slice of the chunk that holds its graphs with, when ``subdivided``,
     their stack of blocks B of R(S(G)), else None.  S(G) is bipartite, its
     vertices on one side and its edge vertices on the other, so R(S) is
     [[0, B], [B^T, 0]] with B of shape (n, m): row i is vertex i, column k
-    the vertex on edge k, numbered n + k by ``subdivision``.  When m < n (trees) the stack holds B^T, of
-    shape (m, n), the orientation ``spectra._biadjacency`` picks for S(G).
+    the vertex on edge k in sorted edge order, numbered n + k by
+    ``subdivision``.  When m < n (trees) the stack holds B^T, of shape
+    (m, n), the orientation ``spectra._biadjacency`` picks for S(G).
     Every entry of R(G) is ``randic_matrix``'s (w_i * a_ij) * w_j with
     w = 1 / sqrt(degree), which on an edge is w_i * w_j and elsewhere +0.0,
     and every nonzero of B is w_i * (1 / sqrt(2)), so each matrix has the
     bits of its own build: R(G) those of ``randic_matrix(g)`` and B those of
     ``_biadjacency(subdivision(g))``.
     """
-    b, n = len(edge_lists), order
-    sizes = np.fromiter(map(len, edge_lists), dtype=np.intp, count=b)
-    ends = np.fromiter(
-        chain.from_iterable(chain.from_iterable(edge_lists)), dtype=np.intp
-    ).reshape(-1, 2)
-    owner = np.repeat(np.arange(b), sizes)
-    u, v = owner * n + ends[:, 0], owner * n + ends[:, 1]
+    b, n = len(masks), order
+    bits = _mask_bits(n, masks)
+    sizes = bits.sum(axis=1)
+    # row-major, so each graph's edges in sorted order, graph after graph
+    owner, pair = np.nonzero(bits)
+    low, high = (end[pair] for end in _pair_ends(n))
+    u, v = owner * n + low, owner * n + high
     degrees = np.bincount(u, minlength=b * n) + np.bincount(v, minlength=b * n)
     w = 1.0 / np.sqrt(degrees.astype(np.float64))
     wu, wv = w[u], w[v]
     r = np.zeros((b, n, n))
     flat = r.reshape(b * n, n)
     # w_i * w_j == w_j * w_i exactly, so one product serves both triangles
-    flat[u, ends[:, 1]] = flat[v, ends[:, 0]] = wu * wv
+    flat[u, high] = flat[v, low] = wu * wv
     # sorted by edge count, each group's graphs, and their edges, are one
     # slice of the chunk
     bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), b]
@@ -810,37 +883,42 @@ def _chunk_matrices(
         graph = np.repeat(np.arange(hi - lo), m)
         edge = np.tile(np.arange(m), hi - lo)
         block = np.zeros((hi - lo, m, n) if m < n else (hi - lo, n, m))
-        for end, w_end in ((ends[edges, 0], wu[edges]), (ends[edges, 1], wv[edges])):
+        for end, w_end in ((low[edges], wu[edges]), (high[edges], wv[edges])):
             block[(graph, edge, end) if m < n else (graph, end, edge)] = w_end * half
         groups.append((slice(lo, hi), block))
     return r, groups
 
 
 def _scan_spectra(
-    order: int, edge_lists: Sequence[Sequence[tuple[int, int]]], subdivided: bool
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Spectra of R(G), and of R(S(G)) when ``subdivided``, for a chunk of
-    connected graphs of one order given by their sorted edge lists.
+    order: int, masks: np.ndarray, subdivided: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[tuple[slice, np.ndarray | None]]]:
+    """Matrices and spectra of a chunk of connected graphs of one order,
+    given by their edge masks, with the graphs sorted by edge count.
 
     The chunk's matrices are built as stacks by ``_chunk_matrices``.  R(G)
     is solved as one stack by the two-sided ``symmetric_eigenvalues``.  Each
     edge-count group's blocks B of R(S) form one stack of equal shape,
-    solved by ``singular_values`` in one call of the one-sided kernel, the
-    kernel that solves a single B as a stack of one; each R(S) spectrum is
-    laid out from sigma(B) by ``_bipartite_eigenvalues``: the bits of
-    ``randic_eigenvalues(subdivision(g))``.  Yields, one group per
-    edge count m, (the group's indices into ``edge_lists``, its stack of
-    R(G), its stack of R-spectra, its stack of R(S)-spectra or None), one
-    row per member: the rows the checks read.
+    solved, when ``subdivided``, by ``singular_values`` in one call of the
+    one-sided kernel, the kernel that solves a single B as a stack of one;
+    each R(S) spectrum is laid out from sigma(B) by
+    ``_bipartite_eigenvalues``: the bits of
+    ``randic_eigenvalues(subdivision(g))``.  Returns (the sorted order as
+    indices into ``masks``, each sorted graph's edge count, the stack of
+    R(G), its stack of R-spectra, and per edge count the slice of sorted
+    rows with its stack of R(S)-spectra or None), one row per graph: the
+    rows the checks read.
     """
-    perm = sorted(range(len(edge_lists)), key=lambda i: len(edge_lists[i]))
-    r, groups = _chunk_matrices(order, [edge_lists[i] for i in perm], subdivided)
+    m = _mask_bits(order, masks).sum(axis=1)
+    perm = np.argsort(m, kind="stable")
+    r, groups = _chunk_matrices(order, masks[perm], subdivided)
     rho = symmetric_eigenvalues(r)
-    for rows, block in groups:
-        rho_s = None
-        if block is not None:
-            rho_s = _bipartite_eigenvalues(singular_values(block), sum(block.shape[1:]))
-        yield perm[rows], r[rows], rho[rows], rho_s
+    spectra = [
+        (rows, None if block is None else _bipartite_eigenvalues(
+            singular_values(block), sum(block.shape[1:])
+        ))
+        for rows, block in groups
+    ]
+    return perm, m[perm], r, rho, spectra
 
 
 def _merge(
@@ -879,29 +957,29 @@ def _scan_range(
     order: int, start: int, stop: int, checks: tuple[str, ...], rank_energy: bool
 ) -> ScanSummary:
     """Scan the masks in [start, stop): graphs are taken in mask order, in
-    chunks of SCAN_CHUNK; each chunk's matrices are built and solved as
-    whole stacks, and checked once per edge count.  Each group's check
-    arrays are folded, by ``_merge``'s rules, into one tally for the range:
-    the worst value per key is the largest of its array; the failing rows
+    chunks of SCAN_CHUNK masks; each chunk's matrices are built and solved
+    as whole stacks.  The checks that read R(G) alone run once per chunk,
+    and the subdivision checks once per edge count.  Each check's arrays
+    are folded, by ``_merge``'s rules, into one tally for the range: the
+    worst value per key is the largest of its array; the failing rows
     become counterexamples, in mask order and then check order, each with
     its residual dict; and the energy extremes go to the first graph in
-    mask order on ties.  No report is built, and a graph's graph6 is
-    encoded only when it fails a check or, at the end, holds an energy
-    extreme."""
-    need_subdivision = any(c in checks for c in SUBDIVISION_CHECKS)
+    mask order on ties.  No report is built, and a graph is built, and its
+    graph6 encoded, only when it fails a check or, at the end, holds an
+    energy extreme."""
+    graph_checks = [c for c in checks if c not in SUBDIVISION_CHECKS]
+    subdivision_checks = [c for c in checks if c in SUBDIVISION_CHECKS]
+    position = {name: i for i, name in enumerate(checks)}
     masks = _connected_masks(order, start, stop)
     count = 0
     counterexamples: list[Counterexample] = []
     worst: dict[str, float] = {}
-    low = high = None  # (Graph, energy), when rank_energy
-    while edge_lists := [edges for _, edges in islice(masks, SCAN_CHUNK)]:
-        graphs = [Graph(order, edges) for edges in edge_lists]
+    low = high = None  # (mask, energy), when rank_energy
+    while (chunk := np.fromiter(islice(masks, SCAN_CHUNK), dtype=np.int64)).size:
         failed: list[tuple[int, int, str, dict[str, float]]] = []
-        energies = np.empty(len(graphs))
-        for members, r, rho, rho_s in _scan_spectra(order, edge_lists, need_subdivision):
-            checked = _check_stack([graphs[i] for i in members], checks, r, rho, rho_s)
-            for position, name in enumerate(checks):
-                outcome = checked[name]
+
+        def fold(checked: dict[str, _Checked], members: np.ndarray) -> None:
+            for name, outcome in checked.items():
                 if not outcome.rows.size:
                     continue
                 for key, values in outcome.residuals.items():
@@ -909,31 +987,44 @@ def _scan_range(
                     if key not in worst or value > worst[key]:
                         worst[key] = value
                 for j in np.flatnonzero(~outcome.passed).tolist():
-                    row = members[outcome.rows[j]]
-                    failed.append((row, position, name, _row(outcome.residuals, j)))
-            if rank_energy:
-                energies[members] = [energy_of(row) for row in rho.tolist()]
-        count += len(graphs)
+                    row = int(members[outcome.rows[j]])
+                    failed.append((row, position[name], name, _row(outcome.residuals, j)))
+
+        perm, m, r, rho, groups = _scan_spectra(order, chunk, bool(subdivision_checks))
+        if graph_checks:
+            fold(_check_stack(order, m, graph_checks, r, rho, None)[0], perm)
+        for rows, rho_s in groups if subdivision_checks else ():
+            checked, _ = _check_stack(order, m[rows], subdivision_checks, r[rows], rho[rows], rho_s)
+            fold(checked, perm[rows])
+        count += len(chunk)
         codes: dict[int, str] = {}
         for i, _, name, residuals in sorted(failed, key=lambda f: f[:2]):
             if i not in codes:
-                codes[i] = encode_graph6(graphs[i])
+                codes[i] = _graph6(order, int(chunk[i]))
             counterexamples.append(Counterexample(codes[i], name, residuals))
         if rank_energy:
+            energies = np.empty(len(chunk))
+            energies[perm] = [energy_of(row) for row in rho.tolist()]
             i, j = int(np.argmin(energies)), int(np.argmax(energies))
             if low is None or energies[i] < low[1]:
-                low = (graphs[i], float(energies[i]))
+                low = (int(chunk[i]), float(energies[i]))
             if high is None or energies[j] > high[1]:
-                high = (graphs[j], float(energies[j]))
+                high = (int(chunk[j]), float(energies[j]))
     return ScanSummary(
         order=order,
         checks=checks,
         graph_count=count,
         counterexamples=tuple(counterexamples),
         worst_residuals={k: worst[k] for k in sorted(worst)},
-        lowest_energy=None if low is None else (encode_graph6(low[0]), low[1]),
-        highest_energy=None if high is None else (encode_graph6(high[0]), high[1]),
+        lowest_energy=None if low is None else (_graph6(order, low[0]), low[1]),
+        highest_energy=None if high is None else (_graph6(order, high[0]), high[1]),
     )
+
+
+def _graph6(order: int, mask: int) -> str:
+    """graph6 of the graph of an edge mask: the one place a scan builds a
+    Graph."""
+    return encode_graph6(Graph(order, _mask_edges(order, mask)))
 
 
 def scan_small_graphs(

@@ -35,7 +35,10 @@ pairs of R, most of which are zero by construction.
 ``spectra.randic_eigenvalues`` (under ``randic_energy``, ``randic_spectrum``,
 ``verify``'s subdivisions and the ``energy`` and ``spectrum`` commands) does
 this for one graph, and the scans for every subdivision, one stack per edge
-count.
+count.  Both round-robin kernels take each round's rotations from
+``_rotation`` and rotate a pair's rows in halves, c x_p - s x_q and
+c x_q + s x_p; the one-sided kernel takes alpha, beta and gamma of a round
+from one ``einsum`` over the gathered rows (p; q; p) and (p; q; q).
 
 The helpers the checks read work on stacks too, one row or matrix per
 graph, with the bits of their one-matrix forms: ``cluster_rows`` clusters
@@ -198,28 +201,24 @@ def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
     return bool(np.all(_off_norms(a) < target))
 
 
-def _rotate_pairs(
-    x: np.ndarray, swapped: np.ndarray, c2: np.ndarray, s2: np.ndarray
-) -> np.ndarray:
-    """Rows i and k + i of ``x`` (2k rows) rotated by column vectors c and s,
-    c x_i - s x_(k+i) and c x_(k+i) + s x_i, as ``c2 x - s2 swapped``, where
-    c2 = (c; c), s2 = (s; -s) and ``swapped`` is ``x`` with its halves
-    exchanged.  a - (-s) b is a + s b exactly, so the bits are those of the
-    two-half form."""
-    return c2 * x - s2 * swapped
+def _rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows i and k + i of ``x`` (2k rows) rotated by the column vectors c
+    and s (k rows each): c x_i - s x_(k+i), then c x_(k+i) + s x_i."""
+    k = len(c)
+    p, q = x[:k], x[k:]
+    return np.concatenate((c * p - s * q, c * q + s * p))
 
 
 def _rotation(
     d: np.ndarray, twice: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Jacobi rotation of each pair of a round from d = aqq - app and
-    twice = 2 apq: t, and the columns c2 = (c; c) and s2 = (s; -s) that
-    ``_rotate_pairs`` takes.  t = sign(theta) / (|theta| + sqrt(theta^2 + 1))
-    with theta = d / twice, multiplied through by twice."""
+    twice = 2 apq: t, and c and s as the columns ``_rotate_pairs`` takes.
+    t = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with theta = d / twice,
+    multiplied through by twice."""
     t = twice / (d + np.copysign(np.hypot(d, twice), d))
     c = 1.0 / np.hypot(t, 1.0)
-    s = t * c
-    return t, np.concatenate((c, c))[:, None], np.concatenate((s, -s))[:, None]
+    return t, c[:, None], (t * c)[:, None]
 
 
 @lru_cache(maxsize=64)
@@ -261,16 +260,15 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     if n < 2:
         return True
     ps, qs = _round_robin_schedule(n)
-    # each round's rows in (p; q) order, and with the halves swapped
+    # each round's rows in (p; q) order
     pairs = np.hstack((ps, qs))
-    swaps = np.hstack((qs, ps))
     skip = target / n
     lower = np.tri(n, k=-1, dtype=bool)
     diag = a.diagonal()  # a read-only view: it follows the rotations
     for _ in range(max_sweeps):
         if _off_norm(a) < target:
             return True
-        for p, q, idx, swap in zip(ps, qs, pairs, swaps):
+        for p, q, idx in zip(ps, qs, pairs):
             apq = a[p, q]
             # a NaN entry is not small, so it is rotated, as in the row-major
             # kernels
@@ -281,18 +279,16 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
                     continue
                 hit = ~small
                 apq = apq[hit]
-                both = np.concatenate((hit, hit))
-                idx, swap = idx[both], swap[both]
+                idx = idx[np.concatenate((hit, hit))]
             k = apq.size
             ends = diag[idx]
             app, aqq = ends[:k], ends[k:]
-            t, c2, s2 = _rotation(aqq - app, 2.0 * apq)
-            rows = _rotate_pairs(a[idx], a[swap], c2, s2)
+            t, c, s = _rotation(aqq - app, 2.0 * apq)
+            rows = _rotate_pairs(a[idx], c, s)
             # the block of the pairs' own columns still needs its column
             # rotation; rotating the rows of its transpose does that on
             # contiguous halves
-            cols = rows.T
-            block = _rotate_pairs(cols[idx], cols[swap], c2, s2)
+            block = _rotate_pairs(rows.T[idx], c, s)
             shift = t * apq
             np.fill_diagonal(block, np.concatenate((app - shift, aqq + shift)))
             np.fill_diagonal(block[:k, k:], 0.0)
@@ -313,9 +309,10 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     The stack is viewed as B * k rows of length w.  A sweep runs the rounds
     of ``_round_robin_schedule(k)``, as the two-sided kernel does, with each
     pair offset by k * block, so one round takes its pairs in every block.
-    It rotates rows only: each round gathers its pairs' rows and takes their
-    squared norms alpha, beta and dot products gamma from the rows
-    themselves, so ``b b^T`` is never formed.  A pair rotates when
+    It rotates rows only: each round gathers its pairs' rows as (p; q; p)
+    and (p; q; q) and takes their squared norms alpha, beta and dot
+    products gamma from one row-by-row ``einsum`` of the two, so ``b b^T``
+    is never formed.  A pair rotates when
     |gamma| > tol * sqrt(alpha * beta), with tol = eps * sqrt(w), the scale
     of the rounding error in a dot product of length w: rows that
     orthogonal give singular values correct to a small multiple of tol,
@@ -342,19 +339,21 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     offsets = k * np.arange(count)[:, None]
     ps = (ps[:, None] + offsets).reshape(len(ps), -1)
     qs = (qs[:, None] + offsets).reshape(len(qs), -1)
-    pairs = np.hstack((ps, qs))
-    swaps = np.hstack((qs, ps))
+    # the rows (p; q; p) and (p; q; q) of each round, whose products row by
+    # row are alpha, beta and gamma
+    lefts = np.hstack((ps, qs, ps))
+    rights = np.hstack((ps, qs, qs))
     half = ps.shape[1]
     tol = np.finfo(np.float64).eps * math.sqrt(w)
     # each block's own norm, once per pair of the round
     floor = np.repeat(np.square(tol * _frobenius_norms(b)), k // 2)
     for _ in range(max_sweeps):
         rotated = False
-        for idx, swap in zip(pairs, swaps):
-            rows = flat[idx]
-            norms = np.einsum("ij,ij->i", rows, rows)
-            alpha, beta = norms[:half], norms[half:]
-            gamma = np.einsum("ij,ij->i", rows[:half], rows[half:])
+        for p, q, left, right in zip(ps, qs, lefts, rights):
+            rows = flat.take(left, axis=0)
+            alpha, beta, gamma = np.einsum(
+                "ij,ij->i", rows, flat.take(right, axis=0)
+            ).reshape(3, half)
             hit = (np.abs(gamma) > tol * np.sqrt(alpha * beta)) & (
                 np.minimum(alpha, beta) > floor
             )
@@ -362,14 +361,15 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
             if not rotating:
                 continue
             rotated = True
+            x, y = rows[:half], rows[half : 2 * half]
             if rotating < half:
                 alpha, beta, gamma = alpha[hit], beta[hit], gamma[hit]
-                both = np.concatenate((hit, hit))
-                rows, idx, swap = rows[both], idx[both], swap[both]
+                x, y, p, q = x[hit], y[hit], p[hit], q[hit]
             # the rotation that zeroes gamma, in the form of the two-sided
             # kernel with (aqq - app, apq) = (beta - alpha, gamma)
-            _, c2, s2 = _rotation(beta - alpha, 2.0 * gamma)
-            flat[idx] = _rotate_pairs(rows, flat[swap], c2, s2)
+            _, c, s = _rotation(beta - alpha, 2.0 * gamma)
+            flat[p] = c * x - s * y
+            flat[q] = c * y + s * x
         if not rotated:
             return True
     return False
@@ -484,6 +484,7 @@ def cluster_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat = rows.ravel()
     starts = np.ones((b, n), dtype=bool)
     np.logical_not(rows[:, :-1] - rows[:, 1:] <= CLUSTER_TOL, out=starts[:, 1:])
+    k = starts.sum(axis=1)
     first = np.flatnonzero(starts)
     ends = np.empty_like(first)
     ends[:-1] = first[1:]
@@ -493,13 +494,14 @@ def cluster_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i in np.flatnonzero(size > 1).tolist():
         members = flat[first[i] : ends[i]].tolist()
         mean[i] = math.fsum(members) / len(members)
-    # each cluster's row, and its slot among that row's clusters
-    where = (first // max(n, 1), np.cumsum(starts, axis=1).ravel()[first] - 1)
+    # a boolean mask assigns in row-major order, so the clusters, row after
+    # row, fill the first k slots of their rows
+    slots = np.arange(n) < k[:, None]
     reps = np.full((b, n), np.nan)
     sizes = np.zeros((b, n), dtype=np.intp)
-    reps[where] = mean
-    sizes[where] = size
-    return starts.sum(axis=1), reps, sizes
+    reps[slots] = mean
+    sizes[slots] = size
+    return k, reps, sizes
 
 
 def cluster_distinct(values: Iterable[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from randic.errors import GraphFormatError
 from randic.graphs import (
     Graph,
+    _connected_masks,
+    _mask_edges,
     edge_mask_count,
     encode_graph6,
     enumerate_connected_graphs,
@@ -27,6 +29,38 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def reference_connected_masks(n: int, start: int, stop: int):
+    """The enumeration one mask at a time, frozen from the per-mask loop
+    that the block enumerator replaced: (mask, sorted edge tuple) of each
+    connected mask in [start, stop), by a traversal over adjacency
+    bitsets."""
+    pairs = vertex_pairs(n)
+    for mask in range(start, stop):
+        adj_bits = [0] * n
+        edges = []
+        mm = mask
+        k = 0
+        while mm:
+            if mm & 1:
+                u, v = pairs[k]
+                adj_bits[u] |= 1 << v
+                adj_bits[v] |= 1 << u
+                edges.append(pairs[k])
+            mm >>= 1
+            k += 1
+        visited = 1
+        stack = [0]
+        while stack:
+            fresh = adj_bits[stack.pop()] & ~visited
+            while fresh:
+                low = fresh & -fresh
+                visited |= low
+                stack.append(low.bit_length() - 1)
+                fresh ^= low
+        if visited == (1 << n) - 1:
+            yield mask, tuple(edges)
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -215,7 +249,7 @@ class TestConnectivity:
 class TestEnumeration:
     # labeled connected graph counts, cross-checked against a union-find
     # sweep below and the standard sequence 1, 4, 38, 728, 26704
-    KNOWN = {2: 1, 3: 4, 4: 38, 5: 728}
+    KNOWN = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
     @pytest.mark.parametrize("n,count", sorted(KNOWN.items()))
     def test_counts(self, n, count):
@@ -256,6 +290,18 @@ class TestEnumeration:
                 mask |= 1 << index[e]
             seen.add(mask)
         assert seen == expected
+
+    @pytest.mark.parametrize(
+        "n,start,stop",
+        [(n, 0, edge_mask_count(n)) for n in range(2, 7)] + [(7, 1_000_000, 1_010_000)],
+        ids=["2", "3", "4", "5", "6", "7-slice"],
+    )
+    def test_masks_equal_frozen_reference(self, n, start, stop):
+        want = list(reference_connected_masks(n, start, stop))
+        got = list(_connected_masks(n, start, stop))
+        assert all(type(mask) is int for mask in got)
+        assert got == [mask for mask, _ in want]
+        assert [_mask_edges(n, mask) for mask in got] == [edges for _, edges in want]
 
     @pytest.mark.parametrize("n", [1, 8])
     def test_out_of_range_orders_raise(self, n):

@@ -11,9 +11,13 @@ import randic.identities
 from randic.errors import IsolatedVertexError, PreconditionError
 from randic.graphs import (
     Graph,
+    _connected_masks,
+    _mask_edges,
+    edge_mask_count,
     encode_graph6,
     enumerate_connected_graphs,
     generate,
+    is_connected,
     parse_graph6,
     subdivision,
 )
@@ -23,11 +27,16 @@ from randic.identities import (
     ENERGY_TOL,
     LOCAL_TOL,
     SCAN_CHECKS,
+    SUBDIVISION_CHECKS,
     Classification,
     Counterexample,
+    SrgParameters,
     ScanSummary,
     _check_stack,
     _chunk_matrices,
+    _degree_weighted_sums,
+    _local_residuals,
+    _strongly_regular,
     _merge,
     _root_products,
     _row,
@@ -44,7 +53,7 @@ from randic.identities import (
     verify_subdivision_charpoly,
     verify_subdivision_energy,
 )
-from randic.linalg import symmetric_eigenvalues
+from randic.linalg import cluster_rows, symmetric_eigenvalues
 from randic.spectra import _biadjacency, randic_eigenvalues, randic_matrix
 
 SAMPLE_GRAPHS = [
@@ -273,29 +282,37 @@ class TestVerifyAll:
         # both paths read theta = 1 + rho off the same R solve, and R(S)'s
         # spectrum off the same one-sided solve of its block, so every
         # residual agrees exactly, not just within tolerance; the scan side
-        # runs on the stacks and rows that _scan_spectra gives a scan, and
-        # each row's arrays and report equal verify_all's report
-        graphs = list(enumerate_connected_graphs(order))[::step]
+        # runs on the stacks and rows that _scan_spectra gives a scan, the
+        # checks of R(G) alone on the whole chunk and the subdivision
+        # checks per edge count, and each row's arrays and report equal
+        # verify_all's report
+        masks = np.array(
+            list(_connected_masks(order, 0, edge_mask_count(order)))[::step], dtype=np.int64
+        )
+        graphs = [Graph(order, _mask_edges(order, mask)) for mask in masks.tolist()]
+        graph_checks = [c for c in SCAN_CHECKS if c not in SUBDIVISION_CHECKS]
+        perm, m, r, rho, groups = _scan_spectra(order, masks, True)
+        parts = [(_check_stack(order, m, graph_checks, r, rho, None)[0], perm)] + [
+            (_check_stack(order, m[rows], SUBDIVISION_CHECKS, r[rows], rho[rows], rho_s)[0], perm[rows])
+            for rows, rho_s in groups
+        ]
+        counted = [{} for _ in graphs]
+        reports = [{} for _ in graphs]
+        for checked, members in parts:
+            for name, c in checked.items():
+                for j, row in enumerate(c.rows.tolist()):
+                    counted[members[row]][name] = (bool(c.passed[j]), _row(c.residuals, j))
+                    reports[members[row]][name] = c.report(j)
         mismatched = []
-        seen = 0
-        for members, r, rho, rho_s in _scan_spectra(order, [g.edges for g in graphs], True):
-            group = [graphs[i] for i in members]
-            checked = _check_stack(group, SCAN_CHECKS, r, rho, rho_s)
-            for i, g in enumerate(group):
-                counted, reports = {}, {}
-                for name, c in checked.items():
-                    for j in np.flatnonzero(c.rows == i).tolist():
-                        counted[name] = (bool(c.passed[j]), _row(c.residuals, j))
-                        reports[name] = c.report(j)
-                verified = verify_all(g)
-                if (
-                    list(counted) != list(verified)
-                    or counted != {name: as_counted(v) for name, v in verified.items()}
-                    or reports != verified
-                ):
-                    mismatched.append(encode_graph6(g))
-                seen += 1
-        assert seen == len(graphs)
+        for g, got, built in zip(graphs, counted, reports):
+            verified = verify_all(g)
+            if (
+                sorted(got, key=SCAN_CHECKS.index) != list(verified)
+                or got != {name: as_counted(v) for name, v in verified.items()}
+                or built != verified
+            ):
+                mismatched.append(encode_graph6(g))
+        assert sorted(perm.tolist()) == list(range(len(graphs)))
         assert mismatched == []
 
 
@@ -317,13 +334,14 @@ class TestDecidedOnce:
         return calls
 
     def test_order_four_scan(self, monkeypatch):
-        # the 38 graphs of order 4 have 3, 4, 5 or 6 edges: four groups of
-        # 16 trees, 15, 6 and K4
+        # the 38 graphs of order 4 fit one chunk, whose checks of R(G) alone
+        # run once, on one clustering of all 38 rows; a passing scan builds
+        # no Graph
         clusterings = self.count_calls(monkeypatch, "cluster_rows")
         builds = self.count_calls(monkeypatch, "Graph")
         assert scan_small_graphs(4).graph_count == 38
-        assert (len(clusterings), len(builds)) == (4, 38)
-        assert sorted(len(rho) for (rho,) in clusterings) == [1, 6, 15, 16]
+        assert (len(clusterings), len(builds)) == (1, 0)
+        assert [len(rho) for (rho,) in clusterings] == [38]
 
     def test_passing_scan_builds_no_reports(self, monkeypatch):
         reports = self.count_calls(monkeypatch, "VerificationReport")
@@ -387,6 +405,19 @@ class TestDecidedOnce:
         clusterings = self.count_calls(monkeypatch, "cluster_rows")
         check(g)
         assert len(clusterings) == count
+
+
+    @pytest.mark.parametrize("check", LOCAL_VERIFIERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("g", [generate("petersen"), generate("cycle", 5)], ids=["petersen", "C5"])
+    def test_local_path_runs_no_classification(self, monkeypatch, check, g):
+        # k for the gate and the "got k" message comes from the one
+        # clustering; no strong-regularity test runs on regular graphs
+        clusterings = self.count_calls(monkeypatch, "cluster_rows")
+        strong = self.count_calls(monkeypatch, "_strongly_regular")
+        check(g)
+        with pytest.raises(PreconditionError, match="got 4"):
+            check(generate("path", 4))
+        assert (len(clusterings), len(strong)) == (2, 0)
 
 
 class TestClassification:
@@ -474,6 +505,155 @@ class TestLocalConditions:
             verify_local_conditions(generate("complete", 4))
         with pytest.raises(PreconditionError):
             verify_local_conditions(generate("path", 4))
+
+
+def reference_strongly_regular(g: Graph) -> SrgParameters | None:
+    """Strong regularity pair by pair, frozen from the per-graph test that
+    the stacked one replaced: connected, regular, neither complete nor
+    edgeless, with uniform common-neighbor counts over adjacent pairs and
+    over nonadjacent pairs."""
+    if g.n < 2 or not g.is_regular() or not is_connected(g):
+        return None
+    if g.m == 0 or g.m == g.n * (g.n - 1) // 2:
+        return None
+    adjacent: set[int] = set()
+    nonadjacent: set[int] = set()
+    for i in range(g.n):
+        ni = g.neighbors(i)
+        for j in range(i + 1, g.n):
+            count = len(ni & g.neighbors(j))
+            (adjacent if j in ni else nonadjacent).add(count)
+            if len(adjacent) > 1 or len(nonadjacent) > 1:
+                return None
+    return SrgParameters(g.n, g.degrees[0], adjacent.pop(), nonadjacent.pop())
+
+
+def reference_local_residuals(g: Graph, rho2: float, rho3: float) -> dict[str, float]:
+    """The local-condition residuals vertex by vertex and pair by pair,
+    frozen from the per-graph code that the stacked one replaced, on a
+    connected graph whose distinct R-eigenvalues are 1 > rho2 > rho3."""
+    c = (1.0 - rho2) * (1.0 - rho3) / (2.0 * g.m)
+    deg = g.degrees
+    worst_degree = 0.0
+    for i in range(g.n):
+        lhs = math.fsum(1.0 / deg[j] for j in g.neighbors(i))
+        rhs = c * deg[i] ** 2 - rho2 * rho3 * deg[i]
+        worst_degree = max(worst_degree, abs(lhs - rhs))
+    worst_adj = worst_nonadj = 0.0
+    worst_adj_count = worst_nonadj_count = 0.0
+    for i in range(g.n):
+        ni = g.neighbors(i)
+        for j in range(i + 1, g.n):
+            common = ni & g.neighbors(j)
+            weighted = math.fsum(1.0 / deg[k] for k in common)
+            count = float(len(common))
+            if j in ni:
+                rhs = c * deg[i] * deg[j] + rho2 + rho3
+                worst_adj = max(worst_adj, abs(weighted - rhs))
+                worst_adj_count = max(worst_adj_count, abs(count - rhs))
+            else:
+                rhs = c * deg[i] * deg[j]
+                worst_nonadj = max(worst_nonadj, abs(weighted - rhs))
+                worst_nonadj_count = max(worst_nonadj_count, abs(count - rhs))
+    return {
+        "degree_sums": worst_degree,
+        "adjacent_weighted": worst_adj,
+        "nonadjacent_weighted": worst_nonadj,
+        "count_adjacent": worst_adj_count,
+        "count_nonadjacent": worst_nonadj_count,
+    }
+
+
+def same_dict_bits(got: dict[str, float], want: dict[str, float]) -> bool:
+    return list(got) == list(want) and all(
+        np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes() for key in want
+    )
+
+
+def every_graph(order: int, connected: bool) -> list[Graph]:
+    """Every labeled graph of ``order`` in mask order, or only the
+    connected ones."""
+    masks = (
+        _connected_masks(order, 0, edge_mask_count(order))
+        if connected
+        else range(edge_mask_count(order))
+    )
+    return [Graph(order, _mask_edges(order, mask)) for mask in masks]
+
+
+class TestStackedStructure:
+    """The strong-regularity test and the local conditions run on stacks,
+    as a scan's chunk runs them, and on stacks of one, as ``verify`` runs
+    them; both give the frozen per-graph code's results, bit for bit."""
+
+    EXTRA_REGULAR = {
+        "petersen": generate("petersen"),
+        "K3,3": Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+        "C6": generate("cycle", 6),
+    }
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_strongly_regular_equals_reference(self, order):
+        # every regular graph of the order, connected or not
+        regular = [g for g in every_graph(order, connected=False) if g.is_regular()]
+        want = [reference_strongly_regular(g) for g in regular]
+        assert [is_strongly_regular(g) for g in regular] == want
+        stack = np.array([g.adjacency != 0 for g in regular])
+        assert _strongly_regular(stack) == want
+
+    @pytest.mark.parametrize("name", sorted(EXTRA_REGULAR))
+    def test_strongly_regular_named_graphs(self, name):
+        g = self.EXTRA_REGULAR[name]
+        want = reference_strongly_regular(g)
+        assert is_strongly_regular(g) == want
+        assert _strongly_regular((g.adjacency != 0)[None]) == [want]
+        assert (want is None) == (name == "C6")
+
+    @staticmethod
+    def three_valued(graphs):
+        """The graphs with exactly three distinct R-eigenvalues, with their
+        rho_2 and rho_3, as the checks read them."""
+        r = np.array([randic_matrix(g) for g in graphs])
+        k, distinct, _ = cluster_rows(symmetric_eigenvalues(r))
+        rows = np.flatnonzero(k == 3)
+        return [graphs[i] for i in rows.tolist()], r[rows], distinct[rows, 1], distinct[rows, 2]
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 6])
+    def test_local_residuals_equal_reference(self, order):
+        graphs, r, rho2, rho3 = self.three_valued(every_graph(order, connected=True))
+        a = r != 0
+        m = np.array([g.m for g in graphs])
+        stacked = _local_residuals(order, m, a, a.sum(axis=2), rho2, rho3)
+        mismatched = []
+        for j, g in enumerate(graphs):
+            want = reference_local_residuals(g, float(rho2[j]), float(rho3[j]))
+            if not same_dict_bits(_row(stacked, j), want):
+                mismatched.append(encode_graph6(g))
+            if not same_dict_bits(local_condition_residuals(g), want):
+                mismatched.append(encode_graph6(g))
+        assert len(graphs) == {3: 3, 4: 7, 5: 42, 6: 166}[order]
+        assert mismatched == []
+
+    def test_degree_weighted_sums_are_fsum_of_the_members(self):
+        # the first row's members summed left to right give 6.300000000000001,
+        # one ulp above their correctly rounded sum 6.3
+        values = np.array([1, 2, 4, 5])
+        counts = np.array([[[3, 5, 0, 4], [0, 0, 0, 0]], [[3, 5, 0, 4], [1, 1, 1, 1]]])
+        got = _degree_weighted_sums(counts, values)
+        assert got.shape == (2, 2)
+        rng = random.Random(5)
+        for row, value in zip(counts.reshape(-1, 4).tolist(), got.ravel().tolist()):
+            members = [1.0 / d for d, c in zip(values.tolist(), row) for _ in range(c)]
+            rng.shuffle(members)
+            assert value == math.fsum(members)
+        assert got[0, 0] == 6.3 != sum([1.0] * 3 + [0.5] * 5 + [0.2] * 4)
+
+    @pytest.mark.parametrize("g", [generate("petersen"), generate("cycle", 5)], ids=["petersen", "C5"])
+    def test_local_residuals_named_graphs(self, g):
+        graphs, _, rho2, rho3 = self.three_valued([g])
+        assert graphs == [g]
+        want = reference_local_residuals(g, float(rho2[0]), float(rho3[0]))
+        assert same_dict_bits(local_condition_residuals(g), want)
 
 
 def rejection(check, g, error, message):
@@ -699,6 +879,13 @@ class TestScan:
             scan_small_graphs(3, checks=())
 
 
+def sorted_masks(order: int) -> np.ndarray:
+    """Every connected edge mask of ``order``, in mask order, then sorted
+    by edge count as a scan sorts a chunk."""
+    masks = _connected_masks(order, 0, edge_mask_count(order))
+    return np.array(sorted(masks, key=int.bit_count), dtype=np.int64)
+
+
 def per_graph_reference(order: int):
     """Scan outcome with each graph's spectra solved alone, merged in
     enumeration order: R(G) by symmetric_eigenvalues, and R(S(G)) by
@@ -750,8 +937,9 @@ class TestBatchedScan:
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_chunk_matrices_equal_per_graph_builds(self, order):
-        graphs = sorted(enumerate_connected_graphs(order), key=lambda g: g.m)
-        r, groups = _chunk_matrices(order, [g.edges for g in graphs], True)
+        masks = sorted_masks(order)
+        graphs = [Graph(order, _mask_edges(order, mask)) for mask in masks.tolist()]
+        r, groups = _chunk_matrices(order, masks, True)
         for g, built in zip(graphs, r):
             assert built.tobytes() == randic_matrix(g).tobytes()
         assert [rows.start for rows, _ in groups] == [
@@ -766,7 +954,7 @@ class TestBatchedScan:
                 want = _biadjacency(subdivision(g))
                 assert block.shape == want.shape
                 assert block.tobytes() == want.tobytes()
-        alone, none = _chunk_matrices(order, [g.edges for g in graphs], False)
+        alone, none = _chunk_matrices(order, masks, False)
         assert [rows for rows, _ in none] == [rows for rows, _ in groups]
         assert all(blocks is None for _, blocks in none)
         assert alone.tobytes() == r.tobytes()
@@ -775,15 +963,18 @@ class TestBatchedScan:
     def test_scan_spectra_equal_randic_eigenvalues(self, order, step):
         # every scanned R and R(S) spectrum has the bits of the graph's own
         # solve, for every graph of orders 2-5 and every 37th of order 6
-        graphs = list(enumerate_connected_graphs(order))[::step]
+        masks = np.array(
+            list(_connected_masks(order, 0, edge_mask_count(order)))[::step], dtype=np.int64
+        )
+        perm, _, _, rho, groups = _scan_spectra(order, masks, True)
         seen = 0
-        for members, _, rho, rho_s in _scan_spectra(order, [g.edges for g in graphs], True):
-            for i, row, row_s in zip(members, rho, rho_s):
-                g = graphs[i]
+        for rows, rho_s in groups:
+            for i, row, row_s in zip(perm[rows].tolist(), rho[rows], rho_s):
+                g = Graph(order, _mask_edges(order, int(masks[i])))
                 assert row.tobytes() == symmetric_eigenvalues(randic_matrix(g)).tobytes()
                 assert row_s.tobytes() == randic_eigenvalues(subdivision(g)).tobytes()
                 seen += 1
-        assert seen == len(graphs)
+        assert seen == len(masks)
 
 
 class TestCounterexamples:

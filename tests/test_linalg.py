@@ -1,5 +1,9 @@
+import functools
+import importlib
 import math
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +15,16 @@ from randic.errors import ConvergenceError
 from randic.graphs import (
     Graph,
     _connected_masks,
+    edge_mask_count,
     enumerate_connected_graphs,
     generate,
     subdivision,
 )
+from randic.cli import load_graph
 from randic.identities import (
+    SCAN_CHUNK,
     _chunk_matrices,
+    _scan_spectra,
     scan_small_graphs,
     verify_all,
     verify_subdivision_energy,
@@ -63,6 +71,13 @@ T_HI = 128  # a large round-robin order; tests run on both sides of it
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return a + a.T
+
+
+def sorted_masks(order: int, step: int = 1) -> np.ndarray:
+    """Every ``step``-th connected edge mask of ``order``, in mask order,
+    then sorted by edge count as a scan sorts a chunk."""
+    masks = list(_connected_masks(order, 0, edge_mask_count(order)))[::step]
+    return np.array(sorted(masks, key=int.bit_count), dtype=np.int64)
 
 
 def triangular_graph(k: int) -> Graph:
@@ -291,8 +306,7 @@ class TestOneSidedStack:
     def subdivision_blocks(order: int, step: int = 1):
         # every step-th connected graph of the order, as the scan groups
         # them: one stack of blocks B of R(S(G)) per edge count
-        graphs = sorted(list(enumerate_connected_graphs(order))[::step], key=lambda g: g.m)
-        _, groups = _chunk_matrices(order, [g.edges for g in graphs], True)
+        _, groups = _chunk_matrices(order, sorted_masks(order, step), True)
         return [block for _, block in groups]
 
     @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 31)])
@@ -875,12 +889,12 @@ class TestDispatch:
     def test_scan_solves_subdivisions_one_sided(self, monkeypatch, order):
         # R(G) two-sided, as one stack of the chunk; R(S) only on its blocks
         # B, by the one-sided kernel, once per edge-count group
-        graphs = sorted(enumerate_connected_graphs(order), key=lambda g: g.m)
-        _, groups = _chunk_matrices(order, [g.edges for g in graphs], True)
+        masks = sorted_masks(order)
+        _, groups = _chunk_matrices(order, masks, True)
         one_sided = [("_jacobi_one_sided", block.shape) for _, block in groups]
         calls = self.spy(monkeypatch)
         scan_small_graphs(order, rank_energy=True)
-        assert calls == [("_jacobi_stack", (len(graphs), order, order))] + one_sided
+        assert calls == [("_jacobi_stack", (len(masks), order, order))] + one_sided
 
     def test_one_sided_sweep_cap_raises(self, monkeypatch):
         b = _biadjacency(subdivision(generate("cycle", 36)))
@@ -911,8 +925,7 @@ def reference_cluster(values) -> tuple[tuple[float, ...], tuple[int, ...]]:
 def graph_stacks(order: int, step: int = 1):
     """The R(G) stack of every ``step``-th connected graph of ``order``, as
     a scan builds it, sorted by edge count."""
-    graphs = sorted(list(enumerate_connected_graphs(order))[::step], key=lambda g: g.m)
-    return _chunk_matrices(order, [g.edges for g in graphs], False)[0]
+    return _chunk_matrices(order, sorted_masks(order, step), False)[0]
 
 
 def same_rows(k, reps, sizes, row: int, want) -> bool:
@@ -927,6 +940,87 @@ def same_rows(k, reps, sizes, row: int, want) -> bool:
         and bool(np.all(np.isnan(pad)))
         and not sizes[row, k[row] :].any()
     )
+
+
+def reference_cluster_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cluster_rows`` frozen before its slots and sizes were taken the
+    lean way: each cluster's slot from a cumsum over the start flags, and
+    its size from an array of cluster ends."""
+    b, n = rows.shape
+    flat = rows.ravel()
+    starts = np.ones((b, n), dtype=bool)
+    np.logical_not(rows[:, :-1] - rows[:, 1:] <= CLUSTER_TOL, out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    ends = np.empty_like(first)
+    ends[:-1] = first[1:]
+    ends[-1:] = flat.size
+    size = ends - first
+    mean = flat[first] + 0.0
+    for i in np.flatnonzero(size > 1).tolist():
+        members = flat[first[i] : ends[i]].tolist()
+        mean[i] = math.fsum(members) / len(members)
+    where = (first // max(n, 1), np.cumsum(starts, axis=1).ravel()[first] - 1)
+    reps = np.full((b, n), np.nan)
+    sizes = np.zeros((b, n), dtype=np.intp)
+    reps[where] = mean
+    sizes[where] = size
+    return starts.sum(axis=1), reps, sizes
+
+
+def same_clusters(rows: np.ndarray) -> bool:
+    """Whether ``cluster_rows`` gives ``rows`` the frozen reference's
+    arrays: the same dtypes, shapes and bits."""
+    got, want = cluster_rows(rows), reference_cluster_rows(rows)
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(got, want)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def scan_chunk_spectra(order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(edge counts, R-spectra) of each chunk of a scan of ``order``, its
+    rows sorted by edge count, as the scan clusters them."""
+    masks = np.array(list(_connected_masks(order, 0, edge_mask_count(order))), dtype=np.int64)
+    chunks = []
+    for lo in range(0, len(masks), SCAN_CHUNK):
+        _, m, _, rho, _ = _scan_spectra(order, masks[lo : lo + SCAN_CHUNK], False)
+        chunks.append((m, rho))
+    return chunks
+
+
+def verify_cli_graphs(seed: int) -> list[Graph]:
+    """The distinct graphs of the benchmark's verify-cli requests."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    return [load_graph(token) for token in dict.fromkeys(workloads.VerifyCli().requests(seed))]
+
+
+class TestLeanClustering:
+    """``cluster_rows`` keeps the bits of its frozen former form on every
+    stack a scan or ``verify`` clusters."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_scan_chunks_and_groups(self, order):
+        for m, rho in scan_chunk_spectra(order):
+            assert same_clusters(rho)
+            for count in np.unique(m).tolist():
+                assert same_clusters(rho[m == count])
+
+    @pytest.mark.parametrize("seed", [1, 1404])
+    def test_verify_cli_rows(self, seed):
+        graphs = verify_cli_graphs(seed)
+        assert len(graphs) > 80
+        for g in graphs:
+            assert same_clusters(symmetric_eigenvalues(randic_matrix(g))[None])
+
+    def test_edge_shapes(self):
+        for rows in (np.zeros((0, 5)), np.zeros((3, 0)), np.array([[np.nan, 1.0, 1.0]])):
+            assert same_clusters(rows)
 
 
 class TestClustering:
@@ -1152,12 +1246,11 @@ class TestStackedPieces:
         # R(G) stack and subdivision block stack of orders 2-6 and of a
         # 10,000-mask slice of order 7
         if order < 7:
-            graphs = sorted(enumerate_connected_graphs(order), key=lambda g: g.m)
-            edge_lists = [g.edges for g in graphs]
+            masks = sorted_masks(order)
         else:
-            sliced = [edges for _, edges in _connected_masks(7, 1_000_000, 1_010_000)]
-            edge_lists = sorted(sliced, key=len)
-        r, groups = _chunk_matrices(order, edge_lists, True)
+            sliced = _connected_masks(7, 1_000_000, 1_010_000)
+            masks = np.array(sorted(sliced, key=int.bit_count), dtype=np.int64)
+        r, groups = _chunk_matrices(order, masks, True)
         assert self.norms_match(r)
         assert all(self.norms_match(blocks) for _, blocks in groups)
         _, target = _prepared(r)

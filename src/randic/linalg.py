@@ -38,7 +38,13 @@ this for one graph, and the scans for every subdivision, one stack per edge
 count.  Both round-robin kernels take each round's rotations from
 ``_rotation`` and rotate a pair's rows in halves, c x_p - s x_q and
 c x_q + s x_p; the one-sided kernel takes alpha, beta and gamma of a round
-from one ``einsum`` over the gathered rows (p; q; p) and (p; q; q).
+from one ``einsum`` over the gathered rows (p; q; p) and (p; q; q).  It
+stops after a sweep that rotates nothing, and after a sweep in which some
+round rotated nothing it checks the whole next sweep from one Gram
+``einsum`` of the stack, whose entries have the bits of the rounds' own
+products: the final idle sweep then costs that one call instead of a round
+of numpy calls per round, and a sweep that would still rotate starts at its
+first rotating round.
 
 The helpers the checks read work on stacks too, one row or matrix per
 graph, with the bits of their one-matrix forms: ``cluster_rows`` clusters
@@ -301,6 +307,34 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     return _off_norm(a) < target
 
 
+def _live_pairs(
+    alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray, tol: float, floor: np.ndarray
+) -> np.ndarray:
+    """The one-sided rotation rule on pairs of rows with squared norms alpha
+    and beta and dot product gamma: rotate while
+    |gamma| > tol * sqrt(alpha * beta) and neither row is below ``floor``."""
+    return (np.abs(gamma) > tol * np.sqrt(alpha * beta)) & (np.minimum(alpha, beta) > floor)
+
+
+def _first_live_round(
+    b: np.ndarray, ps: np.ndarray, qs: np.ndarray, tol: float, floor: np.ndarray
+) -> int:
+    """The first round of the schedule (ps, qs) in which a one-sided sweep
+    of the (B, k, w) stack ``b`` would rotate some pair, or the number of
+    rounds when none would; ``floor`` holds each block's floor.
+
+    Every pair's alpha, beta and gamma come from one Gram ``einsum`` of the
+    stack.  The plain ``einsum`` (not its BLAS path) reduces each row pair
+    as the rounds' row-wise ``einsum`` does, with the same bits, so the
+    rule decides every pair as the rounds would while nothing rotates.
+    """
+    gram = np.einsum("bij,bkj->bik", b, b)
+    norms = np.diagonal(gram, axis1=1, axis2=2)
+    live = _live_pairs(norms[:, ps], norms[:, qs], gram[:, ps, qs], tol, floor[:, None, None])
+    rounds = np.flatnonzero(live.any(axis=(0, 2)))
+    return int(rounds[0]) if rounds.size else len(ps)
+
+
 def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     """One-sided (Hestenes) kernel in round-robin order; mutates each block
     of the C-contiguous (B, k, w) stack ``b`` toward mutually orthogonal
@@ -312,7 +346,7 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     It rotates rows only: each round gathers its pairs' rows as (p; q; p)
     and (p; q; q) and takes their squared norms alpha, beta and dot
     products gamma from one row-by-row ``einsum`` of the two, so ``b b^T``
-    is never formed.  A pair rotates when
+    is never formed in a round.  A pair rotates when
     |gamma| > tol * sqrt(alpha * beta), with tol = eps * sqrt(w), the scale
     of the rounding error in a dot product of length w: rows that
     orthogonal give singular values correct to a small multiple of tol,
@@ -324,9 +358,16 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     underflow.  Only the pairs that pass the rule are rotated, each by
     arithmetic on its own rows, so a block takes the same rotations and
     bits in any stack; a block whose sweep rotates nothing rotates nothing
-    after it.  A sweep that rotates nothing in any block ends the
-    iteration; returns False when each of the ``max_sweeps`` sweeps rotated
-    some pair.
+    after it.
+
+    A sweep that rotates nothing in any block ends the iteration.  After a
+    sweep in which some round rotated nothing, the next sweep is first
+    checked whole by ``_first_live_round``: if no round would rotate, that
+    check stands for the idle sweep and ends the iteration; otherwise the
+    sweep starts at the first round that rotates, the rounds before it
+    rotating nothing.  So a block gets the rotations and bits of running
+    every round.  Returns False when each of the ``max_sweeps`` sweeps
+    rotated some pair.
     """
     count, k, w = b.shape
     if k < 2:
@@ -334,31 +375,38 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     if not b.flags.c_contiguous:
         raise ValueError("the one-sided kernel rotates a C-contiguous stack in place")
     flat = b.reshape(count * k, w)
-    ps, qs = _round_robin_schedule(k)
+    block_ps, block_qs = _round_robin_schedule(k)
     # each round's pairs in every block, block by block: (rounds, B * k // 2)
     offsets = k * np.arange(count)[:, None]
-    ps = (ps[:, None] + offsets).reshape(len(ps), -1)
-    qs = (qs[:, None] + offsets).reshape(len(qs), -1)
+    ps = (block_ps[:, None] + offsets).reshape(len(block_ps), -1)
+    qs = (block_qs[:, None] + offsets).reshape(len(block_qs), -1)
     # the rows (p; q; p) and (p; q; q) of each round, whose products row by
     # row are alpha, beta and gamma
     lefts = np.hstack((ps, qs, ps))
     rights = np.hstack((ps, qs, qs))
     half = ps.shape[1]
     tol = np.finfo(np.float64).eps * math.sqrt(w)
-    # each block's own norm, once per pair of the round
-    floor = np.repeat(np.square(tol * _frobenius_norms(b)), k // 2)
+    # the floor from each block's own norm, and repeated once per pair of a round
+    block_floor = np.square(tol * _frobenius_norms(b))
+    floor = np.repeat(block_floor, k // 2)
+    idle = False
     for _ in range(max_sweeps):
+        start = 0
+        if idle:
+            start = _first_live_round(b, block_ps, block_qs, tol, block_floor)
+            if start == len(ps):
+                return True
         rotated = False
-        for p, q, left, right in zip(ps, qs, lefts, rights):
+        idle = start > 0
+        for p, q, left, right in zip(ps[start:], qs[start:], lefts[start:], rights[start:]):
             rows = flat.take(left, axis=0)
             alpha, beta, gamma = np.einsum(
                 "ij,ij->i", rows, flat.take(right, axis=0)
             ).reshape(3, half)
-            hit = (np.abs(gamma) > tol * np.sqrt(alpha * beta)) & (
-                np.minimum(alpha, beta) > floor
-            )
+            hit = _live_pairs(alpha, beta, gamma, tol, floor)
             rotating = np.count_nonzero(hit)
             if not rotating:
+                idle = True
                 continue
             rotated = True
             x, y = rows[:half], rows[half : 2 * half]

@@ -443,6 +443,95 @@ class TestOneSidedStack:
         assert singular_values(np.zeros((0, 3, 5))).shape == (0, 3)
 
 
+class TestSweepLookAhead:
+    """After a sweep with an idle round, the one-sided kernel checks the next
+    sweep whole from one Gram ``einsum``: the premise that check rests on,
+    the sweep cap it must keep, and the rounds it saves."""
+
+    @staticmethod
+    def random_stacks(seed: int, count: int):
+        # sparse (B, k, w) stacks with zero rows and rows scaled 1e-9 to 1e9
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            b, k, w = int(rng.integers(1, 5)), int(rng.integers(2, 50)), int(rng.integers(1, 131))
+            x = rng.standard_normal((b, k, w)) * 10.0 ** rng.integers(-9, 10, size=(b, k, 1))
+            x[rng.random((b, k, w)) < rng.random()] = 0.0
+            x[:, rng.random(k) < 0.2] = 0.0
+            yield x
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gram_einsum_has_the_bits_of_row_products(self, seed):
+        # if numpy ever reduces the two forms differently, the look-ahead
+        # would decide pairs on other bits than the rounds: fail here first
+        for x in self.random_stacks(seed, 100):
+            b, k, w = x.shape
+            gram = np.einsum("bij,bkj->bik", x, x)
+            flat = x.reshape(b * k, w)
+            p, q = np.triu_indices(k, 1)
+            offsets = k * np.arange(b)[:, None]
+            rows_p = flat.take((p + offsets).ravel(), axis=0)
+            rows_q = flat.take((q + offsets).ravel(), axis=0)
+            assert same_bits(gram[:, p, q].ravel(), np.einsum("ij,ij->i", rows_p, rows_q))
+            assert same_bits(
+                np.diagonal(gram, axis1=1, axis2=2).ravel(), np.einsum("ij,ij->i", flat, flat)
+            )
+
+    @staticmethod
+    def capped_blocks():
+        for kind, low in (("star", 3), ("path", 3), ("cycle", 3)):
+            for n in range(low, 63, 4):
+                yield _biadjacency(subdivision(generate(kind, n)))
+        rng = np.random.default_rng(11)
+        for k, w in ((2, 2), (3, 7), (6, 9), (12, 12), (20, 33)):
+            yield rng.standard_normal((k, w))
+            yield 1e-9 * rng.standard_normal((k, 2)) @ rng.standard_normal((2, w))
+            yield np.eye(k, w)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_sweep_cap_and_return_value_unchanged(self, cap):
+        outcomes = []
+        for block in self.capped_blocks():
+            got, want = block[None].copy(), block.copy()
+            returned = _jacobi_one_sided(got, cap)
+            assert returned == reference_one_sided(want, cap), block.shape
+            assert same_bits(got[0], want), block.shape
+            outcomes.append(returned)
+        assert True in outcomes and False in outcomes
+        # S(star n) for n >= 4 rotates in its first sweep and idles in its
+        # second: one sweep short of its idle sweep, the look-ahead must not
+        # stand in for it
+        star = _biadjacency(subdivision(generate("star", 9)))[None]
+        assert _jacobi_one_sided(star.copy(), cap) == (cap > 1)
+
+    def test_star_subdivisions_take_one_sweep_and_one_look_ahead(self, monkeypatch):
+        import randic.linalg as linalg
+
+        calls = []
+        rule = linalg._live_pairs
+
+        def spied(alpha, beta, gamma, *args):
+            # a round passes its pairs as rows, a look-ahead as a (B, rounds,
+            # pairs) array
+            calls.append("round" if gamma.ndim == 1 else "look-ahead")
+            return rule(alpha, beta, gamma, *args)
+
+        monkeypatch.setattr(linalg, "_live_pairs", spied)
+        for n in range(3, 51):
+            block = _biadjacency(subdivision(generate("star", n)))
+            rounds = len(_round_robin_schedule(len(block))[0])
+            # the frozen kernel runs two sweeps: one that rotates, one idle
+            assert not reference_one_sided(block.copy(), 1)
+            assert reference_one_sided(block.copy(), 2)
+            calls.clear()
+            assert _jacobi_one_sided(block[None].copy(), 100)
+            if rounds == 1:
+                # S(star 3): the one round rotates, so no round idled and
+                # the idle sweep runs as rounds
+                assert calls == ["round", "round"], n
+            else:
+                assert calls == ["round"] * rounds + ["look-ahead"], n
+
+
 def reference_jacobi(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, int]:
     """The original numpy kernel: row-major pairs, one rotation at a time,
     columns updated through a boolean mask.  Returns the descending

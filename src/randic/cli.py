@@ -38,6 +38,7 @@ from .graphs import (
     GENERATOR_KINDS,
     GRAPH6_MAX_ORDER,
     Graph,
+    _graph6_like,
     encode_graph6,
     format_edge_list,
     generate,
@@ -133,11 +134,14 @@ def _parse_text(text: str, fmt_name: str) -> Graph:
         return parse_graph6(text)
     if fmt_name == "edges":
         return parse_edge_list(text)
-    # auto: several tokens can only be an edge list; one purely numeric
-    # token is an order-only edge list; anything else reads as graph6
+    # auto: several graph6 tokens are several graphs, where one is expected;
+    # other tokens, several of them or one purely numeric, are an edge list;
+    # one other token reads as graph6
     tokens = text.split()
     if not tokens:
         raise GraphFormatError("empty graph input")
+    if len(tokens) > 1 and all(map(_graph6_like, tokens)):
+        raise GraphFormatError(f"expected one graph, found {len(tokens)} graph6 lines")
     if len(tokens) > 1 or tokens[0].isdigit():
         return parse_edge_list(text)
     return parse_graph6(text)

@@ -107,6 +107,14 @@ def _column_major_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield i, j
 
 
+def _graph6_like(token: str) -> bool:
+    """Whether one whitespace-free token reads as a graph6 string: after an
+    optional header, characters of the printable graph6 range only, which
+    no edge-list token has."""
+    body = token.removeprefix(_GRAPH6_HEADER)
+    return bool(body) and all(63 <= ord(ch) <= 126 for ch in body)
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 string into a Graph.
 
@@ -255,13 +263,16 @@ def subdivision(g: Graph) -> Graph:
     The result has order n+m and size 2m: original vertices keep their
     indices (and degrees), and the vertex splitting edge number ``i`` in the
     canonical sorted edge order gets index ``n + i``.
+
+    The edges are built already canonical, distinct and sorted, so they
+    skip ``Graph.from_edges``: vertex x's edges (x, n + i) are listed in
+    increasing i after those of every vertex below x.
     """
-    edges = []
-    for i, (u, v) in enumerate(g.edges):
-        w = g.n + i
-        edges.append((u, w))
-        edges.append((v, w))
-    return Graph.from_edges(g.n + g.m, edges)
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges, g.n):
+        incident[u].append(i)
+        incident[v].append(i)
+    return Graph(g.n + g.m, tuple([(x, i) for x, row in enumerate(incident) for i in row]))
 
 
 def is_connected(g: Graph) -> bool:

@@ -38,13 +38,15 @@ this for one graph, and the scans for every subdivision, one stack per edge
 count.  Both round-robin kernels take each round's rotations from
 ``_rotation`` and rotate a pair's rows in halves, c x_p - s x_q and
 c x_q + s x_p; the one-sided kernel takes alpha, beta and gamma of a round
-from one ``einsum`` over the gathered rows (p; q; p) and (p; q; q).  It
-stops after a sweep that rotates nothing, and after a sweep in which some
-round rotated nothing it checks the whole next sweep from one Gram
-``einsum`` of the stack, whose entries have the bits of the rounds' own
-products: the final idle sweep then costs that one call instead of a round
-of numpy calls per round, and a sweep that would still rotate starts at its
-first rotating round.
+from one ``einsum`` over the gathered rows (p; q; p) and (p; q; q).  A
+single block takes those row indices from ``_one_sided_rounds``, cached
+read-only per k beside ``_round_robin_schedule``, and a stack adds each
+block's row offset to them.  The kernel stops after a sweep that rotates
+nothing, and after a sweep in which some round rotated nothing it checks
+the whole next sweep from one Gram ``einsum`` of the stack, whose entries
+have the bits of the rounds' own products: the final idle sweep then costs
+that one call instead of a round of numpy calls per round, and a sweep that
+would still rotate starts at its first rotating round.
 
 The helpers the checks read work on stacks too, one row or matrix per
 graph, with the bits of their one-matrix forms: ``cluster_rows`` clusters
@@ -253,6 +255,21 @@ def _round_robin_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ps, qs
 
 
+@lru_cache(maxsize=64)
+def _one_sided_rounds(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows each round of a one-sided sweep over one k-row block
+    gathers, from ``_round_robin_schedule(k)``: (p; q; p) and (p; q; q), as
+    arrays of shape (k - 1 + (k & 1), 3 * (k // 2)), one row per round, whose
+    products row by row are alpha, beta and gamma.  Cached per k, so the
+    arrays are read-only."""
+    ps, qs = _round_robin_schedule(k)
+    lefts = np.hstack((ps, qs, ps))
+    rights = np.hstack((ps, qs, qs))
+    lefts.setflags(write=False)
+    rights.setflags(write=False)
+    return lefts, rights
+
+
 def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     """Single-matrix kernel in round-robin order; mutates ``a`` toward
     diagonal form.
@@ -344,9 +361,9 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     of ``_round_robin_schedule(k)``, as the two-sided kernel does, with each
     pair offset by k * block, so one round takes its pairs in every block.
     It rotates rows only: each round gathers its pairs' rows as (p; q; p)
-    and (p; q; q) and takes their squared norms alpha, beta and dot
-    products gamma from one row-by-row ``einsum`` of the two, so ``b b^T``
-    is never formed in a round.  A pair rotates when
+    and (p; q; q), the indices of ``_one_sided_rounds``, and takes their
+    squared norms alpha, beta and dot products gamma from one row-by-row
+    ``einsum`` of the two, so ``b b^T`` is never formed in a round.  A pair rotates when
     |gamma| > tol * sqrt(alpha * beta), with tol = eps * sqrt(w), the scale
     of the rounding error in a dot product of length w: rows that
     orthogonal give singular values correct to a small multiple of tol,
@@ -376,15 +393,16 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
         raise ValueError("the one-sided kernel rotates a C-contiguous stack in place")
     flat = b.reshape(count * k, w)
     block_ps, block_qs = _round_robin_schedule(k)
-    # each round's pairs in every block, block by block: (rounds, B * k // 2)
-    offsets = k * np.arange(count)[:, None]
-    ps = (block_ps[:, None] + offsets).reshape(len(block_ps), -1)
-    qs = (block_qs[:, None] + offsets).reshape(len(block_qs), -1)
-    # the rows (p; q; p) and (p; q; q) of each round, whose products row by
-    # row are alpha, beta and gamma
-    lefts = np.hstack((ps, qs, ps))
-    rights = np.hstack((ps, qs, qs))
-    half = ps.shape[1]
+    lefts, rights = _one_sided_rounds(k)
+    if count != 1:
+        # each round's rows in every block, block by block within each of
+        # the thirds (p; q; p) and (p; q; q)
+        offsets = k * np.arange(count)[:, None]
+        rounds = len(lefts)
+        lefts = (lefts.reshape(rounds, 3, 1, -1) + offsets).reshape(rounds, -1)
+        rights = (rights.reshape(rounds, 3, 1, -1) + offsets).reshape(rounds, -1)
+    half = count * (k // 2)
+    ps, qs = lefts[:, :half], lefts[:, half : 2 * half]
     tol = np.finfo(np.float64).eps * math.sqrt(w)
     # the floor from each block's own norm, and repeated once per pair of a round
     block_floor = np.square(tol * _frobenius_norms(b))

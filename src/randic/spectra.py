@@ -9,9 +9,13 @@ at matrix construction.
 A bipartite graph, every subdivision among them, has R = [[0, B], [B^T, 0]]
 once its vertices are ordered by colour class.  ``randic_eigenvalues`` then
 solves only the block B, by the one-sided kernel: R's spectrum is +-sigma(B)
-and zeros.  Any other graph is solved as the full matrix R.  A scan builds
-the blocks of its subdivisions itself, with the bits of ``_biadjacency``,
-and lays out their spectra with ``_bipartite_eigenvalues``.
+and zeros.  Any other graph is solved as the full matrix R.
+``_biadjacency`` takes the degrees, the 2-colouring and B from one pass
+over the edge list into integer adjacency lists, so a single graph reaches
+the kernel without the graph's cached neighbour sets or numpy arrays per
+vertex.  A scan builds the blocks of its subdivisions itself, with the bits
+of ``_biadjacency``, and lays out their spectra with
+``_bipartite_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -25,14 +29,18 @@ from .graphs import Graph
 from .linalg import Spectrum, singular_values, symmetric_eigenvalues
 
 
-def _inverse_sqrt_degrees(g: Graph) -> np.ndarray:
-    if g.n == 0:
+def _require_positive(degrees) -> None:
+    """Reject a graph without vertices, or with a vertex of degree zero
+    (the lowest such vertex is named), given its degrees in vertex order."""
+    if not degrees:
         raise IsolatedVertexError("graph has no vertices")
-    deg = np.array(g.degrees, dtype=np.float64)
-    if np.any(deg == 0):
-        bad = int(np.argmin(deg))
-        raise IsolatedVertexError(f"vertex {bad} has degree zero")
-    return 1.0 / np.sqrt(deg)
+    if 0 in degrees:
+        raise IsolatedVertexError(f"vertex {degrees.index(0)} has degree zero")
+
+
+def _inverse_sqrt_degrees(g: Graph) -> np.ndarray:
+    _require_positive(g.degrees)
+    return 1.0 / np.sqrt(np.array(g.degrees, dtype=np.float64))
 
 
 def randic_matrix(g: Graph) -> np.ndarray:
@@ -50,26 +58,29 @@ def normalized_signless_laplacian(g: Graph) -> np.ndarray:
     return np.eye(g.n) + randic_matrix(g)
 
 
-def _row_side(g: Graph) -> list[bool] | None:
-    """Whether each vertex is a row of B, from a BFS 2-colouring, one
-    component at a time: the rows are each component's smaller colour class
-    (on a tie, the class of its lowest vertex).  None when g has an odd
-    cycle."""
-    colour = [-1] * g.n
-    rows = [False] * g.n
-    for root in range(g.n):
+def _row_side(adjacent: list[list[int]]) -> list[bool] | None:
+    """Whether each vertex is a row of B, from a breadth-first 2-colouring
+    of the adjacency lists ``adjacent``, one component at a time: the rows
+    are each component's smaller colour class (on a tie, the class of its
+    lowest vertex).  None when the graph has an odd cycle."""
+    colour = [-1] * len(adjacent)
+    rows = [False] * len(adjacent)
+    for root in range(len(adjacent)):
         if colour[root] >= 0:
             continue
         colour[root] = 0
         component = [root]
+        ones = 0
         for u in component:  # grows as the search reaches new vertices
-            for v in g.neighbors(u):
+            other = 1 - colour[u]
+            for v in adjacent[u]:
                 if colour[v] < 0:
-                    colour[v] = 1 - colour[u]
+                    colour[v] = other
+                    ones += other
                     component.append(v)
-                elif colour[v] == colour[u]:
+                elif colour[v] != other:
                     return None
-        side = int(2 * sum(colour[v] for v in component) < len(component))
+        side = int(2 * ones < len(component))
         for v in component:
             rows[v] = colour[v] == side
     return rows
@@ -77,21 +88,38 @@ def _row_side(g: Graph) -> list[bool] | None:
 
 def _biadjacency(g: Graph) -> np.ndarray | None:
     """The block B of R, rows and columns each in vertex order, or None when
-    g is not bipartite.  Entry (u, v) is ``randic_matrix``'s w[u] * w[v], so
-    the nonzeros of B are those of R bit for bit."""
-    w = _inverse_sqrt_degrees(g)
-    side = _row_side(g)
-    if side is None:
+    g is not bipartite.  Entry (u, v) is ``randic_matrix``'s w[u] * w[v]
+    with w = 1 / sqrt(degree), so the nonzeros of B are those of R bit for
+    bit.
+
+    Built in one pass over the edge list into integer adjacency lists, whose
+    lengths are the degrees and which ``_row_side`` 2-colours; each edge then
+    writes its entry into B at the flat index of its (row, column) pair.
+    Rejects an isolated vertex, or a graph without vertices, as
+    ``randic_matrix`` does."""
+    adjacent: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    degrees = list(map(len, adjacent))
+    _require_positive(degrees)
+    rows = _row_side(adjacent)
+    if rows is None:
         return None
-    rows = np.array(side)
-    k = int(np.count_nonzero(rows))
-    position = np.empty(g.n, dtype=np.intp)
-    position[rows] = np.arange(k)
-    position[~rows] = np.arange(g.n - k)
-    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    flip = ~rows[u]
-    b = np.zeros((k, g.n - k))
-    b[position[np.where(flip, v, u)], position[np.where(flip, u, v)]] = w[u] * w[v]
+    # each vertex's index among the rows, or among the columns
+    position = []
+    k = 0
+    for is_row in rows:
+        position.append(k if is_row else len(position) - k)
+        k += is_row
+    width = g.n - k
+    w = [1.0 / math.sqrt(d) for d in degrees]
+    index = [
+        position[u] * width + position[v] if rows[u] else position[v] * width + position[u]
+        for u, v in g.edges
+    ]
+    b = np.zeros((k, width))
+    b.ravel()[index] = [w[u] * w[v] for u, v in g.edges]
     return b
 
 
@@ -124,7 +152,13 @@ def randic_spectrum(g: Graph) -> Spectrum:
 
 
 def energy_of(values) -> float:
-    """Sum of absolute values, accumulated with compensated summation."""
+    """Sum of absolute values, accumulated with compensated summation.
+
+    A 1-D array is summed over its ``tolist()`` floats, which ``abs`` takes
+    faster than numpy scalars; ``math.fsum`` is correctly rounded, so the
+    bits do not depend on the input's type."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     return math.fsum(map(abs, values))
 
 
@@ -139,8 +173,8 @@ def randic_index(g: Graph) -> float:
 
     Rejects an isolated vertex, or a graph without vertices, as
     ``randic_matrix`` does."""
-    _inverse_sqrt_degrees(g)
     deg = g.degrees
+    _require_positive(deg)
     return math.fsum(1.0 / math.sqrt(deg[u] * deg[v]) for u, v in g.edges)
 
 

@@ -401,6 +401,23 @@ class TestInputResolution:
         assert code == 2
         assert "edge list" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "energy", "verify"])
+    def test_several_graph6_lines_exit_two(self, capsys, monkeypatch, tmp_path, command):
+        # they used to sniff as an edge list and fail on a non-integer token
+        path = tmp_path / "two.g6"
+        path.write_text("Dhc\nDhc\n")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: expected one graph, found 2 graph6 lines\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<<Dhc\nBw\nC~\n"))
+        code, _, err = run(capsys, command, "-")
+        assert code == 2
+        assert err == "error: expected one graph, found 3 graph6 lines\n"
+        # forcing the format keeps the format's own message
+        code, _, err = run(capsys, command, str(path), "--format", "edges")
+        assert code == 2
+        assert "non-integer token in edge list" in err
+
     def test_edge_list_literal(self, capsys):
         code, out, _ = run(capsys, "energy", "3 0 1 1 2 0 2")
         assert code == 0

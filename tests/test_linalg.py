@@ -47,6 +47,7 @@ from randic.linalg import (
     _off_norm,
     _frobenius_norms,
     _off_norms,
+    _one_sided_rounds,
     _prepared,
     _round_robin_schedule,
     product_over_root_rows,
@@ -201,6 +202,22 @@ class TestEigensolver:
             assert not x.flags.writeable
             with pytest.raises(ValueError):
                 x[0, 0] = 0
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 6, T_LO + 1])
+    def test_one_sided_rounds_are_cached_read_only(self, k):
+        lefts, rights = _one_sided_rounds(k)
+        again = _one_sided_rounds(k)
+        assert again[0] is lefts and again[1] is rights
+        # one row per round: the schedule's (p; q; p) and (p; q; q)
+        ps, qs = _round_robin_schedule(k)
+        assert same_bits(lefts, np.hstack((ps, qs, ps)))
+        assert same_bits(rights, np.hstack((ps, qs, qs)))
+        for x in (lefts, rights):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0, 0] = 0
+        # bounded like the schedule's own cache, one entry per block height
+        assert _one_sided_rounds.cache_info().maxsize == _round_robin_schedule.cache_info().maxsize == 64
 
     def test_round_robin_keeps_symmetry(self):
         a = random_symmetric(np.random.default_rng(9), T_LO + 1)

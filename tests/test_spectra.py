@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from randic.graphs import Graph, enumerate_connected_graphs, generate, is_connec
 from randic.linalg import symmetric_eigenvalues
 from randic.spectra import (
     _biadjacency,
+    _row_side,
     energy_of,
     normalized_laplacian,
     normalized_signless_laplacian,
@@ -332,3 +334,141 @@ class TestFamilyClosedForms:
             errors[n] = float(np.max(np.abs(values - want)))
         assert max(orders) == 62
         assert {n: e for n, e in errors.items() if not e < FAMILY_ORACLE_TOL} == {}
+
+
+# ---------------------------------------------------------------------------
+# Frozen references for the single-graph front end: the breadth-first
+# 2-colouring over the graph's neighbour sets, the block built from it with
+# numpy, ``subdivision`` through ``Graph.from_edges``, and ``energy_of`` over
+# numpy scalars.  Kept as the tests' references, as ``reference_jacobi`` is:
+# the edge-list forms must give their bits, Nones and errors exactly.
+# ---------------------------------------------------------------------------
+
+
+def reference_row_side(g: Graph) -> list[bool] | None:
+    colour = [-1] * g.n
+    rows = [False] * g.n
+    for root in range(g.n):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        component = [root]
+        for u in component:
+            for v in g.neighbors(u):
+                if colour[v] < 0:
+                    colour[v] = 1 - colour[u]
+                    component.append(v)
+                elif colour[v] == colour[u]:
+                    return None
+        side = int(2 * sum(colour[v] for v in component) < len(component))
+        for v in component:
+            rows[v] = colour[v] == side
+    return rows
+
+
+def reference_biadjacency(g: Graph) -> np.ndarray | None:
+    if g.n == 0:
+        raise IsolatedVertexError("graph has no vertices")
+    deg = np.array(g.degrees, dtype=np.float64)
+    if np.any(deg == 0):
+        bad = int(np.argmin(deg))
+        raise IsolatedVertexError(f"vertex {bad} has degree zero")
+    w = 1.0 / np.sqrt(deg)
+    side = reference_row_side(g)
+    if side is None:
+        return None
+    rows = np.array(side)
+    k = int(np.count_nonzero(rows))
+    position = np.empty(g.n, dtype=np.intp)
+    position[rows] = np.arange(k)
+    position[~rows] = np.arange(g.n - k)
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    flip = ~rows[u]
+    b = np.zeros((k, g.n - k))
+    b[position[np.where(flip, v, u)], position[np.where(flip, u, v)]] = w[u] * w[v]
+    return b
+
+
+def reference_subdivision(g: Graph) -> Graph:
+    edges = []
+    for i, (u, v) in enumerate(g.edges):
+        w = g.n + i
+        edges.append((u, w))
+        edges.append((v, w))
+    return Graph.from_edges(g.n + g.m, edges)
+
+
+def reference_energy_of(values: np.ndarray) -> float:
+    return math.fsum(map(abs, values))
+
+
+def front_end_roster():
+    """Every labelled graph of orders 0-5 (isolated vertices, disconnected
+    graphs, odd cycles in a later component, components whose colour
+    classes tie), random graphs of orders 6-14, and the path, star, cycle
+    and complete graphs of orders 2-62."""
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, tuple(p for k, p in enumerate(pairs) if mask >> k & 1))
+    rng = random.Random(22)
+    for n in range(6, 15):
+        for density in (0.1, 0.2, 0.35, 0.6):
+            for _ in range(6):
+                pairs = itertools.combinations(range(n), 2)
+                yield Graph.from_edges(n, [p for p in pairs if rng.random() < density])
+    for kind in ("path", "star", "cycle", "complete"):
+        for n in range(3 if kind == "cycle" else 2, 63):
+            yield generate(kind, n)
+
+
+def block_outcome(build, g: Graph):
+    """The block's shape and bytes, None, or the error's type and message."""
+    try:
+        b = build(g)
+    except IsolatedVertexError as exc:
+        return type(exc), str(exc)
+    return None if b is None else (b.shape, b.dtype, b.tobytes())
+
+
+class TestFrozenFrontEnd:
+    def test_roster_covers_the_edge_cases(self):
+        outcomes = {
+            name: block_outcome(_biadjacency, g)
+            for name, g in {
+                "no vertices": Graph(0, ()),
+                "isolated": Graph(3, ((0, 1),)),
+                "odd cycle later": Graph(5, ((0, 1), (2, 3), (2, 4), (3, 4))),
+                "classes tie": Graph(4, ((0, 1), (2, 3))),
+            }.items()
+        }
+        assert outcomes["no vertices"] == (IsolatedVertexError, "graph has no vertices")
+        assert outcomes["isolated"] == (IsolatedVertexError, "vertex 2 has degree zero")
+        assert outcomes["odd cycle later"] is None
+        assert outcomes["classes tie"][0] == (2, 2)
+        # all of these are among the labelled graphs of orders 0-5
+        assert sum(1 for _ in front_end_roster()) == 1 + 1 + 2 + 8 + 64 + 1024 + 9 * 24 + 61 * 3 + 60
+
+    def test_graphs_and_subdivisions_match_the_references(self):
+        for g in front_end_roster():
+            s = subdivision(g)
+            want = reference_subdivision(g)
+            assert s == want and all(type(e) is tuple for e in s.edges), g
+            for h in (g, s):
+                assert block_outcome(_biadjacency, h) == block_outcome(reference_biadjacency, h), h
+                want_rows = reference_row_side(h)
+                for order in (sorted, lambda vs: sorted(vs, reverse=True)):
+                    assert _row_side([order(h.neighbors(v)) for v in range(h.n)]) == want_rows, h
+
+    def test_energy_of_matches_the_reference(self):
+        rng = np.random.default_rng(22)
+        arrays = [
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 290, n) for n in range(0, 200, 7)
+        ]
+        arrays.append(np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e307, 1.0, -1e-16]))
+        arrays += [randic_eigenvalues(subdivision(generate("star", n))) for n in (3, 17, 50)]
+        for values in arrays:
+            got = energy_of(values)
+            assert type(got) is float
+            assert got.hex() == reference_energy_of(values).hex()
+            assert energy_of(values.tolist()).hex() == got.hex()

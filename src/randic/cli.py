@@ -130,18 +130,19 @@ def _generate_from_token(token: str) -> Graph:
 
 
 def _parse_text(text: str, fmt_name: str) -> Graph:
-    if fmt_name == "graph6":
-        return parse_graph6(text)
     if fmt_name == "edges":
         return parse_edge_list(text)
-    # auto: several graph6 tokens are several graphs, where one is expected;
-    # other tokens, several of them or one purely numeric, are an edge list;
-    # one other token reads as graph6
+    # graph6 or auto: several graph6 tokens are several graphs, where one is
+    # expected
     tokens = text.split()
-    if not tokens:
-        raise GraphFormatError("empty graph input")
     if len(tokens) > 1 and all(map(_graph6_like, tokens)):
         raise GraphFormatError(f"expected one graph, found {len(tokens)} graph6 lines")
+    if fmt_name == "graph6":
+        return parse_graph6(text)
+    # auto: other tokens, several of them or one purely numeric, are an edge
+    # list; one other token reads as graph6
+    if not tokens:
+        raise GraphFormatError("empty graph input")
     if len(tokens) > 1 or tokens[0].isdigit():
         return parse_edge_list(text)
     return parse_graph6(text)

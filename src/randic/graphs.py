@@ -11,6 +11,7 @@ pair k of the lexicographic ``vertex_pairs(n)``.  ``_connected_masks`` tests
 masks for connectivity a block at a time with integer array operations and
 yields the connected ones as ints, in increasing order, so a scan works on
 masks and their bits and builds a ``Graph`` only for a graph it prints.
+``_row_sides`` 2-colours such masks the same way, on per-vertex bitsets.
 """
 
 from __future__ import annotations
@@ -314,6 +315,17 @@ def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
 _MASK_BLOCK = 1 << 15
 
 
+def _adjacency_bitsets(n: int, masks: np.ndarray) -> list[np.ndarray]:
+    """Each vertex's neighbourhood in the graph of each edge mask, as one
+    int64 bitset array per vertex, gathered from the mask bits."""
+    adjacent = [np.zeros_like(masks) for _ in range(n)]
+    for k, (u, v) in enumerate(vertex_pairs(n)):
+        bit = (masks >> k) & 1
+        adjacent[u] |= bit << v
+        adjacent[v] |= bit << u
+    return adjacent
+
+
 def _connected_masks(n: int, start: int, stop: int) -> Iterator[int]:
     """Yield, in increasing order and one int per graph, each edge mask in
     [start, stop) whose graph on n vertices is connected.
@@ -323,21 +335,50 @@ def _connected_masks(n: int, start: int, stop: int) -> Iterator[int]:
     set reached from vertex 0 grows by every neighbourhood of a reached
     vertex, n - 1 times, which reaches every vertex of its component.  For
     n >= 2 connectivity also rules out isolated vertices."""
-    pairs = vertex_pairs(n)
     everyone = (1 << n) - 1
     for lo in range(start, stop, _MASK_BLOCK):
         masks = np.arange(lo, min(lo + _MASK_BLOCK, stop), dtype=np.int64)
-        adjacent = [np.zeros_like(masks) for _ in range(n)]
-        for k, (u, v) in enumerate(pairs):
-            bit = (masks >> k) & 1
-            adjacent[u] |= bit << v
-            adjacent[v] |= bit << u
+        adjacent = _adjacency_bitsets(n, masks)
         reached = np.ones_like(masks)
         for _ in range(n - 1):
             for v in range(n):
                 # all ones where v is reached, else zero
                 reached |= adjacent[v] & -((reached >> v) & 1)
         yield from masks[reached == everyone].tolist()
+
+
+def _row_sides(n: int, masks: np.ndarray) -> np.ndarray:
+    """For the connected graph on n >= 2 vertices of each edge mask, the
+    bitset of the vertices that are rows of its biadjacency block, or 0
+    when the graph has an odd cycle: the rule of ``spectra._row_side``,
+    the smaller colour class, or on a tie the class of vertex 0.
+
+    Integer array operations only, as ``_connected_masks``: a breadth-first
+    search from vertex 0 grows its frontier by every neighbourhood of a
+    frontier vertex, n - 1 times, and the colour classes are the vertices
+    at even and at odd distance.  The graph is bipartite exactly when no
+    vertex has a neighbour in its own class."""
+    adjacent = _adjacency_bitsets(n, masks)
+    reached = frontier = even = np.ones_like(masks)
+    odd = np.zeros_like(masks)
+    for step in range(1, n):
+        grown = np.zeros_like(masks)
+        for v in range(n):
+            # v's neighbourhood where v is on the frontier, else nothing
+            grown |= adjacent[v] & -((frontier >> v) & 1)
+        frontier = grown & ~reached
+        reached = reached | frontier
+        if step % 2:
+            odd = odd | frontier
+        else:
+            even = even | frontier
+    clash = np.zeros_like(masks)
+    for v in range(n):
+        clash |= adjacent[v] & np.where((even >> v) & 1, even, odd)
+    # 2 * |odd| < n: the odd class is the smaller one
+    rows = np.where(np.bitwise_count(odd) < (n + 1) // 2, odd, even)
+    rows[clash != 0] = 0
+    return rows
 
 
 def _mask_edges(n: int, mask: int) -> tuple[tuple[int, int], ...]:

@@ -48,9 +48,13 @@ single-check functions check their preconditions and take one path,
 each, runs the same pass on a stack of one, so k is decided in
 ``_check_stack`` on every path, and builds the ``VerificationReport`` and
 ``Classification`` objects, with their detail text, from row 0 of the
-arrays.  R(S) is bipartite, and every path solves it one-sided, on its
-biadjacency block: ``_verify`` through ``randic_eigenvalues``, a scan on
-the stack of its group's blocks, with the same bits.
+arrays.  Every path gives a graph the spectrum of ``randic_eigenvalues``:
+a bipartite R(G), and every R(S), is solved one-sided on its biadjacency
+block, and any other R(G) two-sided.  ``_verify`` routes R(G) as
+``randic_eigenvalues`` does and solves R(S) through it; a scan 2-colours
+its masks with bitset operations and solves one stack of blocks per row
+count for R(G), and one per edge-count group for R(S), with the same
+bits.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .graphs import (
     _mask_bits,
     _mask_edges,
     _pair_ends,
+    _row_sides,
     edge_mask_count,
     encode_graph6,
     is_connected,
@@ -83,6 +88,7 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .spectra import (
+    _biadjacency,
     _bipartite_eigenvalues,
     _inverse_sqrt_degrees,
     energy_of,
@@ -505,7 +511,7 @@ def _classification_checked(
     complete = m == n * (n - 1) // 2
     regular = degrees.min(axis=1) == degrees.max(axis=1)
     even = np.flatnonzero(regular)
-    srg = dict(zip(even.tolist(), _strongly_regular(a[even])))
+    srg = dict(zip(even.tolist(), _strongly_regular(a[even]))) if even.size else {}
     strongly = np.zeros(len(m), dtype=bool)
     strongly[[i for i, params in srg.items() if params is not None]] = True
     consistent = ((k == 2) == complete) & ((regular & (k == 3)) == strongly)
@@ -774,10 +780,17 @@ def _verify(
     check order, from R(G) solved once and, only for a subdivision check,
     R(S(G)) or R of the claimed ``subdivided`` graph solved once by
     ``randic_eigenvalues``: ``_check_stack`` on the stack of one decides k
-    and which checks apply.  Returns the reports and k, or None when no
-    requested check reads k.  Preconditions are the caller's."""
+    and which checks apply.  R(G) is solved as ``randic_eigenvalues``
+    solves it, a bipartite g on its block by ``singular_values`` and any
+    other g two-sided, and built once, for the checks.  Returns the reports
+    and k, or None when no requested check reads k.  Preconditions are the
+    caller's."""
+    block = _biadjacency(g)
     r = randic_matrix(g)
-    rho = symmetric_eigenvalues(r)
+    if block is None:
+        rho = symmetric_eigenvalues(r)
+    else:
+        rho = _bipartite_eigenvalues(singular_values(block), g.n)
     rho_s = None
     if any(name in SUBDIVISION_CHECKS for name in checks):
         rho_s = randic_eigenvalues(subdivision(g) if subdivided is None else subdivided)[None]
@@ -834,15 +847,25 @@ def _scan_one(
 
 def _chunk_matrices(
     order: int, masks: np.ndarray, subdivided: bool
-) -> tuple[np.ndarray, list[tuple[slice, np.ndarray | None]]]:
-    """R(G) of a chunk of connected graphs of one order, and the blocks B of
-    their subdivisions, built as stacks straight from the bits of their
-    edge masks (int64, over ``graphs.vertex_pairs(order)``); the chunk must be
-    ordered by edge count.
+) -> tuple[
+    np.ndarray,
+    list[tuple[np.ndarray, np.ndarray]],
+    list[tuple[slice, np.ndarray | None]],
+]:
+    """R(G) of a chunk of connected graphs of one order, the blocks of the
+    bipartite ones, and the blocks B of their subdivisions, built as stacks
+    straight from the bits of their edge masks (int64, over
+    ``graphs.vertex_pairs(order)``); the chunk must be ordered by edge count.
 
-    Returns R(G) as one (B, n, n) stack and, one per edge count m, the
-    slice of the chunk that holds its graphs with, when ``subdivided``,
-    their stack of blocks B of R(S(G)), else None.  S(G) is bipartite, its
+    Returns R(G) as one (B, n, n) stack; one per row count k, ascending,
+    the chunk indices of the bipartite graphs whose block of R(G) has k
+    rows, with their (B_k, k, n - k) stack of blocks; and, one per edge
+    count m, the slice of the chunk that holds its graphs with, when
+    ``subdivided``, their stack of blocks B of R(S(G)), else None.  The rows
+    of a block of R(G) are those ``graphs._row_sides`` picks, the rule of
+    ``spectra._biadjacency``, and its rows and columns are each in vertex
+    order; entry (u, v) is the product w_u * w_v of R(G)'s edge (u, v).
+    S(G) is bipartite, its
     vertices on one side and its edge vertices on the other, so R(S) is
     [[0, B], [B^T, 0]] with B of shape (n, m): row i is vertex i, column k
     the vertex on edge k in sorted edge order, numbered n + k by
@@ -851,8 +874,8 @@ def _chunk_matrices(
     Every entry of R(G) is ``randic_matrix``'s (w_i * a_ij) * w_j with
     w = 1 / sqrt(degree), which on an edge is w_i * w_j and elsewhere +0.0,
     and every nonzero of B is w_i * (1 / sqrt(2)), so each matrix has the
-    bits of its own build: R(G) those of ``randic_matrix(g)`` and B those of
-    ``_biadjacency(subdivision(g))``.
+    bits of its own build: R(G) those of ``randic_matrix(g)``, its block
+    those of ``_biadjacency(g)`` and B those of ``_biadjacency(subdivision(g))``.
     """
     b, n = len(masks), order
     bits = _mask_bits(n, masks)
@@ -867,7 +890,9 @@ def _chunk_matrices(
     r = np.zeros((b, n, n))
     flat = r.reshape(b * n, n)
     # w_i * w_j == w_j * w_i exactly, so one product serves both triangles
-    flat[u, high] = flat[v, low] = wu * wv
+    products = wu * wv
+    flat[u, high] = flat[v, low] = products
+    blocks = _graph_blocks(n, masks, owner, low, high, products)
     # sorted by edge count, each group's graphs, and their edges, are one
     # slice of the chunk
     bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), b]
@@ -886,7 +911,47 @@ def _chunk_matrices(
         for end, w_end in ((low[edges], wu[edges]), (high[edges], wv[edges])):
             block[(graph, edge, end) if m < n else (graph, end, edge)] = w_end * half
         groups.append((slice(lo, hi), block))
-    return r, groups
+    return r, blocks, groups
+
+
+def _graph_blocks(
+    n: int,
+    masks: np.ndarray,
+    owner: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    products: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_chunk_matrices``' blocks of R(G), one stack per row count k, for
+    the graphs of ``masks`` on n vertices whose edges, graph after graph,
+    join ``low`` to ``high`` in graph ``owner`` with the entry ``products``.
+
+    A vertex's index among its block's rows, or among its columns, is the
+    number of rows, or of columns, below it, as ``spectra._biadjacency``
+    numbers them."""
+    is_row = (_row_sides(n, masks)[:, None] >> np.arange(n)) & 1
+    below = np.cumsum(is_row, axis=1) - is_row
+    position = np.where(is_row == 1, below, np.arange(n) - below)
+    k = is_row.sum(axis=1)  # 0 for a graph with an odd cycle
+    low_is_row = is_row[owner, low] == 1
+    row_end = np.where(low_is_row, low, high)
+    column_end = np.where(low_is_row, high, low)
+    local = np.empty(len(masks), dtype=np.intp)
+    blocks = []
+    # the row counts present, ascending, without np.unique (see
+    # _local_residuals)
+    for size in (np.flatnonzero(np.bincount(k)[1:]) + 1).tolist():
+        in_group = k == size
+        members = np.flatnonzero(in_group)
+        local[members] = np.arange(len(members))
+        edges = np.flatnonzero(in_group[owner])
+        graph = owner[edges]
+        block = np.zeros((len(members), size, n - size))
+        block[
+            local[graph], position[graph, row_end[edges]], position[graph, column_end[edges]]
+        ] = products[edges]
+        blocks.append((members, block))
+    return blocks
 
 
 def _scan_spectra(
@@ -895,8 +960,11 @@ def _scan_spectra(
     """Matrices and spectra of a chunk of connected graphs of one order,
     given by their edge masks, with the graphs sorted by edge count.
 
-    The chunk's matrices are built as stacks by ``_chunk_matrices``.  R(G)
-    is solved as one stack by the two-sided ``symmetric_eigenvalues``.  Each
+    The chunk's matrices are built as stacks by ``_chunk_matrices``.  The
+    blocks of the bipartite R(G) are solved by ``singular_values``, one
+    stack per row count, and laid out by ``_bipartite_eigenvalues``; the
+    other R(G) are solved as one stack by the two-sided
+    ``symmetric_eigenvalues``: the bits of ``randic_eigenvalues(g)``.  Each
     edge-count group's blocks B of R(S) form one stack of equal shape,
     solved, when ``subdivided``, by ``singular_values`` in one call of the
     one-sided kernel, the kernel that solves a single B as a stack of one;
@@ -910,8 +978,14 @@ def _scan_spectra(
     """
     m = _mask_bits(order, masks).sum(axis=1)
     perm = np.argsort(m, kind="stable")
-    r, groups = _chunk_matrices(order, masks[perm], subdivided)
-    rho = symmetric_eigenvalues(r)
+    r, blocks, groups = _chunk_matrices(order, masks[perm], subdivided)
+    rho = np.empty(r.shape[:2])
+    two_sided = np.ones(len(r), dtype=bool)
+    for rows, block in blocks:
+        rho[rows] = _bipartite_eigenvalues(singular_values(block), order)
+        two_sided[rows] = False
+    if two_sided.any():
+        rho[two_sided] = symmetric_eigenvalues(r[two_sided])
     spectra = [
         (rows, None if block is None else _bipartite_eigenvalues(
             singular_values(block), sum(block.shape[1:])

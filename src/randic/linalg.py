@@ -34,14 +34,16 @@ visits k(k - 1)/2 row pairs of length w instead of the (k + w)(k + w - 1)/2
 pairs of R, most of which are zero by construction.
 ``spectra.randic_eigenvalues`` (under ``randic_energy``, ``randic_spectrum``,
 ``verify``'s subdivisions and the ``energy`` and ``spectrum`` commands) does
-this for one graph, and the scans for every subdivision, one stack per edge
-count.  Both round-robin kernels take each round's rotations from
-``_rotation`` and rotate a pair's rows in halves, c x_p - s x_q and
-c x_q + s x_p; the one-sided kernel takes alpha, beta and gamma of a round
-from one ``einsum`` over the gathered rows (p; q; p) and (p; q; q).  A
-single block takes those row indices from ``_one_sided_rounds``, cached
-read-only per k beside ``_round_robin_schedule``, and a stack adds each
-block's row offset to them.  The kernel stops after a sweep that rotates
+this for one graph, as ``verify`` does for a bipartite R(G), and the scans
+for every bipartite R(G), one stack per row count, and every subdivision,
+one stack per edge count.  Both round-robin kernels take each round's
+rotations from ``_rotation`` and rotate a pair's rows in halves,
+c x_p - s x_q and c x_q + s x_p; the one-sided kernel takes alpha, beta and
+gamma of a round from one ``einsum`` over the gathered rows (p; q; p) and
+(p; q; q).  A single block takes those row indices from
+``_one_sided_rounds``, cached read-only per k beside
+``_round_robin_schedule``, and a stack adds each block's row offset to
+them.  The kernel stops after a sweep that rotates
 nothing, and after a sweep in which some round rotated nothing it checks
 the whole next sweep from one Gram ``einsum`` of the stack, whose entries
 have the bits of the rounds' own products: the final idle sweep then costs
@@ -499,9 +501,10 @@ def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
     arithmetic.  Either way a matrix gets the same eigenvalue bits in a
     stack as alone.  Raises ConvergenceError after ``DEFAULT_MAX_SWEEPS``.
 
-    The scans solve only R(G) here; the subdivisions' R(S) are bipartite,
-    and each edge-count group's blocks B go to ``singular_values`` as one
-    stack, solved by a single call of the one-sided kernel.
+    The scans solve only the R(G) with an odd cycle here; the bipartite
+    R(G) and the subdivisions' R(S) go to ``singular_values`` on their
+    blocks B, one stack per row count or edge-count group, each solved by a
+    single call of the one-sided kernel.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:

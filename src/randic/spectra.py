@@ -13,9 +13,10 @@ and zeros.  Any other graph is solved as the full matrix R.
 ``_biadjacency`` takes the degrees, the 2-colouring and B from one pass
 over the edge list into integer adjacency lists, so a single graph reaches
 the kernel without the graph's cached neighbour sets or numpy arrays per
-vertex.  A scan builds the blocks of its subdivisions itself, with the bits
-of ``_biadjacency``, and lays out their spectra with
-``_bipartite_eigenvalues``.
+vertex.  ``verify`` routes R(G) the same way.  A scan builds the blocks of
+its bipartite graphs and of its subdivisions itself, with the bits of
+``_biadjacency``, and lays out their spectra with
+``_bipartite_eigenvalues``; so every command gives a graph one R spectrum.
 """
 
 from __future__ import annotations

@@ -116,16 +116,17 @@ class TestVerifyCommand:
         assert code == 5
         assert "three distinct" in err
 
-    # the orders of the solved matrices, in solve order: R(G) is solved
-    # two-sided and counts as its order n, R(S(G)) one-sided on its
-    # biadjacency block B and counts as B's shape (the smaller colour class
-    # as rows); I - R and I + R are never solved, their spectra are read off
-    # R's
+    # the orders of the solved matrices, in solve order: a matrix solved
+    # two-sided counts as its order n, and one solved one-sided on its
+    # biadjacency block B counts as B's shape (the smaller colour class as
+    # rows); R(G) takes the one-sided path when G is bipartite, as P10 is,
+    # and R(S(G)) always; I - R and I + R are never solved, their spectra
+    # are read off R's
     @pytest.mark.parametrize(
         "argv,orders",
         [
             (("verify", "gen:petersen"), [10, (10, 15)]),
-            (("verify", "gen:path:10"), [10, (9, 10)]),
+            (("verify", "gen:path:10"), [(5, 5), (9, 10)]),
             (("verify", "gen:petersen", "--check", "energy"), [10, (10, 15)]),
             (("verify", "gen:petersen", "--check", "identity"), [10]),
             (("spectrum", "gen:petersen", "--matrix", "all"), [10]),
@@ -154,6 +155,7 @@ class TestVerifyCommand:
             return solve_block(b, *args, **kwargs)
 
         monkeypatch.setattr(identities_module, "symmetric_eigenvalues", counting)
+        monkeypatch.setattr(identities_module, "singular_values", counting_block)
         # spectrum solves through randic_eigenvalues, which sends Petersen,
         # not bipartite, to the full matrix, and verify sends S(G), always
         # bipartite, to its block
@@ -417,6 +419,27 @@ class TestInputResolution:
         code, _, err = run(capsys, command, str(path), "--format", "edges")
         assert code == 2
         assert "non-integer token in edge list" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "energy", "verify"])
+    def test_several_graph6_lines_under_forced_graph6_exit_two(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # they used to fail on the newline between them, as a character
+        # outside the graph6 range
+        path = tmp_path / "two.g6"
+        path.write_text("Dhc\nDhc\n")
+        code, out, err = run(capsys, command, str(path), "--format", "graph6")
+        assert (code, out) == (2, "")
+        assert err == "error: expected one graph, found 2 graph6 lines\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\nDhc\n"))
+        code, out, err = run(capsys, command, "-", "--format", "graph6")
+        assert (code, out) == (2, "")
+        assert err == "error: expected one graph, found 2 graph6 lines\n"
+        # one graph, with its header and a trailing newline, still reads
+        path.write_text(">>graph6<<Dhc\n")
+        code, out, _ = run(capsys, command, str(path), "--format", "graph6")
+        assert code == 0
+        assert "graph6 Dhc" in out
 
     def test_edge_list_literal(self, capsys):
         code, out, _ = run(capsys, "energy", "3 0 1 1 2 0 2")

@@ -42,6 +42,7 @@ from randic.identities import (
     _row,
     _scan_spectra,
     _scan_one,
+    _verify,
     classify_distinct_count,
     is_strongly_regular,
     local_condition_residuals,
@@ -272,6 +273,25 @@ class TestVerifyAll:
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             verify_all(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("kind", ["path", "star", "cycle"])
+    def test_checks_read_the_spectrum_of_randic_eigenvalues(self, monkeypatch, kind):
+        # verify gives R(G) the one spectrum every command gives it: a
+        # bipartite graph (every path and star, the even cycles) solved on
+        # its block, an odd cycle two-sided; the checks read its bits
+        handed = []
+        check_stack = randic.identities._check_stack
+
+        def recording(n, m, checks, r, rho, rho_s):
+            handed.append(rho)
+            return check_stack(n, m, checks, r, rho, rho_s)
+
+        monkeypatch.setattr(randic.identities, "_check_stack", recording)
+        for n in range(3 if kind == "cycle" else 2, 63):
+            g = generate(kind, n)
+            _verify(g, ("classification",))
+            (rho,) = handed.pop()
+            assert rho.tobytes() == randic_eigenvalues(g).tobytes(), n
 
     @pytest.mark.parametrize(
         "order,step",
@@ -612,9 +632,14 @@ class TestStackedStructure:
     @staticmethod
     def three_valued(graphs):
         """The graphs with exactly three distinct R-eigenvalues, with their
-        rho_2 and rho_3, as the checks read them."""
+        rho_2 and rho_3, as the checks read them: a bipartite graph's
+        spectrum solved on its block."""
         r = np.array([randic_matrix(g) for g in graphs])
-        k, distinct, _ = cluster_rows(symmetric_eigenvalues(r))
+        rho = symmetric_eigenvalues(r)
+        for i, g in enumerate(graphs):
+            if _biadjacency(g) is not None:
+                rho[i] = randic_eigenvalues(g)
+        k, distinct, _ = cluster_rows(rho)
         rows = np.flatnonzero(k == 3)
         return [graphs[i] for i in rows.tolist()], r[rows], distinct[rows, 1], distinct[rows, 2]
 
@@ -888,14 +913,14 @@ def sorted_masks(order: int) -> np.ndarray:
 
 def per_graph_reference(order: int):
     """Scan outcome with each graph's spectra solved alone, merged in
-    enumeration order: R(G) by symmetric_eigenvalues, and R(S(G)) by
-    randic_eigenvalues, which solves the subdivision's block B one-sided."""
+    enumeration order: R(G) and R(S(G)) by randic_eigenvalues, which solves
+    a bipartite graph's block B one-sided and any other graph two-sided."""
     count = 0
     counterexamples = []
     worst: dict[str, float] = {}
     low = high = None
     for g in enumerate_connected_graphs(order):
-        rho = symmetric_eigenvalues(randic_matrix(g))
+        rho = randic_eigenvalues(g)
         rho_s = randic_eigenvalues(subdivision(g))
         outcomes, energy = _scan_one(g, SCAN_CHECKS, rho, rho_s)
         count += 1
@@ -939,9 +964,22 @@ class TestBatchedScan:
     def test_chunk_matrices_equal_per_graph_builds(self, order):
         masks = sorted_masks(order)
         graphs = [Graph(order, _mask_edges(order, mask)) for mask in masks.tolist()]
-        r, groups = _chunk_matrices(order, masks, True)
+        r, graph_blocks, groups = _chunk_matrices(order, masks, True)
         for g, built in zip(graphs, r):
             assert built.tobytes() == randic_matrix(g).tobytes()
+        # the blocks of R(G) have _biadjacency's bytes, so its rows (the
+        # smaller colour class, vertex 0's on a tie) and its row order;
+        # every bipartite graph has one, in the stack of its row count
+        bipartite = [i for i, g in enumerate(graphs) if _biadjacency(g) is not None]
+        assert sorted(i for rows, _ in graph_blocks for i in rows.tolist()) == bipartite
+        assert [stack.shape[1] for _, stack in graph_blocks] == sorted(
+            {stack.shape[1] for _, stack in graph_blocks}
+        )
+        for rows, stack in graph_blocks:
+            for i, block in zip(rows.tolist(), stack):
+                want = _biadjacency(graphs[i])
+                assert block.shape == want.shape
+                assert block.tobytes() == want.tobytes()
         assert [rows.start for rows, _ in groups] == [
             i for i, g in enumerate(graphs) if i == 0 or g.m != graphs[i - 1].m
         ]
@@ -954,15 +992,21 @@ class TestBatchedScan:
                 want = _biadjacency(subdivision(g))
                 assert block.shape == want.shape
                 assert block.tobytes() == want.tobytes()
-        alone, none = _chunk_matrices(order, masks, False)
+        alone, same, none = _chunk_matrices(order, masks, False)
         assert [rows for rows, _ in none] == [rows for rows, _ in groups]
         assert all(blocks is None for _, blocks in none)
         assert alone.tobytes() == r.tobytes()
+        assert all(
+            a.tobytes() == b.tobytes() and c.tobytes() == d.tobytes()
+            for (a, c), (b, d) in zip(same, graph_blocks, strict=True)
+        )
 
-    @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 37)])
+    @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 37), (6, 7)])
     def test_scan_spectra_equal_randic_eigenvalues(self, order, step):
         # every scanned R and R(S) spectrum has the bits of the graph's own
-        # solve, for every graph of orders 2-5 and every 37th of order 6
+        # solve, for every graph of orders 2-5 and every 37th and every 7th
+        # of order 6: a bipartite R(G) is solved on its block, as
+        # randic_eigenvalues does
         masks = np.array(
             list(_connected_masks(order, 0, edge_mask_count(order)))[::step], dtype=np.int64
         )
@@ -971,7 +1015,7 @@ class TestBatchedScan:
         for rows, rho_s in groups:
             for i, row, row_s in zip(perm[rows].tolist(), rho[rows], rho_s):
                 g = Graph(order, _mask_edges(order, int(masks[i])))
-                assert row.tobytes() == symmetric_eigenvalues(randic_matrix(g)).tobytes()
+                assert row.tobytes() == randic_eigenvalues(g).tobytes()
                 assert row_s.tobytes() == randic_eigenvalues(subdivision(g)).tobytes()
                 seen += 1
         assert seen == len(masks)

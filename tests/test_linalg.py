@@ -323,7 +323,7 @@ class TestOneSidedStack:
     def subdivision_blocks(order: int, step: int = 1):
         # every step-th connected graph of the order, as the scan groups
         # them: one stack of blocks B of R(S(G)) per edge count
-        _, groups = _chunk_matrices(order, sorted_masks(order, step), True)
+        _, _, groups = _chunk_matrices(order, sorted_masks(order, step), True)
         return [block for _, block in groups]
 
     @pytest.mark.parametrize("order,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 31)])
@@ -962,14 +962,17 @@ class TestDispatch:
         assert randic_spectrum(g).values == tuple(want.tolist())
 
     def test_verify_solves_subdivision_one_sided(self, monkeypatch):
-        # R(G) on the two-sided kernel of its order, then S(G), always
-        # bipartite, once on its block B, a stack of one, by the one-sided
-        # kernel
+        # R(G) as randic_eigenvalues solves it: a bipartite G once on its
+        # block, a stack of one, by the one-sided kernel, and Petersen on
+        # the two-sided kernel of its order; then S(G), always bipartite,
+        # once on its block by the one-sided kernel
         graphs = (generate("path", 6), generate("cycle", 8), generate("star", 5), generate("petersen"))
         calls = self.spy(monkeypatch)
         for g in graphs:
             verify_all(g)
-        assert calls[::2] == [("_jacobi_list", (g.n, g.n)) for g in graphs]
+        assert calls[::2] == [
+            ("_jacobi_one_sided", (1, *_biadjacency(g).shape)) for g in graphs[:3]
+        ] + [("_jacobi_list", (10, 10))]
         assert calls[1::2] == [
             ("_jacobi_one_sided", (1, *_biadjacency(subdivision(g)).shape)) for g in graphs
         ]
@@ -989,18 +992,29 @@ class TestDispatch:
         g = generate("path", 4)
         calls = self.spy(monkeypatch)
         assert not verify_subdivision_energy(g, subdivided=impostor).passed
-        assert calls == [("_jacobi_list", (4, 4)), (kernel, shape)]
+        assert calls == [("_jacobi_one_sided", (1, 2, 2)), (kernel, shape)]
 
     @pytest.mark.parametrize("order", [3, 4, 5])
     def test_scan_solves_subdivisions_one_sided(self, monkeypatch, order):
-        # R(G) two-sided, as one stack of the chunk; R(S) only on its blocks
-        # B, by the one-sided kernel, once per edge-count group
+        # the bipartite R(G) on their blocks, one stack per row count, and
+        # the others two-sided, as one stack of the chunk (K3, alone at
+        # order 3, as one matrix); R(S) only on its blocks B, by the
+        # one-sided kernel, once per edge-count group
         masks = sorted_masks(order)
-        _, groups = _chunk_matrices(order, masks, True)
-        one_sided = [("_jacobi_one_sided", block.shape) for _, block in groups]
+        _, blocks, groups = _chunk_matrices(order, masks, True)
+        bipartite = sum(len(rows) for rows, _ in blocks)
+        two_sided = (
+            ("_jacobi_list", (order, order))
+            if len(masks) - bipartite == 1
+            else ("_jacobi_stack", (len(masks) - bipartite, order, order))
+        )
         calls = self.spy(monkeypatch)
         scan_small_graphs(order, rank_energy=True)
-        assert calls == [("_jacobi_stack", (len(masks), order, order))] + one_sided
+        assert calls == (
+            [("_jacobi_one_sided", stack.shape) for _, stack in blocks]
+            + [two_sided]
+            + [("_jacobi_one_sided", block.shape) for _, block in groups]
+        )
 
     def test_one_sided_sweep_cap_raises(self, monkeypatch):
         b = _biadjacency(subdivision(generate("cycle", 36)))
@@ -1349,16 +1363,16 @@ class TestStackedPieces:
         # the norms behind _prepared's targets and the one-sided kernel's
         # zero-row floors come from one batched matmul per stack; each
         # equals np.linalg.norm on its matrix alone, bit for bit, on every
-        # R(G) stack and subdivision block stack of orders 2-6 and of a
-        # 10,000-mask slice of order 7
+        # R(G) stack, block stack of bipartite R(G) and subdivision block
+        # stack of orders 2-6 and of a 10,000-mask slice of order 7
         if order < 7:
             masks = sorted_masks(order)
         else:
             sliced = _connected_masks(7, 1_000_000, 1_010_000)
             masks = np.array(sorted(sliced, key=int.bit_count), dtype=np.int64)
-        r, groups = _chunk_matrices(order, masks, True)
+        r, graph_blocks, groups = _chunk_matrices(order, masks, True)
         assert self.norms_match(r)
-        assert all(self.norms_match(blocks) for _, blocks in groups)
+        assert all(self.norms_match(blocks) for _, blocks in graph_blocks + groups)
         _, target = _prepared(r)
         assert same_bits(target, CONVERGENCE_RTOL * np.maximum(1.0, _frobenius_norms(r)))
 

@@ -11,7 +11,8 @@ pair k of the lexicographic ``vertex_pairs(n)``.  ``_connected_masks`` tests
 masks for connectivity a block at a time with integer array operations and
 yields the connected ones as ints, in increasing order, so a scan works on
 masks and their bits and builds a ``Graph`` only for a graph it prints.
-``_row_sides`` 2-colours such masks the same way, on per-vertex bitsets.
+``_row_sides`` 2-colours such masks the same way, on the per-vertex bitsets
+that ``_adjacency_bitsets`` takes from the masks' bits.
 """
 
 from __future__ import annotations
@@ -315,15 +316,34 @@ def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
 _MASK_BLOCK = 1 << 15
 
 
-def _adjacency_bitsets(n: int, masks: np.ndarray) -> list[np.ndarray]:
-    """Each vertex's neighbourhood in the graph of each edge mask, as one
-    int64 bitset array per vertex, gathered from the mask bits."""
-    adjacent = [np.zeros_like(masks) for _ in range(n)]
-    for k, (u, v) in enumerate(vertex_pairs(n)):
-        bit = (masks >> k) & 1
-        adjacent[u] |= bit << v
-        adjacent[v] |= bit << u
-    return adjacent
+@lru_cache(maxsize=64)
+def _pair_bits(n: int) -> np.ndarray:
+    """(n, n(n - 1)/2) floats: entry (v, k) is 2^u when pair k of
+    ``vertex_pairs(n)`` joins v and u, else 0; cached per n, so read-only."""
+    weights = np.zeros((n, n * (n - 1) // 2))
+    low, high = _pair_ends(n)
+    pairs = np.arange(len(low))
+    weights[low, pairs] = np.ldexp(1.0, high)
+    weights[high, pairs] = np.ldexp(1.0, low)
+    weights.setflags(write=False)
+    return weights
+
+
+def _adjacency_bitsets(n: int, bits: np.ndarray) -> np.ndarray:
+    """Each vertex's neighbourhood in the graph of each edge mask on n <= 8
+    vertices, as an (n, B) array of uint8 bitsets, row v for vertex v, from
+    the masks' bits (``_mask_bits``): one float matmul, exact, each entry
+    summing distinct powers of two below 2^n."""
+    return np.matmul(_pair_bits(n), bits.T.astype(np.float64)).astype(np.uint8)
+
+
+def _neighbourhoods(adjacent: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """For each graph of the (n, B) bitsets ``adjacent``, the union of the
+    neighbourhoods of the vertices in its bitset of ``sets`` (B,)."""
+    vertices = np.arange(len(adjacent), dtype=adjacent.dtype)[:, None]
+    # row v: v's neighbourhood where v is in the set (-1 is all ones),
+    # else nothing
+    return np.bitwise_or.reduce(adjacent & -((sets >> vertices) & 1), axis=0)
 
 
 def _connected_masks(n: int, start: int, stop: int) -> Iterator[int]:
@@ -331,53 +351,48 @@ def _connected_masks(n: int, start: int, stop: int) -> Iterator[int]:
     [start, stop) whose graph on n vertices is connected.
 
     The masks are tested a block at a time with integer array operations:
-    each vertex's adjacency bitset is gathered from the mask bits, and the
-    set reached from vertex 0 grows by every neighbourhood of a reached
-    vertex, n - 1 times, which reaches every vertex of its component.  For
-    n >= 2 connectivity also rules out isolated vertices."""
+    each vertex's adjacency bitset is taken from the mask bits, and the set
+    reached from vertex 0 grows by the neighbourhoods of its vertices,
+    n - 1 times, which reaches every vertex of its component.  For n >= 2
+    connectivity also rules out isolated vertices."""
     everyone = (1 << n) - 1
     for lo in range(start, stop, _MASK_BLOCK):
         masks = np.arange(lo, min(lo + _MASK_BLOCK, stop), dtype=np.int64)
-        adjacent = _adjacency_bitsets(n, masks)
-        reached = np.ones_like(masks)
+        adjacent = _adjacency_bitsets(n, _mask_bits(n, masks))
+        reached = np.ones_like(adjacent[0])
         for _ in range(n - 1):
-            for v in range(n):
-                # all ones where v is reached, else zero
-                reached |= adjacent[v] & -((reached >> v) & 1)
+            reached |= _neighbourhoods(adjacent, reached)
         yield from masks[reached == everyone].tolist()
 
 
-def _row_sides(n: int, masks: np.ndarray) -> np.ndarray:
-    """For the connected graph on n >= 2 vertices of each edge mask, the
-    bitset of the vertices that are rows of its biadjacency block, or 0
-    when the graph has an odd cycle: the rule of ``spectra._row_side``,
-    the smaller colour class, or on a tie the class of vertex 0.
+def _row_sides(adjacent: np.ndarray) -> np.ndarray:
+    """For each connected graph on n >= 2 vertices of the (n, B) adjacency
+    bitsets ``adjacent`` (``_adjacency_bitsets``), the bitset of the
+    vertices that are rows of its biadjacency block, or 0 when the graph
+    has an odd cycle: the rule of ``spectra._row_side``, the smaller colour
+    class, or on a tie the class of vertex 0.
 
     Integer array operations only, as ``_connected_masks``: a breadth-first
-    search from vertex 0 grows its frontier by every neighbourhood of a
-    frontier vertex, n - 1 times, and the colour classes are the vertices
-    at even and at odd distance.  The graph is bipartite exactly when no
-    vertex has a neighbour in its own class."""
-    adjacent = _adjacency_bitsets(n, masks)
-    reached = frontier = even = np.ones_like(masks)
-    odd = np.zeros_like(masks)
+    search from vertex 0 grows its frontier by the neighbourhoods of its
+    vertices, n - 1 times, and the colour classes are the vertices at even
+    and at odd distance.  The graph is bipartite exactly when no vertex has
+    a neighbour in its own class."""
+    n = len(adjacent)
+    reached = frontier = even = np.ones_like(adjacent[0])
+    odd = np.zeros_like(even)
     for step in range(1, n):
-        grown = np.zeros_like(masks)
-        for v in range(n):
-            # v's neighbourhood where v is on the frontier, else nothing
-            grown |= adjacent[v] & -((frontier >> v) & 1)
-        frontier = grown & ~reached
+        frontier = _neighbourhoods(adjacent, frontier) & ~reached
         reached = reached | frontier
         if step % 2:
             odd = odd | frontier
         else:
             even = even | frontier
-    clash = np.zeros_like(masks)
-    for v in range(n):
-        clash |= adjacent[v] & np.where((even >> v) & 1, even, odd)
+    # row v: v's own colour class
+    own = np.where((even >> np.arange(n, dtype=even.dtype)[:, None]) & 1, even, odd)
+    clash = np.any(adjacent & own, axis=0)
     # 2 * |odd| < n: the odd class is the smaller one
     rows = np.where(np.bitwise_count(odd) < (n + 1) // 2, odd, even)
-    rows[clash != 0] = 0
+    rows[clash] = 0
     return rows
 
 

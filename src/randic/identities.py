@@ -35,14 +35,16 @@ tests read the adjacency A = (R != 0) of the stack, never a Graph: strong
 regularity from the integer entries of A^2 of the regular rows, and the
 local conditions from the counts, per degree, of each vertex's
 neighbours and each pair's common neighbours, each distinct count vector
-summed once by ``math.fsum``.  A scan takes the connected graphs of a mask
-range as edge masks, SCAN_CHUNK at a time; it runs the checks of R(G)
-alone once per chunk and the subdivision checks once per edge-count
-group, and folds the arrays straight into one running tally and one
-``ScanSummary``: the worst value per key, counterexamples from the failing
-rows, in mask order, and the energy extremes.  It builds no report, and
-builds a Graph and its graph6 only for the graphs it reports: the
-counterexamples and the two energy extremes.  ``verify_all`` and the
+summed once by ``math.fsum``.  The rows of a stack may differ in their
+number of edges m: each R(S) spectrum is then padded with zeros among its
+zeros to the stack's widest, n + max(m), and every residual keeps the bits
+of the row alone.  A scan takes the connected graphs of a mask range as
+edge masks, SCAN_CHUNK at a time; it runs every check once per chunk, in
+one ``_check_stack`` pass, and folds the arrays straight into one running
+tally and one ``ScanSummary``: the worst value per key, counterexamples
+from the failing rows, in mask order, and the energy extremes.  It builds
+no report, and builds a Graph and its graph6 only for the graphs it
+reports: the counterexamples and the two energy extremes.  ``verify_all`` and the
 single-check functions check their preconditions and take one path,
 ``_verify``: it solves R(G), and R(S) only for a subdivision check, once
 each, runs the same pass on a stack of one, so k is decided in
@@ -52,9 +54,9 @@ arrays.  Every path gives a graph the spectrum of ``randic_eigenvalues``:
 a bipartite R(G), and every R(S), is solved one-sided on its biadjacency
 block, and any other R(G) two-sided.  ``_verify`` routes R(G) as
 ``randic_eigenvalues`` does and solves R(S) through it; a scan 2-colours
-its masks with bitset operations and solves one stack of blocks per row
-count for R(G), and one per edge-count group for R(S), with the same
-bits.
+its masks with bitset operations, from the mask bits it builds its
+matrices from, and solves one stack of blocks per row count for R(G), and
+one per edge-count group for R(S), with the same bits.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .graphs import (
     Graph,
+    _adjacency_bitsets,
     _connected_masks,
     _mask_bits,
     _mask_edges,
@@ -204,27 +207,36 @@ def _relative_gaps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _charpoly_residuals(
-    n: int, m: int, theta: np.ndarray, rho_s: np.ndarray
+    n: int, m: np.ndarray, theta: np.ndarray, rho_s: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Residuals of the charpoly identity, one per row, for a stack of
-    graphs with n vertices and m edges each: ``theta`` (B, n) holds the
-    spectra of I + R(G), and ``rho_s`` (B, N) those of R(S).  A claimed
-    subdivision of the wrong order N compares against zero padding."""
+    graphs with n vertices and m (B,) edges: ``theta`` (B, n) holds the
+    spectra of I + R(G), and ``rho_s`` (B, W) those of R(S), padded as
+    ``_check_stack`` takes them.  A claimed subdivision of the wrong order
+    W, in a stack of one, compares against zero padding.
+
+    Each padding zero multiplies a row's characteristic polynomial by x,
+    which leaves every nonzero coefficient as it is and shifts the row's
+    coefficients max(m) - m_i places up: so does the x^m factor of the
+    other side, placed at x^max(m) for every row.  The extra coefficients
+    are zeros on both sides, and every residual, a maximum of magnitudes,
+    keeps the bits of the row alone."""
     rows, order = rho_s.shape
+    top = int(m.max())
     phi_s = charpoly_coefficients(rho_s)[:, ::-1]  # ascending powers
     phi_q = charpoly_coefficients(theta)  # descending powers
     powers = np.ldexp(1.0, np.arange(n + 1))  # 2^i, exactly
-    width = max(n + order + 1, m + 2 * n + 1)
+    width = max(n + order + 1, top + 2 * n + 1)
     lhs = np.zeros((rows, width))
     lhs[:, n : n + order + 1] = float(2**n) * phi_s
     rhs = np.zeros((rows, width))
-    rhs[:, m : m + 2 * n + 1 : 2] = phi_q[:, ::-1] * powers
+    rhs[:, top : top + 2 * n + 1 : 2] = phi_q[:, ::-1] * powers
     cross = _relative_gaps(lhs, rhs)
 
     # Same identity read off coefficient by coefficient: the x^(n+m-2i)
     # coefficient of phi_R(S) must equal 2^(-i) times the x^(n-i)
     # coefficient of phi_Q, for i = 0..n.
-    at = n + m - 2 * np.arange(n + 1)
+    at = n + top - 2 * np.arange(n + 1)
     stored = (at >= 0) & (at <= order)
     a = np.where(stored, phi_s[:, np.clip(at, 0, order)], 0.0)
     positions = _relative_gaps(a, phi_q / powers)
@@ -251,27 +263,31 @@ def verify_subdivision_charpoly(
 
 
 def _correspondence_residual(
-    n: int, m: int, theta: np.ndarray, rho_s: np.ndarray
+    n: int, m: np.ndarray, theta: np.ndarray, rho_s: np.ndarray
 ) -> np.ndarray:
     """Worst gap, one per row, between the spectrum of R(S) in ``rho_s``
-    (B, n + m) and the values +-sqrt(theta/2) over the row of ``theta``
-    (B, n), padded with zeros to n + m values."""
-    total = n + m
-    if np.any(2 * np.count_nonzero(theta, axis=1) > total):
+    (B, W), descending and padded as ``_check_stack`` takes it, and the
+    values +-sqrt(theta/2) over the row of ``theta`` (B, n), padded with
+    zeros to W values, for graphs with m (B,) edges.
+
+    Both rows are compared descending, their zeros in the middle: the
+    values of a row are then paired as they are paired in ascending order
+    on its n + m values alone, with zeros paired to zeros in its padding,
+    so the worst gap keeps its bits.  Sorting a padded row instead would
+    move its padding to its zeros, where the other row's padding is not."""
+    if np.any(2 * np.count_nonzero(theta, axis=1) > n + m):
         raise ConvergenceError(
             "spectrum of I + R has fewer zeros than the subdivision order requires"
         )
+    width = rho_s.shape[1]
     half = np.sort(np.sqrt(theta / 2.0), axis=1)
-    # ascending: -half reversed, padding, half; each zero of theta gives a
-    # -0 and a 0 in the middle, and n + m < 2n (trees, matchings) drops the
+    # descending: half reversed, padding, -half; each zero of theta gives a
+    # 0 and a -0 in the middle, and W < 2n (trees, matchings) drops the
     # excess there, the check above having counted enough zeros
-    low, high = -half[:, ::-1], half
-    pad = total - 2 * n
-    if pad < 0:
-        drop = -pad
-        low, high = low[:, : n - (drop + 1) // 2], high[:, drop // 2 :]
-    expected = np.hstack((low, np.zeros((len(theta), max(pad, 0))), high))
-    return np.max(np.abs(np.sort(rho_s, axis=1) - expected), axis=1)
+    drop = max(2 * n - width, 0)
+    high, low = half[:, ::-1][:, : n - drop // 2], -half[:, (drop + 1) // 2 :]
+    expected = np.hstack((high, np.zeros((len(theta), width - 2 * n + drop)), low))
+    return np.max(np.abs(rho_s - expected), axis=1)
 
 
 def verify_eigenvalue_correspondence(
@@ -298,10 +314,11 @@ def verify_subdivision_energy(
 
 
 def _subdivision_checked(
-    name: str, n: int, m: int, theta: np.ndarray, rho_s: np.ndarray
+    name: str, n: int, m: np.ndarray, theta: np.ndarray, rho_s: np.ndarray
 ) -> _Checked:
     """The subdivision check ``name`` over the stacks ``theta`` (B, n) and
-    ``rho_s`` (B, N) of graphs with n vertices and m edges each."""
+    ``rho_s`` (B, W), padded as ``_check_stack`` takes it, of graphs with
+    n vertices and m (B,) edges."""
     values: dict[str, np.ndarray] = {}
     detail = ""
     if name == "charpoly":
@@ -311,8 +328,9 @@ def _subdivision_checked(
         residuals = _charpoly_residuals(n, m, theta, rho_s)
     elif name == "correspondence":
         label, tolerance = "subdivision-correspondence", CORRESPONDENCE_TOL
-        if rho_s.shape[1] != n + m:
-            gap = float(abs(rho_s.shape[1] - (n + m)))
+        top = int(m.max())
+        if rho_s.shape[1] != n + top:
+            gap = float(abs(rho_s.shape[1] - (n + top)))
             residuals = {"order_mismatch": np.full(len(theta), gap)}
             detail = "claimed subdivision has the wrong number of vertices"
         else:
@@ -717,10 +735,15 @@ def _check_stack(
     of connected graphs of one order n, from their matrices and solved
     spectra: row i of ``m`` (B,) is the edge count of G_i, row i of ``r``
     (B, n, n) is R(G_i), row i of ``rho`` (B, n) its spectrum, and row i of
-    ``rho_s`` (B, N) that of R(S(G_i)), which is None when no subdivision
-    check is requested; a subdivision check needs every row to have the
-    same m.  Returns the checks and k, each row's number of distinct
-    eigenvalues, or None when no requested check reads it.
+    ``rho_s`` (B, W) that of R(S(G_i)), descending, which is None when no
+    subdivision check is requested.  The rows may differ in m: W is then
+    n + max(m), and the row of a graph with m_i edges holds its n + m_i
+    values with W - (n + m_i) zeros more among its zeros in the middle, as
+    ``_bipartite_eigenvalues`` lays out a spectrum of width W.  Every
+    residual keeps the bits the row gets in a stack of its own width.  A
+    stack of one takes any width, the order of a claimed subdivision.
+    Returns the checks and k, each row's number of distinct eigenvalues,
+    or None when no requested check reads it.
 
     The subdivision checks read the spectrum of I + R(G) as theta = 1 + rho,
     near-zeros clamped.  This is where k is decided: the rows of rho are
@@ -739,7 +762,7 @@ def _check_stack(
     checked: dict[str, _Checked] = {}
     for name in checks:
         if name in SUBDIVISION_CHECKS:
-            checked[name] = _subdivision_checked(name, n, int(m[0]), theta, rho_s)
+            checked[name] = _subdivision_checked(name, n, m, theta, rho_s)
         elif name == "identity":
             tolerance = IDENTITY_TOL_SCALE * n * n
             off = np.flatnonzero(np.abs(distinct[:, 0] - 1.0) > tolerance)
@@ -892,7 +915,8 @@ def _chunk_matrices(
     # w_i * w_j == w_j * w_i exactly, so one product serves both triangles
     products = wu * wv
     flat[u, high] = flat[v, low] = products
-    blocks = _graph_blocks(n, masks, owner, low, high, products)
+    sides = _row_sides(_adjacency_bitsets(n, bits))
+    blocks = _graph_blocks(n, sides, owner, low, high, products)
     # sorted by edge count, each group's graphs, and their edges, are one
     # slice of the chunk
     bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), b]
@@ -916,27 +940,29 @@ def _chunk_matrices(
 
 def _graph_blocks(
     n: int,
-    masks: np.ndarray,
+    sides: np.ndarray,
     owner: np.ndarray,
     low: np.ndarray,
     high: np.ndarray,
     products: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """``_chunk_matrices``' blocks of R(G), one stack per row count k, for
-    the graphs of ``masks`` on n vertices whose edges, graph after graph,
-    join ``low`` to ``high`` in graph ``owner`` with the entry ``products``.
+    graphs on n vertices whose edges, graph after graph, join ``low`` to
+    ``high`` in graph ``owner`` with the entry ``products``, and whose
+    block rows are the vertices of their bitset of ``sides``
+    (``graphs._row_sides``, 0 for a graph with an odd cycle).
 
     A vertex's index among its block's rows, or among its columns, is the
     number of rows, or of columns, below it, as ``spectra._biadjacency``
     numbers them."""
-    is_row = (_row_sides(n, masks)[:, None] >> np.arange(n)) & 1
+    is_row = (sides[:, None] >> np.arange(n)) & 1
     below = np.cumsum(is_row, axis=1) - is_row
     position = np.where(is_row == 1, below, np.arange(n) - below)
     k = is_row.sum(axis=1)  # 0 for a graph with an odd cycle
     low_is_row = is_row[owner, low] == 1
     row_end = np.where(low_is_row, low, high)
     column_end = np.where(low_is_row, high, low)
-    local = np.empty(len(masks), dtype=np.intp)
+    local = np.empty(len(sides), dtype=np.intp)
     blocks = []
     # the row counts present, ascending, without np.unique (see
     # _local_residuals)
@@ -956,7 +982,7 @@ def _graph_blocks(
 
 def _scan_spectra(
     order: int, masks: np.ndarray, subdivided: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[tuple[slice, np.ndarray | None]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Matrices and spectra of a chunk of connected graphs of one order,
     given by their edge masks, with the graphs sorted by edge count.
 
@@ -968,16 +994,18 @@ def _scan_spectra(
     edge-count group's blocks B of R(S) form one stack of equal shape,
     solved, when ``subdivided``, by ``singular_values`` in one call of the
     one-sided kernel, the kernel that solves a single B as a stack of one;
-    each R(S) spectrum is laid out from sigma(B) by
-    ``_bipartite_eigenvalues``: the bits of
-    ``randic_eigenvalues(subdivision(g))``.  Returns (the sorted order as
-    indices into ``masks``, each sorted graph's edge count, the stack of
-    R(G), its stack of R-spectra, and per edge count the slice of sorted
-    rows with its stack of R(S)-spectra or None), one row per graph: the
-    rows the checks read.
+    a block keeps its bits only among blocks of its own shape.  Every R(S)
+    spectrum is laid out from sigma(B) by ``_bipartite_eigenvalues`` into
+    one array of width n + max(m), the padding ``_check_stack`` takes: a
+    row holds the bits of ``randic_eigenvalues(subdivision(g))`` with more
+    zeros in the middle.  Returns (the sorted order as indices into
+    ``masks``, each sorted graph's edge count, the stack of R(G), its stack
+    of R-spectra, and the stack of R(S)-spectra or None), one row per
+    graph: the rows the checks read.
     """
-    m = _mask_bits(order, masks).sum(axis=1)
+    m = np.bitwise_count(masks)
     perm = np.argsort(m, kind="stable")
+    m = m[perm].astype(np.intp)
     r, blocks, groups = _chunk_matrices(order, masks[perm], subdivided)
     rho = np.empty(r.shape[:2])
     two_sided = np.ones(len(r), dtype=bool)
@@ -986,13 +1014,13 @@ def _scan_spectra(
         two_sided[rows] = False
     if two_sided.any():
         rho[two_sided] = symmetric_eigenvalues(r[two_sided])
-    spectra = [
-        (rows, None if block is None else _bipartite_eigenvalues(
-            singular_values(block), sum(block.shape[1:])
-        ))
-        for rows, block in groups
-    ]
-    return perm, m[perm], r, rho, spectra
+    if not subdivided:
+        return perm, m, r, rho, None
+    width = order + int(m[-1])
+    rho_s = np.empty((len(r), width))
+    for rows, block in groups:
+        rho_s[rows] = _bipartite_eigenvalues(singular_values(block), width)
+    return perm, m, r, rho, rho_s
 
 
 def _merge(
@@ -1032,17 +1060,16 @@ def _scan_range(
 ) -> ScanSummary:
     """Scan the masks in [start, stop): graphs are taken in mask order, in
     chunks of SCAN_CHUNK masks; each chunk's matrices are built and solved
-    as whole stacks.  The checks that read R(G) alone run once per chunk,
-    and the subdivision checks once per edge count.  Each check's arrays
-    are folded, by ``_merge``'s rules, into one tally for the range: the
-    worst value per key is the largest of its array; the failing rows
+    as whole stacks, and every check runs in one ``_check_stack`` pass over
+    the chunk, its R(S) spectra padded to the chunk's widest.  Each check's
+    arrays are folded, by ``_merge``'s rules, into one tally for the range:
+    the worst value per key is the largest of its array; the failing rows
     become counterexamples, in mask order and then check order, each with
     its residual dict; and the energy extremes go to the first graph in
     mask order on ties.  No report is built, and a graph is built, and its
     graph6 encoded, only when it fails a check or, at the end, holds an
     energy extreme."""
-    graph_checks = [c for c in checks if c not in SUBDIVISION_CHECKS]
-    subdivision_checks = [c for c in checks if c in SUBDIVISION_CHECKS]
+    subdivided = any(c in SUBDIVISION_CHECKS for c in checks)
     position = {name: i for i, name in enumerate(checks)}
     masks = _connected_masks(order, start, stop)
     count = 0
@@ -1050,26 +1077,19 @@ def _scan_range(
     worst: dict[str, float] = {}
     low = high = None  # (mask, energy), when rank_energy
     while (chunk := np.fromiter(islice(masks, SCAN_CHUNK), dtype=np.int64)).size:
+        perm, m, r, rho, rho_s = _scan_spectra(order, chunk, subdivided)
+        checked, _ = _check_stack(order, m, checks, r, rho, rho_s)
         failed: list[tuple[int, int, str, dict[str, float]]] = []
-
-        def fold(checked: dict[str, _Checked], members: np.ndarray) -> None:
-            for name, outcome in checked.items():
-                if not outcome.rows.size:
-                    continue
-                for key, values in outcome.residuals.items():
-                    key, value = f"{name}.{key}", float(np.max(values))
-                    if key not in worst or value > worst[key]:
-                        worst[key] = value
-                for j in np.flatnonzero(~outcome.passed).tolist():
-                    row = int(members[outcome.rows[j]])
-                    failed.append((row, position[name], name, _row(outcome.residuals, j)))
-
-        perm, m, r, rho, groups = _scan_spectra(order, chunk, bool(subdivision_checks))
-        if graph_checks:
-            fold(_check_stack(order, m, graph_checks, r, rho, None)[0], perm)
-        for rows, rho_s in groups if subdivision_checks else ():
-            checked, _ = _check_stack(order, m[rows], subdivision_checks, r[rows], rho[rows], rho_s)
-            fold(checked, perm[rows])
+        for name, outcome in checked.items():
+            if not outcome.rows.size:
+                continue
+            for key, values in outcome.residuals.items():
+                key, value = f"{name}.{key}", float(np.max(values))
+                if key not in worst or value > worst[key]:
+                    worst[key] = value
+            for j in np.flatnonzero(~outcome.passed).tolist():
+                row = int(perm[outcome.rows[j]])
+                failed.append((row, position[name], name, _row(outcome.residuals, j)))
         count += len(chunk)
         codes: dict[int, str] = {}
         for i, _, name, residuals in sorted(failed, key=lambda f: f[:2]):

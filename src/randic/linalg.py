@@ -11,8 +11,12 @@ pairs is chosen by the matrix order n:
   rotation's interpreted arithmetic costs less than the dozen numpy calls it
   otherwise takes), and a stack of two or more equal-order matrices in
   lockstep (``_jacobi_stack``; a stack of one goes to ``_jacobi_list``).
-  Both apply the rotations of the row-major scalar loop with its arithmetic,
-  so their eigenvalues agree bit for bit;
+  The lockstep form works on a matrix-last (n, n, B) copy, where entry
+  (p, q) of every matrix is one contiguous row, and writes each pair's
+  rotation back with ``np.copyto(..., where=...)`` into the matrices that
+  rotate, gathering and scattering none of them.  Both forms apply the
+  rotations of the row-major scalar loop with its arithmetic, so they leave
+  a matrix with the same bits;
 * the round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
   1985) from that order up, one matrix at a time.  Its rounds of disjoint
   pairs are applied one round per set of numpy calls, where row-major order
@@ -158,7 +162,8 @@ def _jacobi_list(a: np.ndarray, max_sweeps: int, target: float) -> bool:
 
 
 def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
-    """Row-major kernel in lockstep over a stack of shape (B, n, n).
+    """Row-major kernel in lockstep over a stack of shape (B, n, n); mutates
+    ``a`` toward diagonal form.
 
     Every matrix follows its own rotation sequence exactly as the row-major
     scalar loop that the tests pin as ``reference_jacobi`` would alone,
@@ -168,46 +173,58 @@ def _jacobi_stack(a: np.ndarray, max_sweeps: int, target: np.ndarray) -> bool:
     A matrix stops rotating at the first sweep that starts converged.
     Returns False when any matrix is still unconverged after
     ``max_sweeps``.
+
+    The kernel works on a matrix-last copy of shape (n, n, B), written back
+    into ``a`` at the end, so entry (p, q) of every matrix is one contiguous
+    row of B values, and rows p and q of every matrix are (n, B) blocks.  A
+    pair's rotation is computed for all B matrices elementwise and written
+    back, as rows and then as columns, only where the matrix rotates
+    (``np.copyto`` with ``where``): the matrices that do not rotate are
+    neither gathered nor scattered, and what is computed for them is
+    dropped, so a matrix gets the arithmetic of its own rotations alone.
     """
     n = a.shape[-1]
     if n < 2:
         return True
     skip = target / n
-    for _ in range(max_sweeps):
-        # a converged matrix is never rotated again, so it stays converged
-        done = _off_norms(a) < target
-        if done.all():
-            return True
-        # it stays in the stack with threshold +inf, so the stack is never
-        # copied; the per-pair calls cost about the same on all B rows
-        live_skip = np.where(done, np.inf, skip)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hit = np.flatnonzero(~(np.abs(a[:, p, q]) <= live_skip))
-                if not hit.size:
-                    continue
-                apq = a[hit, p, q]
-                app = a[hit, p, p]
-                aqq = a[hit, q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = np.copysign(1.0, theta) / (
-                    np.abs(theta) + np.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = (t * c)[:, None]
-                tau = s / (1.0 + c[:, None])
-                akp = a[hit, p]
-                akq = a[hit, q]
-                new_p = akp - s * (akq + tau * akp)
-                new_q = akq + s * (akp - tau * akq)
-                new_p[:, p] = app - t * apq
-                new_q[:, q] = aqq + t * apq
-                new_p[:, q] = 0.0
-                new_q[:, p] = 0.0
-                a[hit, p] = new_p
-                a[hit, q] = new_q
-                a[hit, :, p] = new_p
-                a[hit, :, q] = new_q
+    work = np.ascontiguousarray(a.transpose(1, 2, 0))
+    stack = work.transpose(2, 0, 1)  # the (B, n, n) view the norms read
+    # the dropped entries of matrices that do not rotate may divide by zero
+    with np.errstate(all="ignore"):
+        for _ in range(max_sweeps):
+            # a converged matrix is never rotated again, so it stays converged
+            done = _off_norms(stack) < target
+            if done.all():
+                break
+            live_skip = np.where(done, np.inf, skip)
+            for p in range(n - 1):
+                akp = work[p]
+                app = akp[p]
+                for q in range(p + 1, n):
+                    apq = akp[q]
+                    hit = ~(np.abs(apq) <= live_skip)
+                    if not hit.any():
+                        continue
+                    akq = work[q]
+                    aqq = akq[q]
+                    theta = (aqq - app) / (2.0 * apq)
+                    t = np.copysign(1.0, theta) / (
+                        np.abs(theta) + np.sqrt(theta * theta + 1.0)
+                    )
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    tau = s / (1.0 + c)
+                    new_p = akp - s * (akq + tau * akp)
+                    new_q = akq + s * (akp - tau * akq)
+                    new_p[p] = app - t * apq
+                    new_q[q] = aqq + t * apq
+                    new_p[q] = 0.0
+                    new_q[p] = 0.0
+                    np.copyto(akp, new_p, where=hit)
+                    np.copyto(akq, new_q, where=hit)
+                    np.copyto(work[:, p], new_p, where=hit)
+                    np.copyto(work[:, q], new_q, where=hit)
+    a[...] = stack
     return bool(np.all(_off_norms(a) < target))
 
 

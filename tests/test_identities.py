@@ -22,6 +22,7 @@ from randic.graphs import (
     subdivision,
 )
 from randic.identities import (
+    SCAN_CHUNK,
     CHARPOLY_TOL,
     CORRESPONDENCE_TOL,
     ENERGY_TOL,
@@ -302,27 +303,21 @@ class TestVerifyAll:
         # both paths read theta = 1 + rho off the same R solve, and R(S)'s
         # spectrum off the same one-sided solve of its block, so every
         # residual agrees exactly, not just within tolerance; the scan side
-        # runs on the stacks and rows that _scan_spectra gives a scan, the
-        # checks of R(G) alone on the whole chunk and the subdivision
-        # checks per edge count, and each row's arrays and report equal
-        # verify_all's report
+        # runs on the stacks and rows that _scan_spectra gives a scan, every
+        # check in one pass over the chunk, and each row's arrays and report
+        # equal verify_all's report
         masks = np.array(
             list(_connected_masks(order, 0, edge_mask_count(order)))[::step], dtype=np.int64
         )
         graphs = [Graph(order, _mask_edges(order, mask)) for mask in masks.tolist()]
-        graph_checks = [c for c in SCAN_CHECKS if c not in SUBDIVISION_CHECKS]
-        perm, m, r, rho, groups = _scan_spectra(order, masks, True)
-        parts = [(_check_stack(order, m, graph_checks, r, rho, None)[0], perm)] + [
-            (_check_stack(order, m[rows], SUBDIVISION_CHECKS, r[rows], rho[rows], rho_s)[0], perm[rows])
-            for rows, rho_s in groups
-        ]
+        perm, m, r, rho, rho_s = _scan_spectra(order, masks, True)
+        checked, _ = _check_stack(order, m, SCAN_CHECKS, r, rho, rho_s)
         counted = [{} for _ in graphs]
         reports = [{} for _ in graphs]
-        for checked, members in parts:
-            for name, c in checked.items():
-                for j, row in enumerate(c.rows.tolist()):
-                    counted[members[row]][name] = (bool(c.passed[j]), _row(c.residuals, j))
-                    reports[members[row]][name] = c.report(j)
+        for name, c in checked.items():
+            for j, row in enumerate(c.rows.tolist()):
+                counted[perm[row]][name] = (bool(c.passed[j]), _row(c.residuals, j))
+                reports[perm[row]][name] = c.report(j)
         mismatched = []
         for g, got, built in zip(graphs, counted, reports):
             verified = verify_all(g)
@@ -336,10 +331,124 @@ class TestVerifyAll:
         assert mismatched == []
 
 
+def by_edge_count(order: int, m: np.ndarray, rho_s: np.ndarray):
+    """The padded R(S) spectra of a scan chunk sorted by edge count, as
+    (rows, spectra) per edge count m: the slice of the chunk's rows and
+    their spectra at their own width order + m, each row with the padding
+    zeros taken out of the middle of its zeros."""
+    bounds = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), len(m)]
+    width = rho_s.shape[1]
+    for lo, hi in zip(bounds, bounds[1:]):
+        total = order + int(m[lo])
+        cut = total // 2
+        padding = rho_s[lo:hi, cut : cut + width - total]
+        assert padding.tobytes() == np.zeros(padding.shape).tobytes()
+        yield slice(lo, hi), np.hstack((rho_s[lo:hi, :cut], rho_s[lo:hi, cut + width - total :]))
+
+
+def chunk_outcomes(checked, offset: int = 0) -> dict:
+    """(check, chunk row) -> (pass flag, residual bytes by key, report) of
+    each row of the checks, the rows offset by ``offset``."""
+    return {
+        (name, offset + row): (
+            bool(c.passed[j]),
+            {key: values[j : j + 1].tobytes() for key, values in c.residuals.items()},
+            c.report(j),
+        )
+        for name, c in checked.items()
+        for j, row in enumerate(c.rows.tolist())
+    }
+
+
+class TestChunkCheckPass:
+    """A scan checks a chunk in one ``_check_stack`` pass, its graphs' R(S)
+    spectra padded to the chunk's widest; each row gets what the
+    per-edge-count passes, each on spectra of their own width, give it."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_equals_per_edge_count_passes(self, order):
+        masks = np.array(list(_connected_masks(order, 0, edge_mask_count(order))), dtype=np.int64)
+        graph_checks = [c for c in SCAN_CHECKS if c not in SUBDIVISION_CHECKS]
+        for lo in range(0, len(masks), SCAN_CHUNK):
+            _, m, r, rho, rho_s = _scan_spectra(order, masks[lo : lo + SCAN_CHUNK], True)
+            checked, k = _check_stack(order, m, SCAN_CHECKS, r, rho, rho_s)
+            want_checks, want_k = _check_stack(order, m, graph_checks, r, rho, None)
+            want = chunk_outcomes(want_checks)
+            for rows, spectra in by_edge_count(order, m, rho_s):
+                group, _ = _check_stack(
+                    order, m[rows], SUBDIVISION_CHECKS, r[rows], rho[rows], spectra
+                )
+                want.update(chunk_outcomes(group, rows.start))
+            got = chunk_outcomes(checked)
+            assert list(checked) == list(SCAN_CHECKS)
+            assert k.tobytes() == want_k.tobytes()
+            assert sorted(got) == sorted(want)
+            assert [key for key, value in got.items() if value != want[key]] == []
+
+    def test_one_pass_per_chunk(self, monkeypatch):
+        # order 5's 728 graphs fit one chunk, order 6's 26,704 take 14
+        calls = []
+        original = randic.identities._check_stack
+
+        def counting(n, m, checks, r, rho, rho_s):
+            calls.append((tuple(checks), rho_s.shape, (len(m), n + int(m.max()))))
+            return original(n, m, checks, r, rho, rho_s)
+
+        monkeypatch.setattr(randic.identities, "_check_stack", counting)
+        scan_small_graphs(5)
+        assert calls == [(SCAN_CHECKS, (728, 15), (728, 15))]
+        calls.clear()
+        scan_small_graphs(6, checks=("energy", "identity"))
+        assert len(calls) == -(-26704 // SCAN_CHUNK)
+        assert all(checks == ("energy", "identity") for checks, _, _ in calls)
+        assert all(shape == want for _, shape, want in calls)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate("path", 5),
+            Graph.from_edges(4, [(0, 1), (2, 3)]),  # a matching: 2n - 2 zeros short
+            Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+            generate("cycle", 6),
+            generate("complete", 5),
+        ],
+        ids=["P5", "2K2", "3K2", "C6", "K5"],
+    )
+    @pytest.mark.parametrize("extra", [1, 2, 5])
+    def test_padding_keeps_residual_bits(self, g, extra):
+        # the spectrum of R(S) padded with zeros in its middle, as a row of
+        # a graph with fewer edges than its chunk's most, gives each
+        # residual the bits of the row alone: charpoly with max(m) placed
+        # extra edges above the row's own, in a stack with a graph of that
+        # many edges
+        rho = randic_eigenvalues(g)[None]
+        rho_s = randic_eigenvalues(subdivision(g))[None]
+        total = rho_s.shape[1]
+        cut = total // 2
+        padded = np.hstack((rho_s[:, :cut], np.zeros((1, extra)), rho_s[:, cut:]))
+        theta = randic.identities._clamp_small(1.0 + rho)
+        alone, wide = np.array([g.m]), np.array([g.m + extra, g.m])
+        pairs = [
+            (
+                randic.identities._charpoly_residuals(g.n, alone, theta, rho_s),
+                randic.identities._charpoly_residuals(
+                    g.n, wide, np.vstack((theta, theta)), np.vstack((padded, padded))
+                ),
+            ),
+            (
+                {"match": randic.identities._correspondence_residual(g.n, alone, theta, rho_s)},
+                {"match": randic.identities._correspondence_residual(g.n, alone, theta, padded)},
+            ),
+        ]
+        for want, got in pairs:
+            assert list(want) == list(got)
+            assert all(got[key][-1:].tobytes() == want[key].tobytes() for key in want)
+
+
 class TestDecidedOnce:
-    """k is decided by one clustering of the rho stack per edge-count
-    group, a scan builds each of its graphs once, and it builds reports
-    and residual dicts only where they are read."""
+    """k is decided by one clustering of the rho stack per chunk, a scan
+    builds each of its graphs once, and it builds reports and residual
+    dicts only where they are read."""
 
     @staticmethod
     def count_calls(monkeypatch, name: str) -> list:
@@ -1006,13 +1115,15 @@ class TestBatchedScan:
         # every scanned R and R(S) spectrum has the bits of the graph's own
         # solve, for every graph of orders 2-5 and every 37th and every 7th
         # of order 6: a bipartite R(G) is solved on its block, as
-        # randic_eigenvalues does
+        # randic_eigenvalues does; an R(S) spectrum, padded to the chunk's
+        # widest, has them once its padding zeros are taken out
         masks = np.array(
             list(_connected_masks(order, 0, edge_mask_count(order)))[::step], dtype=np.int64
         )
-        perm, _, _, rho, groups = _scan_spectra(order, masks, True)
+        perm, m, _, rho, padded = _scan_spectra(order, masks, True)
+        assert padded.shape == (len(masks), order + int(m.max()))
         seen = 0
-        for rows, rho_s in groups:
+        for rows, rho_s in by_edge_count(order, m, padded):
             for i, row, row_s in zip(perm[rows].tolist(), rho[rows], rho_s):
                 g = Graph(order, _mask_edges(order, int(masks[i])))
                 assert row.tobytes() == randic_eigenvalues(g).tobytes()

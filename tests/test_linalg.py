@@ -831,6 +831,45 @@ class TestKernelBits:
         assert reference_round_robin(b, 100, target)
         assert same_bits(a, b)
 
+    @pytest.mark.parametrize("order", [4, 5, 6, 7])
+    def test_stack_kernel_on_scan_chunks(self, order):
+        # every two-sided stack a scan solves, chunk by chunk, for orders
+        # 4-6 and a slice of order 7: the lockstep kernel, on its
+        # matrix-last copy, leaves each matrix with the bytes that the list
+        # kernel gives it alone, off-diagonal roundoff and signed zeros too
+        if order < 7:
+            masks = list(_connected_masks(order, 0, edge_mask_count(order)))
+        else:
+            masks = list(_connected_masks(7, 1_500_000, 1_504_000))
+        for lo in range(0, len(masks), SCAN_CHUNK):
+            chunk = np.array(sorted(masks[lo : lo + SCAN_CHUNK], key=int.bit_count), dtype=np.int64)
+            r, blocks, _ = _chunk_matrices(order, chunk, False)
+            two_sided = np.ones(len(r), dtype=bool)
+            for rows, _ in blocks:
+                two_sided[rows] = False
+            work, target = _prepared(r[two_sided])
+            assert len(work) > 1
+            stacked = work.copy()
+            assert _jacobi_stack(stacked, 100, target)
+            for a, got, goal in zip(work, stacked, target.tolist()):
+                alone = a.copy()
+                assert _jacobi_list(alone, 100, goal)
+                assert got.tobytes() == alone.tobytes()
+
+    def test_stack_kernel_writes_back_unconverged_stacks(self):
+        # a stack stopped by the sweep cap is written back as far as it got,
+        # each matrix as the list kernel leaves it after as many sweeps
+        rng = np.random.default_rng(12)
+        stack = np.array([random_symmetric(rng, 7) for _ in range(4)])
+        work, target = _prepared(stack)
+        for cap in (1, 2):
+            stacked = work.copy()
+            assert not _jacobi_stack(stacked, cap, target)
+            for a, got, goal in zip(work, stacked, target.tolist()):
+                alone = a.copy()
+                assert not _jacobi_list(alone, cap, goal)
+                assert got.tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 7, 31, 90, 91, 129])
     def test_stack_off_norms(self, n):
         # the stack reduction against the first kernels' per-matrix np.sum,

@@ -94,6 +94,7 @@ from .spectra import (
     _biadjacency,
     _bipartite_eigenvalues,
     _inverse_sqrt_degrees,
+    _row_energies,
     energy_of,
     randic_eigenvalues,
     randic_matrix,
@@ -337,7 +338,7 @@ def _subdivision_checked(
             residuals = {"eigenvalue_match": _correspondence_residual(n, m, theta, rho_s)}
     else:
         label, tolerance = "subdivision-energy", ENERGY_TOL
-        values = {"energy": np.array([energy_of(row) for row in rho_s.tolist()])}
+        values = {"energy": _row_energies(rho_s)}
         residuals = _energy_residuals(theta, values["energy"])
     return _Checked(
         np.arange(len(theta)),
@@ -1098,7 +1099,7 @@ def _scan_range(
             counterexamples.append(Counterexample(codes[i], name, residuals))
         if rank_energy:
             energies = np.empty(len(chunk))
-            energies[perm] = [energy_of(row) for row in rho.tolist()]
+            energies[perm] = _row_energies(rho)
             i, j = int(np.argmin(energies)), int(np.argmax(energies))
             if low is None or energies[i] < low[1]:
                 low = (int(chunk[i]), float(energies[i]))

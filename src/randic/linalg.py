@@ -48,11 +48,16 @@ gamma of a round from one ``einsum`` over the gathered rows (p; q; p) and
 ``_one_sided_rounds``, cached read-only per k beside
 ``_round_robin_schedule``, and a stack adds each block's row offset to
 them.  The kernel stops after a sweep that rotates
-nothing, and after a sweep in which some round rotated nothing it checks
-the whole next sweep from one Gram ``einsum`` of the stack, whose entries
-have the bits of the rounds' own products: the final idle sweep then costs
-that one call instead of a round of numpy calls per round, and a sweep that
-would still rotate starts at its first rotating round.
+nothing, and it skips idle rounds by a look-ahead: one Gram ``einsum`` of
+the stack, whose entries have the bits of the rounds' own products, decides
+every round of a sweep at once while no row changes.  After a sweep in
+which some round rotated nothing, it checks the whole next sweep: the final
+idle sweep then costs that one call instead of a round of numpy calls per
+round, and a sweep that would still rotate starts at its first rotating
+round.  A single block, as ``spectra.randic_eigenvalues`` solves, also looks
+ahead after every idle round inside a sweep and goes on at the next round
+that rotates; a stack, whose rounds idle only when all its blocks' do,
+does not.
 
 The helpers the checks read work on stacks too, one row or matrix per
 graph, with the bits of their one-matrix forms: ``cluster_rows`` clusters
@@ -352,23 +357,22 @@ def _live_pairs(
     return (np.abs(gamma) > tol * np.sqrt(alpha * beta)) & (np.minimum(alpha, beta) > floor)
 
 
-def _first_live_round(
+def _live_rounds(
     b: np.ndarray, ps: np.ndarray, qs: np.ndarray, tol: float, floor: np.ndarray
-) -> int:
-    """The first round of the schedule (ps, qs) in which a one-sided sweep
-    of the (B, k, w) stack ``b`` would rotate some pair, or the number of
-    rounds when none would; ``floor`` holds each block's floor.
+) -> np.ndarray:
+    """Whether each round of the schedule (ps, qs) would rotate some pair
+    in a one-sided sweep of the (B, k, w) stack ``b`` as it stands, one flag
+    per round; ``floor`` holds each block's floor.
 
     Every pair's alpha, beta and gamma come from one Gram ``einsum`` of the
     stack.  The plain ``einsum`` (not its BLAS path) reduces each row pair
     as the rounds' row-wise ``einsum`` does, with the same bits, so the
-    rule decides every pair as the rounds would while nothing rotates.
+    rule decides every pair as a round would while nothing rotates.
     """
     gram = np.einsum("bij,bkj->bik", b, b)
     norms = np.diagonal(gram, axis1=1, axis2=2)
     live = _live_pairs(norms[:, ps], norms[:, qs], gram[:, ps, qs], tol, floor[:, None, None])
-    rounds = np.flatnonzero(live.any(axis=(0, 2)))
-    return int(rounds[0]) if rounds.size else len(ps)
+    return live.any(axis=(0, 2))
 
 
 def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
@@ -396,14 +400,23 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     bits in any stack; a block whose sweep rotates nothing rotates nothing
     after it.
 
-    A sweep that rotates nothing in any block ends the iteration.  After a
-    sweep in which some round rotated nothing, the next sweep is first
-    checked whole by ``_first_live_round``: if no round would rotate, that
-    check stands for the idle sweep and ends the iteration; otherwise the
-    sweep starts at the first round that rotates, the rounds before it
-    rotating nothing.  So a block gets the rotations and bits of running
-    every round.  Returns False when each of the ``max_sweeps`` sweeps
-    rotated some pair.
+    A sweep that rotates nothing in any block ends the iteration.  Idle
+    rounds are skipped by a look-ahead, ``_live_rounds``, which decides
+    every round of a sweep from one Gram ``einsum`` of the rows as they
+    stand; no row changes before the next round that rotates, so the rounds
+    it skips rotate nothing.  After a sweep in which some round rotated
+    nothing, the next sweep is first checked whole: if no round would
+    rotate, that check stands for the idle sweep and ends the iteration;
+    otherwise the sweep starts at its first round that rotates.  A single
+    block (B = 1) also looks ahead after each idle round that has rounds
+    after it in its sweep and goes on at the next round that rotates.  When
+    none is left, the sweep ends there, and the same flags stand for the
+    next sweep's check, the rows being unchanged.  A stack's round idles
+    only when every block's does, and there the look-ahead inside a sweep
+    measured slower than the rounds it skips, so a stack runs only the
+    sweep-start check.  Either way a block gets the rotations and bits of
+    running every round, and the sweep cap counts the same sweeps.  Returns
+    False when each of the ``max_sweeps`` sweeps rotated some pair.
     """
     count, k, w = b.shape
     if k < 2:
@@ -413,11 +426,11 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     flat = b.reshape(count * k, w)
     block_ps, block_qs = _round_robin_schedule(k)
     lefts, rights = _one_sided_rounds(k)
+    rounds = len(lefts)
     if count != 1:
         # each round's rows in every block, block by block within each of
         # the thirds (p; q; p) and (p; q; q)
         offsets = k * np.arange(count)[:, None]
-        rounds = len(lefts)
         lefts = (lefts.reshape(rounds, 3, 1, -1) + offsets).reshape(rounds, -1)
         rights = (rights.reshape(rounds, 3, 1, -1) + offsets).reshape(rounds, -1)
     half = count * (k // 2)
@@ -427,23 +440,38 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     block_floor = np.square(tol * _frobenius_norms(b))
     floor = np.repeat(block_floor, k // 2)
     idle = False
+    ahead = None  # the next sweep's round flags, from a look-ahead that ended a sweep
     for _ in range(max_sweeps):
-        start = 0
+        r = 0
         if idle:
-            start = _first_live_round(b, block_ps, block_qs, tol, block_floor)
-            if start == len(ps):
+            if ahead is None:
+                ahead = _live_rounds(b, block_ps, block_qs, tol, block_floor)
+            if not ahead.any():
                 return True
+            r = int(np.argmax(ahead))
+        ahead = None
         rotated = False
-        idle = start > 0
-        for p, q, left, right in zip(ps[start:], qs[start:], lefts[start:], rights[start:]):
-            rows = flat.take(left, axis=0)
+        idle = r > 0
+        while r < rounds:
+            p, q = ps[r], qs[r]
+            rows = flat.take(lefts[r], axis=0)
             alpha, beta, gamma = np.einsum(
-                "ij,ij->i", rows, flat.take(right, axis=0)
+                "ij,ij->i", rows, flat.take(rights[r], axis=0)
             ).reshape(3, half)
+            r += 1
             hit = _live_pairs(alpha, beta, gamma, tol, floor)
             rotating = np.count_nonzero(hit)
             if not rotating:
                 idle = True
+                if count == 1 and r < rounds:
+                    # no row has changed since this round's products, and
+                    # none changes before the next round that rotates
+                    live = _live_rounds(b, block_ps, block_qs, tol, block_floor)
+                    later = np.flatnonzero(live[r:])
+                    if later.size:
+                        r += int(later[0])
+                    else:
+                        r, ahead = rounds, live
                 continue
             rotated = True
             x, y = rows[:half], rows[half : 2 * half]

@@ -163,6 +163,13 @@ def energy_of(values) -> float:
     return math.fsum(map(abs, values))
 
 
+def _row_energies(rows: np.ndarray) -> np.ndarray:
+    """``energy_of`` of each row of a (B, n) array, with its bits: one exact
+    ``np.abs`` of the array, then ``math.fsum`` over each row of its
+    ``tolist()``."""
+    return np.array([math.fsum(row) for row in np.abs(rows).tolist()])
+
+
 def randic_energy(g: Graph) -> float:
     """Energy of R: the sum of the absolute values of its
     ``randic_eigenvalues``, so a bipartite g is solved on its block B."""

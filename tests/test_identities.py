@@ -505,11 +505,12 @@ class TestDecidedOnce:
         assert (len(ranges), len(summaries)) == (1, 1)
 
     def test_energy_summed_only_when_ranked(self, monkeypatch):
-        energies = self.count_calls(monkeypatch, "energy_of")
+        # a chunk's energies are summed in one call, one row per graph
+        energies = self.count_calls(monkeypatch, "_row_energies")
         scan_small_graphs(4, checks=("classification",))
         assert len(energies) == 0
         scan_small_graphs(4, checks=("classification",), rank_energy=True)
-        assert len(energies) == 38
+        assert [len(rows) for (rows,) in energies] == [38]
 
     @pytest.mark.parametrize(
         "check,g,count",

@@ -363,10 +363,16 @@ class TestOneSidedStack:
 
     @pytest.mark.parametrize(
         "kind,orders",
-        [("star", range(3, 63)), ("path", range(2, 63)), ("cycle", range(3, 63))],
+        [
+            ("star", range(3, 63)),
+            ("path", range(2, 63)),
+            ("cycle", range(3, 63)),
+            ("complete", range(3, 31)),
+        ],
     )
     def test_bits_equal_single_kernel_on_subdivisions(self, kind, orders):
-        # the blocks B of S(star/path/cycle n), each as a stack of one
+        # the blocks B of S(star/path/cycle/complete n), each as a stack of
+        # one: S(star n) and S(K_n) idle in many of their rounds
         for n in orders:
             block = _biadjacency(subdivision(generate(kind, n)))
             stack, norms = stack_solved(block[None])
@@ -461,9 +467,11 @@ class TestOneSidedStack:
 
 
 class TestSweepLookAhead:
-    """After a sweep with an idle round, the one-sided kernel checks the next
-    sweep whole from one Gram ``einsum``: the premise that check rests on,
-    the sweep cap it must keep, and the rounds it saves."""
+    """The one-sided kernel skips idle rounds by a look-ahead, one Gram
+    ``einsum`` that decides every round of a sweep: after a sweep with an
+    idle round, and in a single block after each idle round.  The premise
+    the look-ahead rests on, the sweep cap it must keep, and the rounds it
+    saves."""
 
     @staticmethod
     def random_stacks(seed: int, count: int):
@@ -520,33 +528,109 @@ class TestSweepLookAhead:
         star = _biadjacency(subdivision(generate("star", 9)))[None]
         assert _jacobi_one_sided(star.copy(), cap) == (cap > 1)
 
-    def test_star_subdivisions_take_one_sweep_and_one_look_ahead(self, monkeypatch):
+    @staticmethod
+    def spied_steps(monkeypatch) -> list:
+        """The kernel's steps as it takes them: ("round", r, rotated) for each
+        round r it runs, and ("look-ahead", flags) for each look-ahead, with
+        its verdict on every round of a sweep."""
         import randic.linalg as linalg
 
-        calls = []
-        rule = linalg._live_pairs
+        steps, ran = [], []
+        rule, look, schedule = linalg._live_pairs, linalg._live_rounds, linalg._one_sided_rounds
 
-        def spied(alpha, beta, gamma, *args):
-            # a round passes its pairs as rows, a look-ahead as a (B, rounds,
-            # pairs) array
-            calls.append("round" if gamma.ndim == 1 else "look-ahead")
-            return rule(alpha, beta, gamma, *args)
+        class Logged(np.ndarray):
+            # a round reads its row indices as rights[r], by its number
+            def __getitem__(self, key):
+                if isinstance(key, int):
+                    ran.append(key)
+                return super().__getitem__(key)
 
-        monkeypatch.setattr(linalg, "_live_pairs", spied)
+        def logged_schedule(k):
+            lefts, rights = schedule(k)
+            return lefts, rights.view(Logged)
+
+        def round_rule(alpha, beta, gamma, *args):
+            hit = rule(alpha, beta, gamma, *args)
+            # a round passes its pairs as rows, a look-ahead as a (B,
+            # rounds, pairs) array
+            if gamma.ndim == 1:
+                steps.append(("round", ran[-1], bool(hit.any())))
+            return hit
+
+        def look_ahead(*args):
+            flags = look(*args)
+            steps.append(("look-ahead", flags.tolist()))
+            return flags
+
+        monkeypatch.setattr(linalg, "_one_sided_rounds", logged_schedule)
+        monkeypatch.setattr(linalg, "_live_pairs", round_rule)
+        monkeypatch.setattr(linalg, "_live_rounds", look_ahead)
+        return steps
+
+    def test_star_subdivisions_jump_over_idle_rounds(self, monkeypatch):
+        steps = self.spied_steps(monkeypatch)
         for n in range(3, 51):
             block = _biadjacency(subdivision(generate("star", n)))
             rounds = len(_round_robin_schedule(len(block))[0])
             # the frozen kernel runs two sweeps: one that rotates, one idle
             assert not reference_one_sided(block.copy(), 1)
             assert reference_one_sided(block.copy(), 2)
-            calls.clear()
+            steps.clear()
             assert _jacobi_one_sided(block[None].copy(), 100)
             if rounds == 1:
-                # S(star 3): the one round rotates, so no round idled and
-                # the idle sweep runs as rounds
-                assert calls == ["round", "round"], n
+                # S(star 3): the one round rotates, and the one round of the
+                # idle sweep is its last, so no look-ahead runs
+                assert steps == [("round", 0, True), ("round", 0, False)], n
+                continue
+            assert steps[0] == ("round", 0, True), n
+            for before, step, after in zip([None] + steps, steps, steps[1:] + [None]):
+                if step[0] == "round":
+                    _, r, rotated = step
+                    if not rotated and r + 1 < rounds:
+                        # an idle round with rounds after it: a look-ahead
+                        assert after is not None and after[0] == "look-ahead", n
+                    elif after is not None and after[0] == "round":
+                        # the next round in order, or the first of a sweep
+                        # after a sweep with no idle round
+                        assert after[1] == (r + 1) % rounds and rotated, n
+                    continue
+                flags = step[1]
+                assert before[0] == "round", n
+                # inside a sweep the look-ahead runs from the round after
+                # the idle one; at a sweep's start, from its first round
+                start = before[1] + 1 if before[1] + 1 < rounds else 0
+                assert not before[2] or start == 0, n
+                named = [j for j in range(start, rounds) if flags[j]]
+                if not named and start:
+                    # none left: the sweep ends, and the flags stand for the
+                    # next sweep's check
+                    named = [j for j in range(rounds) if flags[j]]
+                if named:
+                    # the round run next is the one named, and it rotates
+                    assert after == ("round", named[0], True), n
+                else:
+                    assert after is None, n
+            if n >= 6:
+                # fewer rounds than the sweep that rotates, let alone both
+                assert sum(step[0] == "round" for step in steps) < rounds, n
+
+    def test_star_stacks_look_ahead_only_at_a_sweep_start(self, monkeypatch):
+        # a stack's round idles only when all its blocks' do: two star
+        # blocks run their sweep in full, then one look-ahead stands for the
+        # idle sweep
+        steps = self.spied_steps(monkeypatch)
+        for n in range(3, 51):
+            block = _biadjacency(subdivision(generate("star", n)))
+            rounds = len(_round_robin_schedule(len(block))[0])
+            steps.clear()
+            assert _jacobi_one_sided(np.array([block, block]), 100)
+            kinds = [step[0] for step in steps]
+            if rounds == 1:
+                assert kinds == ["round", "round"], n
             else:
-                assert calls == ["round"] * rounds + ["look-ahead"], n
+                assert kinds == ["round"] * rounds + ["look-ahead"], n
+                assert [step[1] for step in steps[:-1]] == list(range(rounds)), n
+                assert not any(steps[-1][1]), n
 
 
 def reference_jacobi(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, int]:

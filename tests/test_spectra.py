@@ -8,10 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randic.errors import IsolatedVertexError
-from randic.graphs import Graph, enumerate_connected_graphs, generate, is_connected, subdivision
+from randic.graphs import (
+    Graph,
+    _connected_masks,
+    edge_mask_count,
+    enumerate_connected_graphs,
+    generate,
+    is_connected,
+    subdivision,
+)
+from randic.identities import _scan_spectra
 from randic.linalg import symmetric_eigenvalues
 from randic.spectra import (
     _biadjacency,
+    _row_energies,
     _row_side,
     energy_of,
     normalized_laplacian,
@@ -472,3 +482,20 @@ class TestFrozenFrontEnd:
             assert type(got) is float
             assert got.hex() == reference_energy_of(values).hex()
             assert energy_of(values.tolist()).hex() == got.hex()
+
+    def test_row_energies_match_energy_of(self):
+        rng = np.random.default_rng(23)
+        stacks = [
+            rng.standard_normal((b, n)) * 10.0 ** rng.integers(-300, 290, (b, n))
+            for b, n in ((1, 1), (3, 7), (40, 15), (5, 199))
+        ]
+        stacks.append(np.array([[0.0, -0.0, 5e-324, -5e-324], [1e308, -1e307, 1.0, -1e-16]]))
+        # a scan's padded R(S) rows, and its R(G) rows, of order 5
+        masks = np.array(list(_connected_masks(5, 0, edge_mask_count(5))), dtype=np.int64)
+        _, _, _, rho, rho_s = _scan_spectra(5, masks, True)
+        stacks += [rho, rho_s]
+        for rows in stacks:
+            got = _row_energies(rows)
+            assert got.shape == (len(rows),)
+            assert [x.hex() for x in got.tolist()] == [energy_of(row).hex() for row in rows]
+        assert _row_energies(np.zeros((0, 4))).shape == (0,)

@@ -154,15 +154,11 @@ def load_graph(token: str, fmt_name: str = "auto") -> Graph:
         return _parse_text(sys.stdin.read(), fmt_name)
     if token.startswith("gen:"):
         return _generate_from_token(token)
-    path = Path(token)
-    try:
-        is_file = path.is_file()
-    except OSError:
-        # e.g. a graph6 literal of order 56..62 is longer than a file name may be
-        is_file = False
-    if is_file:
+    # False, not an error, where the token cannot name a file: e.g. a graph6
+    # literal of order 56..62 is longer than a file name may be
+    if os.path.isfile(token):
         try:
-            text = path.read_text()
+            text = Path(token).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"cannot read {token}: {exc}") from None
         return _parse_text(text, fmt_name)
@@ -173,12 +169,17 @@ def require_convention(g: Graph) -> None:
     """Connected with all degrees positive; everything here assumes it."""
     if g.n == 0:
         raise IsolatedVertexError("graph has no vertices")
-    # at most 2m + 1 vertices are looked at, so an edge list of huge order
-    # and few edges is rejected without per-vertex arrays
-    touched = {v for edge in g.edges for v in edge}
-    isolated = next((i for i in range(g.n) if i not in touched), None)
-    if isolated is not None:
+    if g.n > 2 * g.m:
+        # some vertex is isolated: at most 2m + 1 vertices are looked at, so
+        # an edge list of huge order and few edges is rejected without
+        # per-vertex arrays
+        touched = {v for edge in g.edges for v in edge}
+        isolated = next(i for i in range(g.n) if i not in touched)
         raise IsolatedVertexError(f"vertex {isolated} has degree zero")
+    # the degrees, and below the adjacency lists they come from, are built
+    # once per Graph, for the checks as well
+    if 0 in g.degrees:
+        raise IsolatedVertexError(f"vertex {g.degrees.index(0)} has degree zero")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
 
@@ -493,8 +494,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _graph_commands() -> dict[str, tuple[dict, dict]]:
+    """For each subcommand that takes one graph, its parsed defaults and
+    its store and store-true options by flag, read off ``build_parser``."""
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    plain = (argparse._StoreAction, argparse._StoreTrueAction)
+    out = {}
+    for name, sub in commands.choices.items():
+        if [a.dest for a in sub._actions if not a.option_strings] != ["graph"]:
+            continue
+        # the namespace parse_args starts from: each action's default, then
+        # set_defaults for the dests no action has
+        defaults = {
+            action.dest: action.default
+            for action in sub._actions
+            if argparse.SUPPRESS not in (action.dest, action.default)
+        }
+        defaults = {"command": name, **sub._defaults, **defaults}
+        flags = {
+            flag: action
+            for action in sub._actions
+            if type(action) in plain and action.type is None
+            for flag in action.option_strings
+        }
+        out[name] = (defaults, flags)
+    return out
+
+
+def _parse_graph_command(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for a graph command whose
+    tokens are the graph, which does not start with "-", and options
+    spelled out in full with valid values; None for any other argv, which
+    argparse then parses, errors and help included."""
+    spec = _graph_commands().get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    defaults, flags = spec
+    values = dict(defaults, graph=None)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if values["graph"] is not None:
+                return None
+            values["graph"] = token
+            continue
+        action = flags.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if values["graph"] is None:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_graph_command(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

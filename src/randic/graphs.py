@@ -59,12 +59,20 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
+    def _adjacent(self) -> tuple[list[int], ...]:
+        """Each vertex's neighbours, ascending, from one pass over the
+        sorted edge list: the pass the degrees, the neighbour sets, the
+        connectivity test and the spectral layer's 2-colouring all read.
+        Private and not to be mutated."""
+        adjacent: tuple[list[int], ...] = tuple([[] for _ in range(self.n)])
         for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        return adjacent
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple([len(row) for row in self._adjacent])
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -78,11 +86,24 @@ class Graph:
 
     @cached_property
     def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+        return tuple([frozenset(row) for row in self._adjacent])
+
+    @cached_property
+    def _connected(self) -> bool:
+        """``is_connected``: a traversal from vertex 0 over ``_adjacent``
+        reaches all n vertices."""
+        if self.n <= 1:
+            return True
+        adjacent = self._adjacent
+        seen = [False] * self.n
+        seen[0] = True
+        reached = [0]
+        for u in reached:  # grows as the search reaches new vertices
+            for v in adjacent[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    reached.append(v)
+        return len(reached) == self.n
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._neighbor_sets[v]
@@ -103,12 +124,6 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
-def _column_major_pairs(n: int) -> Iterator[tuple[int, int]]:
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
-
-
 def _graph6_like(token: str) -> bool:
     """Whether one whitespace-free token reads as a graph6 string: after an
     optional header, characters of the printable graph6 range only, which
@@ -123,18 +138,19 @@ def parse_graph6(text: str) -> Graph:
     Raises GraphFormatError for malformed input: bad header byte, characters
     outside the printable graph6 range, wrong body length, nonzero padding
     bits, or the extended (n > 62) forms, which are not supported.
+
+    The body is read as one integer; column j of the upper triangle is then
+    a run of j bits in its binary digits, whose ones are the edges (i, j).
     """
     s = text.strip()
     if s.startswith(_GRAPH6_HEADER):
         s = s[len(_GRAPH6_HEADER):].strip()
     if not s:
         raise GraphFormatError("empty graph6 string")
-    values = []
-    for ch in s:
-        v = ord(ch) - 63
+    values = [ord(ch) - 63 for ch in s]
+    for ch, v in zip(s, values):
         if not 0 <= v <= 63:
             raise GraphFormatError(f"character {ch!r} outside graph6 range")
-        values.append(v)
     if values[0] == 63:
         raise GraphFormatError("extended graph6 forms (order > 62) are not supported")
     n = values[0]
@@ -145,34 +161,42 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body for order {n} needs {nbytes} bytes, got {len(body)}"
         )
-    bits = []
+    packed = 0
     for v in body:
-        for shift in range(5, -1, -1):
-            bits.append((v >> shift) & 1)
-    if any(bits[nbits:]):
+        packed = (packed << 6) | v
+    padding = 6 * nbytes - nbits
+    if packed & ((1 << padding) - 1):
         raise GraphFormatError("nonzero padding bits in graph6 body")
-    edges = [
-        pair for pair, bit in zip(_column_major_pairs(n), bits) if bit
-    ]
-    return Graph.from_edges(n, edges)
+    bits = format(packed >> padding, f"0{nbits}b") if nbits else ""
+    edges = []
+    start = 0
+    for j in range(1, n):
+        i = bits.find("1", start, start + j)
+        while i >= 0:
+            edges.append((i - start, j))
+            i = bits.find("1", i + 1, start + j)
+        start += j
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a Graph as a short-form graph6 string (order <= 62)."""
-    if g.n > GRAPH6_MAX_ORDER:
+    """Encode a Graph as a short-form graph6 string (order <= 62): edge
+    (i, j) sets bit j(j - 1)/2 + i of the body, counted from its first,
+    most significant bit."""
+    n = g.n
+    if n > GRAPH6_MAX_ORDER:
         raise GraphFormatError(
-            f"order {g.n} exceeds the short graph6 limit of {GRAPH6_MAX_ORDER}"
+            f"order {n} exceeds the short graph6 limit of {GRAPH6_MAX_ORDER}"
         )
-    bits = [1 if g.has_edge(i, j) else 0 for i, j in _column_major_pairs(g.n)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k:k + 6]:
-            v = (v << 1) | b
-        out.append(chr(v + 63))
-    return "".join(out)
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    last = 6 * nbytes - 1
+    packed = 0
+    for i, j in g.edges:
+        packed |= 1 << (last - j * (j - 1) // 2 - i)
+    return chr(n + 63) + "".join(
+        [chr((packed >> shift & 63) + 63) for shift in range(last - 5, -1, -6)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +218,13 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError("vertex count must be non-negative")
     rest = numbers[1:]
     if len(rest) % 2:
+        if len(text.strip().split("\n", 1)[0].split()) == 2:
+            # an even count of integers, the first line a pair: a list of
+            # u v pairs without the vertex count n in front
+            raise GraphFormatError(
+                "edge list must start with the vertex count n; "
+                f"its first line {' '.join(tokens[:2])!r} reads as an edge"
+            )
         raise GraphFormatError("dangling vertex index; edges come in pairs")
     try:
         return Graph.from_edges(n, zip(rest[0::2], rest[1::2]))
@@ -230,28 +261,28 @@ def generate(kind: str, n: int | None = None) -> Graph:
     minimum = 3 if kind == "cycle" else 2
     if n < minimum:
         raise ValueError(f"generator {kind!r} needs order >= {minimum}, got {n}")
+    # each family's edges listed canonical, distinct and sorted, so they
+    # skip Graph.from_edges; every tuple is made from a list, as tuple() of
+    # an iterator grows by reallocation, which over many graphs leaves the
+    # allocator's memory fragmented and raises the peak resident size
     if kind == "complete":
-        edges = combinations(range(n), 2)
+        edges = list(combinations(range(n), 2))
     elif kind == "path":
-        edges = ((i, i + 1) for i in range(n - 1))
+        edges = [(i, i + 1) for i in range(n - 1)]
     elif kind == "cycle":
-        edges = ((i, (i + 1) % n) for i in range(n))
+        edges = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
     else:  # star
-        edges = ((0, i) for i in range(1, n))
-    return Graph.from_edges(n, edges)
+        edges = [(0, i) for i in range(1, n)]
+    return Graph(n, tuple(edges))
 
 
 def _petersen() -> Graph:
-    # Kneser construction: vertices are the 2-subsets of a 5-set, adjacent
-    # exactly when disjoint.
-    subsets = list(combinations(range(5), 2))
-    edges = [
-        (i, j)
-        for i in range(10)
-        for j in range(i + 1, 10)
-        if not set(subsets[i]) & set(subsets[j])
-    ]
-    return Graph.from_edges(10, edges)
+    # Kneser construction: vertices are the 2-subsets of a 5-set, as
+    # bitsets, adjacent exactly when disjoint.
+    subsets = [1 << a | 1 << b for a, b in combinations(range(5), 2)]
+    return Graph(
+        10, tuple([(i, j) for i, j in combinations(range(10), 2) if not subsets[i] & subsets[j]])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +309,9 @@ def subdivision(g: Graph) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """True when a traversal from vertex 0 reaches all n vertices."""
-    if g.n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    """True when a traversal from vertex 0 reaches all n vertices; taken
+    once per Graph."""
+    return g._connected
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,14 @@ each, runs the same pass on a stack of one, so k is decided in
 arrays.  Every path gives a graph the spectrum of ``randic_eigenvalues``:
 a bipartite R(G), and every R(S), is solved one-sided on its biadjacency
 block, and any other R(G) two-sided.  ``_verify`` routes R(G) as
-``randic_eigenvalues`` does and solves R(S) through it; a scan 2-colours
+``randic_eigenvalues`` does, and builds the block of R(S) straight from G
+(``spectra._subdivision_block``) with the bits of
+``randic_eigenvalues(subdivision(g))``.  On its stack of one, a helper
+whose numpy calls cost more than the arithmetic of one row takes a form
+on Python floats or 2-D arrays, pinned bit for bit to the stacked form:
+the charpoly expansion and residuals, the correspondence gap, the
+clustering, the rank-one product, and the strong-regularity test and the
+local conditions on small graphs.  A scan 2-colours
 its masks with bitset operations, from the mask bits it builds its
 matrices from, and solves one stack of blocks per row count for R(G), and
 one per edge-count group for R(S), with the same bits.
@@ -81,9 +88,11 @@ from .graphs import (
     edge_mask_count,
     encode_graph6,
     is_connected,
-    subdivision,
 )
 from .linalg import (
+    ROW_LIST_MAX_LENGTH,
+    ROW_PAIRS_MAX_ORDER,
+    _charpoly_list,
     charpoly_coefficients,
     cluster_rows,
     product_over_root_rows,
@@ -93,8 +102,9 @@ from .linalg import (
 from .spectra import (
     _biadjacency,
     _bipartite_eigenvalues,
-    _inverse_sqrt_degrees,
+    _require_positive,
     _row_energies,
+    _subdivision_block,
     energy_of,
     randic_eigenvalues,
     randic_matrix,
@@ -221,9 +231,19 @@ def _charpoly_residuals(
     coefficients max(m) - m_i places up: so does the x^m factor of the
     other side, placed at x^max(m) for every row.  The extra coefficients
     are zeros on both sides, and every residual, a maximum of magnitudes,
-    keeps the bits of the row alone."""
+    keeps the bits of the row alone.
+
+    A stack of one with at most ``ROW_LIST_MAX_LENGTH`` values of R(S)
+    goes to ``_charpoly_row_residuals``, the same arithmetic on Python
+    floats."""
     rows, order = rho_s.shape
     top = int(m.max())
+    if rows == 1 and order <= ROW_LIST_MAX_LENGTH:
+        cross, positions = _charpoly_row_residuals(n, top, theta[0].tolist(), rho_s[0].tolist())
+        return {
+            "cross_multiplied": np.array([cross]),
+            "coefficient_positions": np.array([positions]),
+        }
     phi_s = charpoly_coefficients(rho_s)[:, ::-1]  # ascending powers
     phi_q = charpoly_coefficients(theta)  # descending powers
     powers = np.ldexp(1.0, np.arange(n + 1))  # 2^i, exactly
@@ -242,6 +262,43 @@ def _charpoly_residuals(
     a = np.where(stored, phi_s[:, np.clip(at, 0, order)], 0.0)
     positions = _relative_gaps(a, phi_q / powers)
     return {"cross_multiplied": cross, "coefficient_positions": positions}
+
+
+def _max_gap(gaps: list[float]) -> float:
+    """``np.max`` of a list of values >= 0 or NaN: NaN when any is NaN,
+    which their sum then is."""
+    total = sum(gaps)
+    return total if total != total else max(gaps)
+
+
+def _relative_gap(p: list[float], q: list[float]) -> float:
+    """``_relative_gaps`` of one row, on Python floats."""
+    largest = _max_gap([abs(x) for x in p] + [abs(y) for y in q])
+    return _max_gap([abs(x - y) for x, y in zip(p, q)]) / max(largest, 1.0)
+
+
+def _charpoly_row_residuals(
+    n: int, m: int, theta: list[float], rho_s: list[float]
+) -> tuple[float, float]:
+    """``_charpoly_residuals`` of a stack of one, its two residuals, for a
+    graph with n vertices and m edges, from the spectrum ``theta`` of
+    I + R(G) and ``rho_s`` of R(S): the stacked form's rows as lists, each
+    entry formed by the same rounded operations."""
+    order = len(rho_s)
+    phi_s = _charpoly_list(rho_s)[::-1]  # ascending powers
+    phi_q = _charpoly_list(theta)  # descending powers
+    powers = [math.ldexp(1.0, i) for i in range(n + 1)]  # 2^i, exactly
+    width = max(n + order + 1, m + 2 * n + 1)
+    scale = float(2**n)
+    lhs = [0.0] * width
+    lhs[n : n + order + 1] = [scale * c for c in phi_s]
+    rhs = [0.0] * width
+    rhs[m : m + 2 * n + 1 : 2] = [c * p for c, p in zip(phi_q[::-1], powers)]
+    a = [phi_s[at] if 0 <= at <= order else 0.0 for at in range(n + m, m - n - 1, -2)]
+    return (
+        _relative_gap(lhs, rhs),
+        _relative_gap(a, [c / p for c, p in zip(phi_q, powers)]),
+    )
 
 
 def _subdivision_report(
@@ -275,11 +332,15 @@ def _correspondence_residual(
     values of a row are then paired as they are paired in ascending order
     on its n + m values alone, with zeros paired to zeros in its padding,
     so the worst gap keeps its bits.  Sorting a padded row instead would
-    move its padding to its zeros, where the other row's padding is not."""
+    move its padding to its zeros, where the other row's padding is not.
+    A stack of one with at most ``ROW_LIST_MAX_LENGTH`` values of R(S) is
+    compared on Python floats, by ``_correspondence_row_residual``."""
     if np.any(2 * np.count_nonzero(theta, axis=1) > n + m):
         raise ConvergenceError(
             "spectrum of I + R has fewer zeros than the subdivision order requires"
         )
+    if len(theta) == 1 and rho_s.shape[1] <= ROW_LIST_MAX_LENGTH:
+        return np.array([_correspondence_row_residual(n, theta[0].tolist(), rho_s[0].tolist())])
     width = rho_s.shape[1]
     half = np.sort(np.sqrt(theta / 2.0), axis=1)
     # descending: half reversed, padding, -half; each zero of theta gives a
@@ -289,6 +350,17 @@ def _correspondence_residual(
     high, low = half[:, ::-1][:, : n - drop // 2], -half[:, (drop + 1) // 2 :]
     expected = np.hstack((high, np.zeros((len(theta), width - 2 * n + drop)), low))
     return np.max(np.abs(rho_s - expected), axis=1)
+
+
+def _correspondence_row_residual(n: int, theta: list[float], rho_s: list[float]) -> float:
+    """``_correspondence_residual`` of a stack of one, on Python floats:
+    the same expected row, the same gaps and their maximum."""
+    width = len(rho_s)
+    half = sorted([math.sqrt(t / 2.0) for t in theta])
+    drop = max(2 * n - width, 0)
+    expected = half[::-1][: n - drop // 2] + [0.0] * (width - 2 * n + drop)
+    expected += [-h for h in half[(drop + 1) // 2 :]]
+    return _max_gap([abs(x - y) for x, y in zip(rho_s, expected)])
 
 
 def verify_eigenvalue_correspondence(
@@ -413,15 +485,30 @@ def _identity_checked(
     identity, peak, c = np.empty(b), np.empty(b), np.empty(b)
     alpha = np.sqrt(degrees.astype(np.float64))
     counts = sorted(set(count.tolist()))
-    for j in counts:
-        # rows that all share a count are taken whole, as views
-        rows = np.flatnonzero(count == j) if len(counts) > 1 else slice(None)
-        factors = roots[rows, :j]
-        product = product_over_root_rows(r[rows], factors)
-        c[rows] = _root_products(factors) / (2.0 * m[rows]) if constant is None else constant
-        target = c[rows, None, None] * (alpha[rows, :, None] * alpha[rows, None, :])
-        identity[rows] = np.abs(product - target).max(axis=(1, 2))
-        peak[rows] = np.abs(product).max(axis=(1, 2))
+    if b == 1:
+        # one graph: the stacked operations on its 2-D arrays, and c by
+        # math.prod, which multiplies as ``_root_products`` does
+        factors = roots[0, : counts[0]]
+        eye = np.eye(n)
+        product = eye
+        for factor in r[0] - factors[:, None, None] * eye:
+            product = np.matmul(product, factor)
+        if constant is None:
+            constant = math.prod([1.0 - x for x in factors.tolist()]) / (2.0 * m[0])
+        c[0] = constant
+        gap = product - constant * (alpha[0, :, None] * alpha[0, None, :])
+        identity[0] = np.abs(gap).max()
+        peak[0] = np.abs(product).max()
+    else:
+        for j in counts:
+            # rows that all share a count are taken whole, as views
+            rows = np.flatnonzero(count == j) if len(counts) > 1 else slice(None)
+            factors = roots[rows, :j]
+            product = product_over_root_rows(r[rows], factors)
+            c[rows] = _root_products(factors) / (2.0 * m[rows]) if constant is None else constant
+            target = c[rows, None, None] * (alpha[rows, :, None] * alpha[rows, None, :])
+            identity[rows] = np.abs(product - target).max(axis=(1, 2))
+            peak[rows] = np.abs(product).max(axis=(1, 2))
     # passed requires max|product| > tolerance, phrased as a residual so the
     # report invariant stays "all residuals below tolerance"
     short = 2.0 * tolerance - peak
@@ -478,8 +565,11 @@ def _strongly_regular(a: np.ndarray) -> list[SrgParameters | None]:
     rule out the edgeless and the complete graphs; a nonadjacent count
     mu > 0 then puts every vertex within distance 2 of every other, and
     a regular, non-complete connected graph has a nonadjacent pair at
-    distance 2, so mu > 0 is exactly connectivity."""
+    distance 2, so mu > 0 is exactly connectivity.  A stack of one of
+    order n <= ROW_PAIRS_MAX_ORDER goes to ``_strongly_regular_row``."""
     b, n = a.shape[:2]
+    if b == 1 and n <= ROW_PAIRS_MAX_ORDER:
+        return [_strongly_regular_row(a[0])]
     ones = a.astype(np.float64)
     common = np.matmul(ones, ones)
     nonadjacent = ~a
@@ -493,6 +583,34 @@ def _strongly_regular(a: np.ndarray) -> list[SrgParameters | None]:
         SrgParameters(n, int(degree[i]), int(lam[i]), int(mu[i])) if strong[i] else None
         for i in range(b)
     ]
+
+
+def _neighbourhoods_of(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """Each vertex's neighbours, ascending, and its neighbourhood as a
+    bitset, from an adjacency (n, n) of booleans."""
+    neighbours: list[list[int]] = [[] for _ in range(len(a))]
+    for i, j in zip(*(ends.tolist() for ends in np.nonzero(a))):
+        neighbours[i].append(j)
+    return neighbours, [sum(1 << j for j in row) for row in neighbours]
+
+
+def _strongly_regular_row(a: np.ndarray) -> SrgParameters | None:
+    """``_strongly_regular`` of one graph's adjacency (n, n), symmetric
+    with a zero diagonal, on neighbourhood bitsets: the common-neighbour
+    count of a pair is the popcount of their intersection, the integer
+    that A^2 holds exactly, and the pairs are taken once each."""
+    n = len(a)
+    neighbours, masks = _neighbourhoods_of(a)
+    adjacent, nonadjacent = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = (masks[i] & masks[j]).bit_count()
+            (adjacent if masks[i] >> j & 1 else nonadjacent).append(common)
+    lam, lam_top = min(adjacent, default=n), max(adjacent, default=-1)
+    mu, mu_top = min(nonadjacent, default=n), max(nonadjacent, default=-1)
+    if lam == lam_top and mu == mu_top and mu > 0:
+        return SrgParameters(n, len(neighbours[0]), lam, mu)
+    return None
 
 
 @dataclass(frozen=True)
@@ -615,7 +733,13 @@ def _local_residuals(
     Every sum of 1 / d_k over a neighbourhood or a common neighbourhood is
     read off its count of members per degree: neighbours from A times the
     one-hot degree matrix H, common neighbours of i and j per degree value
-    d from A diag(H_d) A; both count exactly in floats."""
+    d from A diag(H_d) A; both count exactly in floats.  A stack of one of
+    order n <= ROW_PAIRS_MAX_ORDER goes to ``_local_row_residuals``."""
+    if len(a) == 1 and n <= ROW_PAIRS_MAX_ORDER:
+        found = _local_row_residuals(
+            int(m[0]), a[0], degrees[0].tolist(), float(rho2[0]), float(rho3[0])
+        )
+        return {key: np.array([found[key]]) for key in _LOCAL_KEYS}
     c = (1.0 - rho2) * (1.0 - rho3) / (2.0 * m)
     # the distinct degrees, ascending; the first np.unique call of a
     # process costs over a megabyte of resident memory
@@ -645,6 +769,42 @@ def _local_residuals(
             gap = np.where(where, np.abs(got - target), 0.0)
             worst[label] = np.max(gap, axis=1, initial=0.0)
     return {key: worst[key] for key in _LOCAL_KEYS}
+
+
+def _local_row_residuals(
+    m: int, a: np.ndarray, degrees: list[int], rho2: float, rho3: float
+) -> dict[str, float]:
+    """``_local_residuals`` of one graph, with adjacency a (n, n) as
+    booleans, on Python floats.  A sum of 1 / d_k over a vertex set is
+    ``math.fsum`` over its members, correctly rounded as the stacked sum
+    over the members' degree counts is; every target and gap is formed by
+    the stacked form's operations, in its order."""
+    neighbours, masks = _neighbourhoods_of(a)
+    w = [1.0 / d for d in degrees]
+    c = (1.0 - rho2) * (1.0 - rho3) / (2.0 * m)
+    degree_sums = [
+        abs(math.fsum([w[k] for k in row]) - (c * (d * d) - rho2 * rho3 * d))
+        for row, d in zip(neighbours, degrees)
+    ]
+    gaps: dict[str, list[float]] = {key: [0.0] for key in _LOCAL_KEYS[1:]}
+    n = len(degrees)
+    for i in range(n):
+        below, ci = neighbours[i], c * degrees[i]
+        for j in range(i + 1, n):
+            common = masks[i] & masks[j]
+            weighted = math.fsum([w[k] for k in below if common >> k & 1]) if common else 0.0
+            count = float(common.bit_count())
+            product = ci * degrees[j]
+            if masks[i] >> j & 1:
+                target = product + rho2 + rho3
+                gaps["adjacent_weighted"].append(abs(weighted - target))
+                gaps["count_adjacent"].append(abs(count - target))
+            else:
+                gaps["nonadjacent_weighted"].append(abs(weighted - product))
+                gaps["count_nonadjacent"].append(abs(count - product))
+    return {"degree_sums": _max_gap([0.0] + degree_sums)} | {
+        key: _max_gap(values) for key, values in gaps.items()
+    }
 
 
 _LOCAL_VERDICT_KEYS = ("degree_sums", "adjacent_weighted", "nonadjacent_weighted")
@@ -791,7 +951,7 @@ def verify_all(g: Graph) -> dict[str, VerificationReport | Classification]:
     scan bit for bit.  ``g`` must have every degree positive, tested first,
     and be connected.
     """
-    _inverse_sqrt_degrees(g)
+    _require_positive(g.degrees)
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
     return _verify(g, SCAN_CHECKS)[0]
@@ -802,7 +962,8 @@ def _verify(
 ) -> tuple[dict[str, VerificationReport | Classification], int | None]:
     """The report of each check of ``checks`` that applies to ``g``, in
     check order, from R(G) solved once and, only for a subdivision check,
-    R(S(G)) or R of the claimed ``subdivided`` graph solved once by
+    R(S(G)), solved once on the block ``_subdivision_block`` builds from g,
+    or R of the claimed ``subdivided`` graph, solved once by
     ``randic_eigenvalues``: ``_check_stack`` on the stack of one decides k
     and which checks apply.  R(G) is solved as ``randic_eigenvalues``
     solves it, a bipartite g on its block by ``singular_values`` and any
@@ -817,7 +978,11 @@ def _verify(
         rho = _bipartite_eigenvalues(singular_values(block), g.n)
     rho_s = None
     if any(name in SUBDIVISION_CHECKS for name in checks):
-        rho_s = randic_eigenvalues(subdivision(g) if subdivided is None else subdivided)[None]
+        if subdivided is None:
+            sigma = singular_values(_subdivision_block(g))
+            rho_s = _bipartite_eigenvalues(sigma, g.n + g.m)[None]
+        else:
+            rho_s = randic_eigenvalues(subdivided)[None]
     checked, k = _check_stack(g.n, np.array([g.m]), checks, r[None], rho[None], rho_s)
     reports = {name: c.report(0) for name, c in checked.items() if c.rows.size}
     return reports, None if k is None else int(k[0])

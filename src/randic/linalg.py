@@ -85,6 +85,13 @@ CLUSTER_TOL = 1e-7
 # as fast, and a lower bound would change eigenvalue bits or leave the
 # lockstep stacks of scans
 ROUND_ROBIN_MIN_ORDER = 32
+# A helper on a stack of one, which is how ``verify`` checks a graph, works
+# on Python floats where that costs less than its numpy calls: on rows of
+# at most ROW_LIST_MAX_LENGTH values (roots, or a spectrum of R(S)), and on
+# the vertex pairs of graphs of order at most ROW_PAIRS_MAX_ORDER.  Both are
+# set from timings of both forms (CHANGES.md).
+ROW_LIST_MAX_LENGTH = 40
+ROW_PAIRS_MAX_ORDER = 12
 
 
 def _off_norms(stack: np.ndarray) -> np.ndarray:
@@ -592,9 +599,18 @@ def cluster_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     representative is the cluster mean ``math.fsum(members) / size``; a
     single member's is its value plus 0.0, which is that mean exactly
     (fsum turns -0.0 into 0.0), so fsum runs only on clusters of two or
-    more.
+    more.  A stack of one is clustered on its Python floats, by
+    ``_cluster_list``.
     """
     b, n = rows.shape
+    if b == 1:
+        means, counts = _cluster_list(rows[0].tolist())
+        pad = n - len(means)
+        return (
+            np.array([len(means)]),
+            np.array([means + [math.nan] * pad]),
+            np.array([counts + [0] * pad], dtype=np.intp),
+        )
     flat = rows.ravel()
     starts = np.ones((b, n), dtype=bool)
     np.logical_not(rows[:, :-1] - rows[:, 1:] <= CLUSTER_TOL, out=starts[:, 1:])
@@ -618,17 +634,31 @@ def cluster_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k, reps, sizes
 
 
+def _cluster_list(values: list[float]) -> tuple[list[float], list[int]]:
+    """The representatives and sizes of one descending row's clusters, on
+    its Python floats: ``cluster_rows``' breaks, ``values[i - 1] -
+    values[i] <= CLUSTER_TOL`` negated, and its means."""
+    n = len(values)
+    means: list[float] = []
+    sizes: list[int] = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or not values[i - 1] - values[i] <= CLUSTER_TOL:
+            size = i - start
+            means.append(values[start] + 0.0 if size == 1 else math.fsum(values[start:i]) / size)
+            sizes.append(size)
+            start = i
+    return means, sizes
+
+
 def cluster_distinct(values: Iterable[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Collapse near-equal values into (representatives, multiplicities):
     the one-row form of ``cluster_rows`` on the values sorted descending.
     Each representative is the cluster mean, which keeps the operation
     idempotent for well separated spectra.
     """
-    vals = sorted(values, reverse=True)
-    if not vals:
-        return (), ()
-    (k,), reps, sizes = cluster_rows(np.array([vals], dtype=np.float64))
-    return tuple(reps[0, :k].tolist()), tuple(sizes[0, :k].tolist())
+    means, sizes = _cluster_list(sorted(map(float, values), reverse=True))
+    return tuple(means), tuple(sizes)
 
 
 @dataclass(frozen=True)
@@ -698,14 +728,34 @@ def charpoly_coefficients(roots: np.ndarray) -> np.ndarray:
     rounded sum per coefficient, so the bits are ``np.poly``'s.  The work
     array holds one coefficient per row, so each step reads and writes
     contiguous rows of the whole stack.
+
+    A stack of one with at most ``ROW_LIST_MAX_LENGTH`` roots is
+    expanded by ``_charpoly_list`` on Python floats instead, with the same
+    bits: there a step's interpreted arithmetic costs less than its numpy
+    calls.
     """
     b, k = roots.shape
+    if b == 1 and k <= ROW_LIST_MAX_LENGTH:
+        return np.array([_charpoly_list(roots[0].tolist())])
     c = np.zeros((k + 1, b))
     c[0] = 1.0
     negated = -roots.T
     for j in range(k):
         c[1 : j + 2] += c[: j + 1] * negated[j]
     return c.T
+
+
+def _charpoly_list(roots: list[float]) -> list[float]:
+    """``charpoly_coefficients`` of one row of roots, on Python floats: each
+    root t turns coefficient i >= 1 into c[i] + c[i - 1] * -t, the product
+    and the sum each rounded once as numpy rounds them, and c[0] stays 1.0.
+    A trailing 0.0 stands for the coefficient each step creates."""
+    c = [1.0, 0.0]
+    for r in roots:
+        t = -r
+        c[1:] = [x + y * t for x, y in zip(c[1:], c)]
+        c.append(0.0)
+    return c[:-1]
 
 
 def charpoly_from_eigenvalues(values: Sequence[float]) -> Polynomial:

@@ -10,10 +10,13 @@ A bipartite graph, every subdivision among them, has R = [[0, B], [B^T, 0]]
 once its vertices are ordered by colour class.  ``randic_eigenvalues`` then
 solves only the block B, by the one-sided kernel: R's spectrum is +-sigma(B)
 and zeros.  Any other graph is solved as the full matrix R.
-``_biadjacency`` takes the degrees, the 2-colouring and B from one pass
-over the edge list into integer adjacency lists, so a single graph reaches
-the kernel without the graph's cached neighbour sets or numpy arrays per
-vertex.  ``verify`` routes R(G) the same way.  A scan builds the blocks of
+``_biadjacency`` takes the degrees, the 2-colouring and B from the
+graph's adjacency lists, built in one pass over its edge list and shared
+with the connectivity test, so a single graph reaches the kernel without
+neighbour sets or numpy arrays per vertex.  ``randic_matrix`` writes R
+from the edge list.  ``verify`` routes R(G) the same way, and takes the
+block of R(S(G)) from ``_subdivision_block``, which builds it from G
+without building S(G).  A scan builds the blocks of
 its bipartite graphs and of its subdivisions itself, with the bits of
 ``_biadjacency``, and lays out their spectra with
 ``_bipartite_eigenvalues``; so every command gives a graph one R spectrum.
@@ -26,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import IsolatedVertexError
-from .graphs import Graph
+from .graphs import Graph, is_connected, subdivision
 from .linalg import Spectrum, singular_values, symmetric_eigenvalues
 
 
@@ -39,16 +42,27 @@ def _require_positive(degrees) -> None:
         raise IsolatedVertexError(f"vertex {degrees.index(0)} has degree zero")
 
 
-def _inverse_sqrt_degrees(g: Graph) -> np.ndarray:
-    _require_positive(g.degrees)
-    return 1.0 / np.sqrt(np.array(g.degrees, dtype=np.float64))
+def _inverse_sqrt_list(degrees) -> list[float]:
+    """w = 1 / sqrt(d) per degree, in vertex order, as Python floats;
+    rejects a graph without vertices or with a vertex of degree zero."""
+    _require_positive(degrees)
+    return [1.0 / math.sqrt(d) for d in degrees]
 
 
 def randic_matrix(g: Graph) -> np.ndarray:
-    """Dense R = D^(-1/2) A D^(-1/2); exactly symmetric by construction."""
-    w = _inverse_sqrt_degrees(g)
-    a = g.adjacency.astype(np.float64)
-    return (w[:, None] * a) * w[None, :]
+    """Dense R = D^(-1/2) A D^(-1/2); exactly symmetric by construction.
+
+    Entry (u, v) of an edge is w[u] * w[v] with w = 1 / sqrt(degree), the
+    bits of (w[u] * 1.0) * w[v], and every other entry is +0.0, the bits
+    of (w[u] * 0.0) * w[v]: written from the edge list into zeros."""
+    w = _inverse_sqrt_list(g.degrees)
+    n = g.n
+    r = np.zeros((n, n))
+    flat = r.ravel()
+    products = [w[u] * w[v] for u, v in g.edges]
+    flat[[u * n + v for u, v in g.edges]] = products
+    flat[[v * n + u for u, v in g.edges]] = products
+    return r
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
@@ -93,17 +107,13 @@ def _biadjacency(g: Graph) -> np.ndarray | None:
     with w = 1 / sqrt(degree), so the nonzeros of B are those of R bit for
     bit.
 
-    Built in one pass over the edge list into integer adjacency lists, whose
+    Built from the graph's adjacency lists (``Graph._adjacent``), whose
     lengths are the degrees and which ``_row_side`` 2-colours; each edge then
     writes its entry into B at the flat index of its (row, column) pair.
     Rejects an isolated vertex, or a graph without vertices, as
     ``randic_matrix`` does."""
-    adjacent: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adjacent[u].append(v)
-        adjacent[v].append(u)
-    degrees = list(map(len, adjacent))
-    _require_positive(degrees)
+    adjacent = g._adjacent
+    w = _inverse_sqrt_list(g.degrees)
     rows = _row_side(adjacent)
     if rows is None:
         return None
@@ -114,13 +124,35 @@ def _biadjacency(g: Graph) -> np.ndarray | None:
         position.append(k if is_row else len(position) - k)
         k += is_row
     width = g.n - k
-    w = [1.0 / math.sqrt(d) for d in degrees]
     index = [
         position[u] * width + position[v] if rows[u] else position[v] * width + position[u]
         for u, v in g.edges
     ]
     b = np.zeros((k, width))
     b.ravel()[index] = [w[u] * w[v] for u, v in g.edges]
+    return b
+
+
+def _subdivision_block(g: Graph) -> np.ndarray:
+    """``_biadjacency(subdivision(g))``, bit for bit, built from g.
+
+    S(G) of a connected g is one component, its n vertices one colour
+    class and its m edge vertices the other.  The rows of B are then the
+    edge vertices when m < n, in edge order, and g's vertices otherwise;
+    the entry of vertex x and edge i is w[x] * (1 / sqrt(2)), the product
+    ``_biadjacency`` forms on S(G)'s edge (x, n + i).  Any other g goes
+    through ``subdivision``."""
+    if not g.edges or not is_connected(g):
+        return _biadjacency(subdivision(g))
+    w = _inverse_sqrt_list(g.degrees)
+    half = 1.0 / math.sqrt(2.0)
+    n, m = g.n, g.m
+    b = np.zeros((m, n) if m < n else (n, m))
+    if m < n:
+        index = [i * n + x for i, edge in enumerate(g.edges) for x in edge]
+    else:
+        index = [x * m + i for i, edge in enumerate(g.edges) for x in edge]
+    b.ravel()[index] = [w[x] * half for edge in g.edges for x in edge]
     return b
 
 
@@ -192,7 +224,7 @@ def perron_vector(g: Graph) -> np.ndarray:
     Satisfies R x = x for any graph with all degrees positive; positivity
     and uniqueness of that eigenvector additionally need connectivity.
     """
-    w = _inverse_sqrt_degrees(g)
+    w = np.array(_inverse_sqrt_list(g.degrees))
     x = 1.0 / w
     return x / np.linalg.norm(x)
 

@@ -1,8 +1,10 @@
+import contextlib
 import gc
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -544,3 +546,134 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+class TestGraphCommandArgv:
+    """The graph commands' argv is read without argparse where every token
+    is the graph or an option spelled out with a valid value, into the
+    namespace argparse gives; anything else goes to argparse."""
+
+    PLAIN = [
+        ["verify", "EyiO", "--json"],
+        ["verify", "--json", "gen:petersen"],
+        ["verify", "gen:petersen", "--check", "local", "--json"],
+        ["verify", "gen:petersen", "--check", "local", "--check", "identity"],
+        ["verify", "3 0 1 1 2", "--format", "edges", "--json", "--json"],
+        ["verify", ""],
+        ["spectrum", "gen:cycle:5", "--matrix", "all"],
+        ["spectrum", "verify", "--format", "graph6"],
+        ["energy", "gen:star:4", "--json"],
+        ["subdivide", "gen:path:4", "--output", "edges"],
+    ]
+    DECLINED = [
+        [],
+        ["scan", "--order", "3"],
+        ["verify"],
+        ["verify", "-"],
+        ["verify", "-5"],
+        ["verify", "a", "b"],
+        ["verify", "a", "--js"],
+        ["verify", "a", "--json=1"],
+        ["verify", "a", "--check"],
+        ["verify", "a", "--check", "nope"],
+        ["verify", "a", "--check", "-h"],
+        ["verify", "a", "-h"],
+        ["verify", "a", "--help"],
+        ["verify", "a", "--"],
+        ["spectrum", "a", "--check", "local"],
+        ["bogus", "a"],
+    ]
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+    def test_plain_argv_reads_as_argparse_does(self, argv):
+        from randic.cli import _parse_graph_command, build_parser
+
+        got = _parse_graph_command(argv)
+        assert got is not None
+        assert vars(got) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+    def test_other_argv_goes_to_argparse(self, argv):
+        from randic.cli import _parse_graph_command
+
+        assert _parse_graph_command(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "a", "--check", "nope"], ["verify"], ["verify", "a", "b"]]
+    )
+    def test_argparse_errors_stay(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: randic" in capsys.readouterr().err
+
+
+class TestHeaderlessEdgeList:
+    @pytest.mark.parametrize("fmt", ["edges", "auto"])
+    @pytest.mark.parametrize("text", ["0 1\n1 2", "0 1\n1 2\n2 3\n", "2 0\n0 1"])
+    def test_missing_vertex_count_is_named(self, capsys, monkeypatch, tmp_path, fmt, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "verify", "-", "--format", fmt)
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        assert run(capsys, "verify", str(path), "--format", fmt) == (code, out, err)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        first = " ".join(text.split()[:2])
+        assert err == (
+            f"error: edge list must start with the vertex count n; its first line "
+            f"'{first}' reads as an edge\n"
+        )
+
+    def test_dangling_index_after_a_header(self, capsys):
+        code, _, err = run(capsys, "verify", "3\n0 1\n2", "--format", "edges")
+        assert code == 2
+        assert err == "error: dangling vertex index; edges come in pairs\n"
+
+
+VERDICTS = Path(__file__).parent / "golden" / "verdicts.json"
+
+
+class TestStatelessRequests:
+    """A request's stdout does not depend on what the same process ran
+    before it: the seed-1 verify-cli roster in order, reversed and shuffled
+    in one process, and a sample of it in fresh interpreters, give every
+    token the same bytes."""
+
+    @staticmethod
+    def roster() -> list[str]:
+        return json.loads(VERDICTS.read_text())["rosters"]["1"]
+
+    @staticmethod
+    def outputs(tokens) -> dict[str, set[str]]:
+        seen: dict[str, set[str]] = {}
+        for token in tokens:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", token, "--json"])
+            seen.setdefault(token, set()).add(f"{code}\n{out.getvalue()}")
+        return seen
+
+    def test_order_of_requests_in_one_process(self):
+        roster = self.roster()
+        shuffled = list(roster)
+        random.Random(26).shuffle(shuffled)
+        seen = self.outputs(roster + roster[::-1] + shuffled)
+        assert len(seen) == len(set(roster))
+        assert [token for token, outs in seen.items() if len(outs) > 1] == []
+
+    def test_fresh_interpreters(self):
+        roster = self.roster()
+        warm = self.outputs(roster)
+        sample = list(dict.fromkeys(roster))[::17] + ["gen:petersen"]
+        src = str(Path(randic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        for token in sample:
+            proc = subprocess.run(
+                [sys.executable, "-m", "randic", "verify", token, "--json"],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            assert {f"{proc.returncode}\n{proc.stdout}"} == warm[token], token

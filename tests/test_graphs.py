@@ -151,6 +151,40 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             parse_graph6(bad)
 
+    def test_every_order_matches_the_pair_by_pair_coding(self):
+        # graph6 bit by bit over the column-major pairs, as the codec was
+        # first written, on random graphs of orders 0-62
+        def reference_encode(g):
+            bits = [1 if g.has_edge(i, j) else 0 for j in range(1, g.n) for i in range(j)]
+            bits += [0] * (-len(bits) % 6)
+            body = [int("".join(map(str, bits[k : k + 6])), 2) for k in range(0, len(bits), 6)]
+            return "".join(chr(v + 63) for v in [g.n] + body)
+
+        rng = random.Random(26)
+        for n in range(63):
+            for p in (0.0, 0.1, 0.5, 1.0):
+                g = random_graph(rng, n, p)
+                code = encode_graph6(g)
+                assert code == reference_encode(g)
+                back = parse_graph6(code)
+                assert back == g and type(back.edges) is tuple
+                assert all(type(e) is tuple for e in back.edges)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("A" + chr(30) + chr(200), "character '\\x1e' outside graph6 range"),
+            ("~??", "extended graph6 forms (order > 62) are not supported"),
+            ("A__", "graph6 body for order 2 needs 1 bytes, got 2"),
+            ("A`", "nonzero padding bits in graph6 body"),
+            ("Bx", "nonzero padding bits in graph6 body"),
+        ],
+    )
+    def test_malformed_messages(self, bad, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph6(bad)
+        assert str(exc.value) == message
+
     def test_encode_rejects_oversize(self):
         g = Graph.from_edges(63, [(0, 1)])
         with pytest.raises(GraphFormatError):
@@ -166,6 +200,10 @@ class TestEdgeListFormat:
         g = parse_edge_list("3")
         assert (g.n, g.m) == (3, 0)
 
+    def test_headerless_list_names_the_vertex_count(self):
+        with pytest.raises(GraphFormatError, match="must start with the vertex count n"):
+            parse_edge_list("0 1\n1 2")
+
     @pytest.mark.parametrize("bad", ["", "x", "3 0", "3 0 1 2", "-1", "2 0 0"])
     def test_malformed_inputs_raise(self, bad):
         with pytest.raises(GraphFormatError):
@@ -173,6 +211,18 @@ class TestEdgeListFormat:
 
 
 class TestGenerators:
+    def test_edges_are_canonical_and_sorted(self):
+        # generated edge tuples skip Graph.from_edges, so they must be
+        # what it would make of them
+        graphs = [generate("petersen")] + [
+            generate(kind, n)
+            for kind in ("complete", "path", "cycle", "star")
+            for n in range(3 if kind == "cycle" else 2, 63)
+        ]
+        for g in graphs:
+            assert g == Graph.from_edges(g.n, g.edges)
+            assert type(g.edges) is tuple and all(type(e) is tuple for e in g.edges)
+
     def test_complete(self):
         g = generate("complete", 5)
         assert g.m == 10

@@ -23,6 +23,7 @@ from randic.spectra import (
     _biadjacency,
     _row_energies,
     _row_side,
+    _subdivision_block,
     energy_of,
     normalized_laplacian,
     normalized_signless_laplacian,
@@ -399,6 +400,21 @@ def reference_biadjacency(g: Graph) -> np.ndarray | None:
     return b
 
 
+def reference_randic_matrix(g: Graph) -> np.ndarray:
+    """R as (w[:, None] * A) * w[None, :] over the dense 0/1 adjacency, set
+    one edge at a time."""
+    deg = g.degrees
+    if not deg:
+        raise IsolatedVertexError("graph has no vertices")
+    if 0 in deg:
+        raise IsolatedVertexError(f"vertex {deg.index(0)} has degree zero")
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1
+    w = 1.0 / np.sqrt(np.array(deg, dtype=np.float64))
+    return (w[:, None] * a.astype(np.float64)) * w[None, :]
+
+
 def reference_subdivision(g: Graph) -> Graph:
     edges = []
     for i, (u, v) in enumerate(g.edges):
@@ -469,6 +485,15 @@ class TestFrozenFrontEnd:
                 want_rows = reference_row_side(h)
                 for order in (sorted, lambda vs: sorted(vs, reverse=True)):
                     assert _row_side([order(h.neighbors(v)) for v in range(h.n)]) == want_rows, h
+
+    def test_matrix_and_subdivision_block_match_the_references(self):
+        # R from the edge list has the bits of (w w^T) * A, and the block of
+        # S(G) built from G those of _biadjacency(subdivision(G)), on
+        # disconnected and edgeless graphs too
+        for g in front_end_roster():
+            assert block_outcome(randic_matrix, g) == block_outcome(reference_randic_matrix, g), g
+            want = block_outcome(lambda h: _biadjacency(subdivision(h)), g)
+            assert block_outcome(_subdivision_block, g) == want, g
 
     def test_energy_of_matches_the_reference(self):
         rng = np.random.default_rng(22)

@@ -351,6 +351,20 @@ def _pair_bits(n: int) -> np.ndarray:
     return weights
 
 
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """The number of set bits of each non-negative integer of ``values``, as
+    uint64: the counts of ``np.bitwise_count``, which NumPy 1.24 lacks, from
+    the SWAR sums of bit pairs, nibbles and bytes, the byte sums added up by
+    one multiply."""
+    # each byte 0x55, 0x33, 0x0F and 0x01
+    m1, m2, m4, h01 = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 1))
+    v = values.astype(np.uint64)
+    v -= (v >> np.uint64(1)) & m1
+    v = (v & m2) + ((v >> np.uint64(2)) & m2)
+    v = (v + (v >> np.uint64(4))) & m4
+    return (v * h01) >> np.uint64(56)
+
+
 def _adjacency_bitsets(n: int, bits: np.ndarray) -> np.ndarray:
     """Each vertex's neighbourhood in the graph of each edge mask on n <= 8
     vertices, as an (n, B) array of uint8 bitsets, row v for vertex v, from
@@ -413,7 +427,7 @@ def _row_sides(adjacent: np.ndarray) -> np.ndarray:
     own = np.where((even >> np.arange(n, dtype=even.dtype)[:, None]) & 1, even, odd)
     clash = np.any(adjacent & own, axis=0)
     # 2 * |odd| < n: the odd class is the smaller one
-    rows = np.where(np.bitwise_count(odd) < (n + 1) // 2, odd, even)
+    rows = np.where(_popcount(odd) < (n + 1) // 2, odd, even)
     rows[clash] = 0
     return rows
 

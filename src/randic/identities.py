@@ -84,6 +84,7 @@ from .graphs import (
     _mask_bits,
     _mask_edges,
     _pair_ends,
+    _popcount,
     _row_sides,
     edge_mask_count,
     encode_graph6,
@@ -1169,7 +1170,7 @@ def _scan_spectra(
     of R-spectra, and the stack of R(S)-spectra or None), one row per
     graph: the rows the checks read.
     """
-    m = np.bitwise_count(masks)
+    m = _popcount(masks)
     perm = np.argsort(m, kind="stable")
     m = m[perm].astype(np.intp)
     r, blocks, groups = _chunk_matrices(order, masks[perm], subdivided)

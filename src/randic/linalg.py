@@ -44,7 +44,11 @@ one stack per edge count.  Both round-robin kernels take each round's
 rotations from ``_rotation`` and rotate a pair's rows in halves,
 c x_p - s x_q and c x_q + s x_p; the one-sided kernel takes alpha, beta and
 gamma of a round from one ``einsum`` over the gathered rows (p; q; p) and
-(p; q; q).  A single block takes those row indices from
+(p; q; q).  A one-sided round in which exactly one pair of the whole stack
+rotates, as nearly every round of S(star n) after its first does, rotates
+that pair on numpy float64 scalars by the same ``_rotation``: numpy's
+scalar arithmetic rounds as its array loops do, so no bit moves.  A single
+block takes those row indices from
 ``_one_sided_rounds``, cached read-only per k beside
 ``_round_robin_schedule``, and a stack adds each block's row offset to
 them.  The kernel stops after a sweep that rotates
@@ -249,15 +253,16 @@ def _rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _rotation(
-    d: np.ndarray, twice: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    d: np.ndarray | np.float64, twice: np.ndarray | np.float64
+) -> tuple[np.ndarray | np.float64, np.ndarray | np.float64, np.ndarray | np.float64]:
     """The Jacobi rotation of each pair of a round from d = aqq - app and
-    twice = 2 apq: t, and c and s as the columns ``_rotate_pairs`` takes.
-    t = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with theta = d / twice,
-    multiplied through by twice."""
+    twice = 2 apq: t, c and s, shaped as d, for arrays of pairs or for one
+    pair on numpy float64 scalars, whose arithmetic rounds as the array
+    loops do.  t = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with theta =
+    d / twice, multiplied through by twice."""
     t = twice / (d + np.copysign(np.hypot(d, twice), d))
     c = 1.0 / np.hypot(t, 1.0)
-    return t, c[:, None], (t * c)[:, None]
+    return t, c, t * c
 
 
 @lru_cache(maxsize=64)
@@ -338,6 +343,7 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
             ends = diag[idx]
             app, aqq = ends[:k], ends[k:]
             t, c, s = _rotation(aqq - app, 2.0 * apq)
+            c, s = c[:, None], s[:, None]
             rows = _rotate_pairs(a[idx], c, s)
             # the block of the pairs' own columns still needs its column
             # rotation; rotating the rows of its transpose does that on
@@ -424,6 +430,18 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     sweep-start check.  Either way a block gets the rotations and bits of
     running every round, and the sweep cap counts the same sweeps.  Returns
     False when each of the ``max_sweeps`` sweeps rotated some pair.
+
+    A round in which exactly one pair of the whole stack rotates takes that
+    pair by its index and rotates it on numpy float64 scalars, with the
+    same ``_rotation`` and the same row products, writing its two rows
+    back; every other round rotates on arrays.  numpy's scalar arithmetic
+    rounds as its array loops do, so the bits are those of the array path,
+    without its boolean-mask gathers and column reshapes for one pair.
+    After S(star n)'s first round, the row that holds the shared centre
+    column meets one partner per round, so such rounds dominate there:
+    S(star 50) runs 27 rounds, one rotating all 24 pairs, 24 rotating one
+    pair and 2 idle, and one pass over S(star 3..50) runs 714 rounds, 578
+    of them on one pair.
     """
     count, k, w = b.shape
     if k < 2:
@@ -482,12 +500,19 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
                 continue
             rotated = True
             x, y = rows[:half], rows[half : 2 * half]
-            if rotating < half:
+            if rotating == 1:
+                # one pair: its products as numpy scalars and its two rows
+                i = int(hit.argmax())
+                alpha, beta, gamma = alpha[i], beta[i], gamma[i]
+                x, y, p, q = x[i], y[i], p[i], q[i]
+            elif rotating < half:
                 alpha, beta, gamma = alpha[hit], beta[hit], gamma[hit]
                 x, y, p, q = x[hit], y[hit], p[hit], q[hit]
             # the rotation that zeroes gamma, in the form of the two-sided
             # kernel with (aqq - app, apq) = (beta - alpha, gamma)
             _, c, s = _rotation(beta - alpha, 2.0 * gamma)
+            if rotating > 1:
+                c, s = c[:, None], s[:, None]
             flat[p] = c * x - s * y
             flat[q] = c * y + s * x
         if not rotated:

@@ -294,6 +294,14 @@ class TestScanCommand:
         assert payload["passed"] is True
         assert payload["lowest_energy"]["value"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_same_bytes_without_bitwise_count(self, capsys, monkeypatch, order):
+        # np.bitwise_count came with NumPy 2.0; a scan must not need it
+        argvs = [["scan", "--order", str(order), *extra] for extra in ([], ["--rank-energy"])]
+        want = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert [run(capsys, *argv) for argv in argvs] == want
+
     @pytest.mark.parametrize("order", [4, 5])
     def test_counterexamples_listed(self, capsys, monkeypatch, order):
         # below the energy check's roundoff some graphs fail; the text

@@ -11,6 +11,7 @@ from randic.graphs import (
     Graph,
     _connected_masks,
     _mask_edges,
+    _popcount,
     edge_mask_count,
     encode_graph6,
     enumerate_connected_graphs,
@@ -358,3 +359,30 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_connected_graphs(n))
 
+
+
+class TestPopcount:
+    """``_popcount`` stands in for ``np.bitwise_count``, which NumPy 1.24
+    lacks, on the edge masks and vertex bitsets the scans count."""
+
+    @staticmethod
+    def masks() -> np.ndarray:
+        rng = np.random.default_rng(17)
+        edges = np.array([0, 1, 2, 3, 2**21 - 1, 2**62, 2**63 - 1], dtype=np.int64)
+        wide = rng.integers(0, 2**63 - 1, size=4000, dtype=np.int64)
+        # masks of every density: each bit kept with its own probability
+        bits = rng.random((4000, 63)) < rng.random((4000, 1))
+        dense = (bits.astype(np.int64) << np.arange(63, dtype=np.int64)).sum(axis=1)
+        return np.concatenate((edges, wide, dense))
+
+    @pytest.mark.skipif(not hasattr(np, "bitwise_count"), reason="NumPy < 2.0")
+    def test_equals_bitwise_count(self):
+        masks = self.masks()
+        assert np.array_equal(_popcount(masks), np.bitwise_count(masks))
+        bitsets = np.arange(256, dtype=np.uint8)
+        assert np.array_equal(_popcount(bitsets), np.bitwise_count(bitsets))
+
+    def test_equals_int_bit_count(self):
+        masks = self.masks()
+        assert _popcount(masks).tolist() == [int(v).bit_count() for v in masks.tolist()]
+        assert _popcount(masks[:0]).shape == (0,)

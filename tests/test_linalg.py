@@ -633,6 +633,141 @@ class TestSweepLookAhead:
                 assert not any(steps[-1][1]), n
 
 
+class TestLonePairRounds:
+    """When exactly one pair of the whole stack rotates in a round of the
+    one-sided kernel, that pair is rotated on numpy float64 scalars by the
+    same ``_rotation``.  After S(star n)'s first round most rounds are such
+    rounds.  The kernel keeps the bits and return values of the frozen
+    single-block kernel where the path runs, and the scalar form of the
+    rotation has the bits of the array form."""
+
+    CAPS = [1, 2, 3, 100]
+
+    @staticmethod
+    def spied_lone_pairs(monkeypatch) -> list:
+        """One entry per lone-pair round the kernel runs: a ``_rotation``
+        call on scalars rather than on an array of pairs."""
+        import randic.linalg as linalg
+
+        lone = []
+        rotation = linalg._rotation
+
+        def spied(d, twice):
+            if np.ndim(d) == 0:
+                lone.append(d)
+            return rotation(d, twice)
+
+        monkeypatch.setattr(linalg, "_rotation", spied)
+        return lone
+
+    @staticmethod
+    def assert_reference_bits(stack: np.ndarray, cap: int) -> None:
+        got = stack.copy()
+        returned = _jacobi_one_sided(got, cap)
+        outcomes = []
+        for block, rotated in zip(stack, got):
+            want = block.copy()
+            outcomes.append(reference_one_sided(want, cap))
+            assert same_bits(rotated, want), (stack.shape, cap)
+        # a stack stops at the sweep in which its last block idles
+        assert returned == all(outcomes), (stack.shape, cap)
+
+    @staticmethod
+    def family_blocks(kinds):
+        # S(G) of the families the verdict table covers, orders up to 62
+        low = {"star": 3, "cycle": 3, "complete": 2, "path": 2}
+        for kind in kinds:
+            for n in range(low[kind], 63):
+                yield _biadjacency(subdivision(generate(kind, n)))
+
+    @staticmethod
+    def lone_pair_stacks():
+        # (stack, whether it must take the path): a star block beside
+        # blocks that never rotate (orthogonal rows, a solved star, a zero
+        # block), so that after the first round the stack's rounds rotate
+        # the star's one pair, a single pair in the whole stack; and random
+        # blocks beside a solved copy of themselves, whose last rounds may
+        rng = np.random.default_rng(29)
+        for n in range(4, 63, 3):
+            star = _biadjacency(subdivision(generate("star", n)))
+            solved = star.copy()
+            assert reference_one_sided(solved, 100)
+            k, w = star.shape
+            others = [np.eye(k, w), solved, np.zeros((k, w)), 1e-9 * np.eye(k, w)[::-1]]
+            size = 2 + n % 3
+            yield np.array([star] + others[: size - 1]), True
+            yield np.array(others[: size - 1][::-1] + [star]), True
+        for k, w in ((2, 3), (3, 3), (5, 9), (8, 8), (13, 21)):
+            block = rng.standard_normal((k, w)) * 10.0 ** rng.integers(-9, 10, size=(k, 1))
+            solved = block.copy()
+            assert reference_one_sided(solved, 100)
+            yield np.array([solved, block]), False
+            yield np.array([block, solved, np.eye(k, w)]), False
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_star_subdivisions(self, monkeypatch, cap):
+        lone = self.spied_lone_pairs(monkeypatch)
+        for block in self.family_blocks(["star"]):
+            self.assert_reference_bits(block[None], cap)
+        assert lone
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_family_subdivisions(self, monkeypatch, cap):
+        lone = self.spied_lone_pairs(monkeypatch)
+        for block in self.family_blocks(["complete", "path", "cycle"]):
+            self.assert_reference_bits(block[None], cap)
+        assert lone
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_random_stacks(self, monkeypatch, cap):
+        # zero rows and rows scaled 1e-9 to 1e9
+        lone = self.spied_lone_pairs(monkeypatch)
+        for stack in TestSweepLookAhead.random_stacks(cap, 60):
+            self.assert_reference_bits(stack, cap)
+        assert lone
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_stacks_with_one_rotating_pair(self, monkeypatch, cap):
+        lone = self.spied_lone_pairs(monkeypatch)
+        for stack, must in self.lone_pair_stacks():
+            before = len(lone)
+            self.assert_reference_bits(stack, cap)
+            assert len(lone) > before or not must, stack.shape
+
+    def test_star_50_rounds(self, monkeypatch):
+        # S(star 50): one round rotates all 24 pairs, the 24 after it one
+        # pair each, and the two look-aheads stand for the rest
+        lone = self.spied_lone_pairs(monkeypatch)
+        block = _biadjacency(subdivision(generate("star", 50)))
+        assert _jacobi_one_sided(block[None].copy(), 100)
+        assert len(lone) == 24
+
+    def test_scalar_rotation_has_the_bits_of_the_array_form(self):
+        # if numpy's scalar math ever rounds otherwise than its array
+        # loops, the lone-pair rounds would move bits: fail here first
+        rng = np.random.default_rng(31)
+        size = 4000
+        d = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size)
+        twice = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size)
+        near = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+        special = [
+            (0.0, 1.0), (-0.0, 1.0), (0.0, -3e-7), (-2.5, 1.0), (-1e-300, 2e-300),
+            (1.0, 1e-20), (-1.0, 1e-20), (1e-20, 1.0), (-1e-20, -1.0),
+            (1e300, 1e300), (-1e300, 1e-300), (1e-300, 1e300), (1.7e308, 1.7e308),
+            (5e-324, 5e-324), (1e-310, -1e-310), (1.0, 1.0), (-1.0, -1.0),
+        ]
+        d = np.concatenate((d, near, [x for x, _ in special]))
+        twice = np.concatenate((twice, near[::-1], [y for _, y in special]))
+        with np.errstate(all="ignore"):
+            arrays = randic.linalg._rotation(d, twice)
+            scalars = [randic.linalg._rotation(x, y) for x, y in zip(d, twice)]
+        assert all(type(value) is np.float64 for one in scalars for value in one)
+        for array, column in zip(arrays, zip(*scalars)):
+            assert same_bits(array, np.array(column))
+        # the cases the kernel meets, a nonzero twice, give finite rotations
+        assert np.isfinite(arrays[1]).all() and np.isfinite(arrays[2]).all()
+
+
 def reference_jacobi(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, int]:
     """The original numpy kernel: row-major pairs, one rotation at a time,
     columns updated through a boolean mask.  Returns the descending

@@ -41,17 +41,22 @@ pairs of R, most of which are zero by construction.
 this for one graph, as ``verify`` does for a bipartite R(G), and the scans
 for every bipartite R(G), one stack per row count, and every subdivision,
 one stack per edge count.  Both round-robin kernels take each round's
-rotations from ``_rotation`` and rotate a pair's rows in halves,
-c x_p - s x_q and c x_q + s x_p; the one-sided kernel takes alpha, beta and
-gamma of a round from one ``einsum`` over the gathered rows (p; q; p) and
-(p; q; q).  A one-sided round in which exactly one pair of the whole stack
-rotates, as nearly every round of S(star n) after its first does, rotates
-that pair on numpy float64 scalars by the same ``_rotation``: numpy's
-scalar arithmetic rounds as its array loops do, so no bit moves.  A single
-block takes those row indices from
+rotations from ``_rotation`` and rotate a pair's rows to c x_p - s x_q and
+c x_q + s x_p.  A one-sided round gathers its rows (p; q; p; p; q; q) with
+one ``take``, takes alpha, beta and gamma from one ``einsum`` of the two
+halves, and writes both rows of every pair with one fancy assignment of
+c (x_p; x_q) + (-s; s) (x_q; x_p), which has the bits of the two
+differences, a - b being a + (-b) exactly.  A round in which only some
+pairs rotate computes every pair's rotation and gives the pairs that do
+not rotate their gathered rows back (``np.copyto`` with ``where``) instead
+of selecting the pairs that do.  A round in which exactly one pair of the
+whole stack rotates, as nearly every round of S(star n) after its first
+does, rotates that pair on numpy float64 scalars by the same
+``_rotation``: numpy's scalar arithmetic rounds as its array loops do, so
+no bit moves.  A single block takes the gather and pair indices from
 ``_one_sided_rounds``, cached read-only per k beside
 ``_round_robin_schedule``, and a stack adds each block's row offset to
-them.  The kernel stops after a sweep that rotates
+them once per call.  The kernel stops after a sweep that rotates
 nothing, and it skips idle rounds by a look-ahead: one Gram ``einsum`` of
 the stack, whose entries have the bits of the rounds' own products, decides
 every round of a sweep at once while no row changes.  After a sweep in
@@ -84,6 +89,10 @@ from .errors import ConvergenceError
 DEFAULT_MAX_SWEEPS = 100
 CONVERGENCE_RTOL = 1e-12
 CLUSTER_TOL = 1e-7
+EPS = np.finfo(np.float64).eps
+# the signs of s in a one-sided rotation, for row p and for row q
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+_SIGNS.setflags(write=False)
 # the matrix order from which round-robin order is used, set from per-order
 # timings of both orderings (CHANGES.md): below 32 row-major order was about
 # as fast, and a lower bound would change eigenvalue bits or leave the
@@ -104,8 +113,19 @@ def _off_norms(stack: np.ndarray) -> np.ndarray:
     is one contiguous row of n * n squares, summed by the same reduction
     alone or in a stack, so a matrix stops at the same sweep in either."""
     b, n = stack.shape[0], stack.shape[-1]
-    squares = np.triu(stack, 1) ** 2
+    squares = np.where(_strict_upper(n), stack, 0.0) ** 2
     return np.sqrt(2.0 * np.sum(squares.reshape(b, n * n), axis=1))
+
+
+@lru_cache(maxsize=64)
+def _strict_upper(n: int) -> np.ndarray:
+    """The strict upper triangle of an n x n matrix as a boolean mask, for
+    ``_off_norms``: ``np.triu(m, 1)`` is ``np.where`` on it, with the same
+    bits, without rebuilding the mask per call.  Cached per n, so the mask
+    is read-only."""
+    mask = ~np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -293,17 +313,16 @@ def _round_robin_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _one_sided_rounds(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows each round of a one-sided sweep over one k-row block
-    gathers, from ``_round_robin_schedule(k)``: (p; q; p) and (p; q; q), as
-    arrays of shape (k - 1 + (k & 1), 3 * (k // 2)), one row per round, whose
-    products row by row are alpha, beta and gamma.  Cached per k, so the
-    arrays are read-only."""
+    """The rows each round of a one-sided sweep over one k-row block reads
+    and writes, from ``_round_robin_schedule(k)``: the gather index, of
+    shape (rounds, 6, k // 2), whose row for a round is (p; q; p; p; q; q),
+    the two halves multiplied row by row giving alpha, beta and gamma, and
+    the pair index (p; q), its (rounds, 2, k // 2) view.  Cached per k, so
+    the arrays are read-only."""
     ps, qs = _round_robin_schedule(k)
-    lefts = np.hstack((ps, qs, ps))
-    rights = np.hstack((ps, qs, qs))
-    lefts.setflags(write=False)
-    rights.setflags(write=False)
-    return lefts, rights
+    index = np.stack((ps, qs, ps, ps, qs, qs), axis=1)
+    index.setflags(write=False)
+    return index, index[:, :2]
 
 
 def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
@@ -361,6 +380,20 @@ def _jacobi_round_robin(a: np.ndarray, max_sweeps: int, target: float) -> bool:
     return _off_norm(a) < target
 
 
+def _rotated_rows(
+    x: np.ndarray, alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray
+) -> np.ndarray:
+    """Rows p and q of each pair of a one-sided round, rotated to zero their
+    dot product gamma, from the (3, pairs, w) rows x = (p; q; p) and the
+    pairs' alpha, beta and gamma as (pairs, 1) columns: c x_p - s x_q and
+    c x_q + s x_p as one (2, pairs, w) array.  The rotation is the
+    two-sided kernel's with (aqq - app, apq) = (beta - alpha, gamma), and
+    c x + (-s) y has the bits of c x - s y, as a - b is a + (-b) exactly in
+    round-to-nearest, signed zeros included."""
+    _, c, s = _rotation(beta - alpha, 2.0 * gamma)
+    return x[:2] * c + x[1:] * (_SIGNS * s)
+
+
 def _live_pairs(
     alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray, tol: float, floor: np.ndarray
 ) -> np.ndarray:
@@ -396,10 +429,11 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     The stack is viewed as B * k rows of length w.  A sweep runs the rounds
     of ``_round_robin_schedule(k)``, as the two-sided kernel does, with each
     pair offset by k * block, so one round takes its pairs in every block.
-    It rotates rows only: each round gathers its pairs' rows as (p; q; p)
-    and (p; q; q), the indices of ``_one_sided_rounds``, and takes their
-    squared norms alpha, beta and dot products gamma from one row-by-row
-    ``einsum`` of the two, so ``b b^T`` is never formed in a round.  A pair rotates when
+    It rotates rows only: each round gathers its pairs' rows (p; q; p;
+    p; q; q) with one ``take``, by the index of ``_one_sided_rounds``, and
+    takes their squared norms alpha, beta and dot products gamma from one
+    row-by-row ``einsum`` of the two halves, so ``b b^T`` is never formed in
+    a round.  A pair rotates when
     |gamma| > tol * sqrt(alpha * beta), with tol = eps * sqrt(w), the scale
     of the rounding error in a dot product of length w: rows that
     orthogonal give singular values correct to a small multiple of tol,
@@ -411,7 +445,12 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     underflow.  Only the pairs that pass the rule are rotated, each by
     arithmetic on its own rows, so a block takes the same rotations and
     bits in any stack; a block whose sweep rotates nothing rotates nothing
-    after it.
+    after it.  A round writes both rows of all its pairs back in one fancy
+    assignment.  Where some of its pairs rotate and others do not, it
+    computes every pair's rotation, under ``np.errstate`` as a pair that
+    does not rotate may divide zero by zero, and puts the gathered rows of
+    the pairs that do not rotate in place of theirs before the write, so
+    those rows keep their bytes.
 
     A sweep that rotates nothing in any block ends the iteration.  Idle
     rounds are skipped by a look-ahead, ``_live_rounds``, which decides
@@ -436,7 +475,7 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
     same ``_rotation`` and the same row products, writing its two rows
     back; every other round rotates on arrays.  numpy's scalar arithmetic
     rounds as its array loops do, so the bits are those of the array path,
-    without its boolean-mask gathers and column reshapes for one pair.
+    without its array calls for one pair.
     After S(star n)'s first round, the row that holds the shared centre
     column meets one partner per round, so such rounds dominate there:
     S(star 50) runs 27 rounds, one rotating all 24 pairs, 24 rotating one
@@ -450,20 +489,19 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
         raise ValueError("the one-sided kernel rotates a C-contiguous stack in place")
     flat = b.reshape(count * k, w)
     block_ps, block_qs = _round_robin_schedule(k)
-    lefts, rights = _one_sided_rounds(k)
-    rounds = len(lefts)
+    index, pairs = _one_sided_rounds(k)
+    rounds = len(index)
     if count != 1:
-        # each round's rows in every block, block by block within each of
-        # the thirds (p; q; p) and (p; q; q)
+        # each round's rows in every block, block by block within each sixth
         offsets = k * np.arange(count)[:, None]
-        lefts = (lefts.reshape(rounds, 3, 1, -1) + offsets).reshape(rounds, -1)
-        rights = (rights.reshape(rounds, 3, 1, -1) + offsets).reshape(rounds, -1)
+        index = (index[:, :, None] + offsets).reshape(rounds, 6, -1)
+        pairs = index[:, :2]
     half = count * (k // 2)
-    ps, qs = lefts[:, :half], lefts[:, half : 2 * half]
-    tol = np.finfo(np.float64).eps * math.sqrt(w)
-    # the floor from each block's own norm, and repeated once per pair of a round
+    tol = EPS * math.sqrt(w)
+    # the floor from each block's own norm, and repeated once per pair of a
+    # round, as a column like the pairs' products
     block_floor = np.square(tol * _frobenius_norms(b))
-    floor = np.repeat(block_floor, k // 2)
+    floor = np.repeat(block_floor, k // 2)[:, None]
     idle = False
     ahead = None  # the next sweep's round flags, from a look-ahead that ended a sweep
     for _ in range(max_sweeps):
@@ -478,11 +516,12 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
         rotated = False
         idle = r > 0
         while r < rounds:
-            p, q = ps[r], qs[r]
-            rows = flat.take(lefts[r], axis=0)
-            alpha, beta, gamma = np.einsum(
-                "ij,ij->i", rows, flat.take(rights[r], axis=0)
-            ).reshape(3, half)
+            # (p; q; p; p; q; q), each sixth as a (half, w) block
+            rows = flat.take(index[r], axis=0)
+            products = np.einsum("kij,kij->ki", rows[:3], rows[3:])
+            # alpha, beta and gamma, each as a (half, 1) column
+            alpha, beta, gamma = products[:, :, None]
+            pair = pairs[r]
             r += 1
             hit = _live_pairs(alpha, beta, gamma, tol, floor)
             rotating = np.count_nonzero(hit)
@@ -499,22 +538,26 @@ def _jacobi_one_sided(b: np.ndarray, max_sweeps: int) -> bool:
                         r, ahead = rounds, live
                 continue
             rotated = True
-            x, y = rows[:half], rows[half : 2 * half]
             if rotating == 1:
                 # one pair: its products as numpy scalars and its two rows
                 i = int(hit.argmax())
-                alpha, beta, gamma = alpha[i], beta[i], gamma[i]
-                x, y, p, q = x[i], y[i], p[i], q[i]
-            elif rotating < half:
-                alpha, beta, gamma = alpha[hit], beta[hit], gamma[hit]
-                x, y, p, q = x[hit], y[hit], p[hit], q[hit]
-            # the rotation that zeroes gamma, in the form of the two-sided
-            # kernel with (aqq - app, apq) = (beta - alpha, gamma)
-            _, c, s = _rotation(beta - alpha, 2.0 * gamma)
-            if rotating > 1:
-                c, s = c[:, None], s[:, None]
-            flat[p] = c * x - s * y
-            flat[q] = c * y + s * x
+                alpha, beta, gamma = products[0, i], products[1, i], products[2, i]
+                x, y = rows[0, i], rows[1, i]
+                _, c, s = _rotation(beta - alpha, 2.0 * gamma)
+                flat[pair[0, i]] = c * x - s * y
+                flat[pair[1, i]] = c * y + s * x
+                continue
+            # (p; q; p): each pair's rows, then its rows swapped
+            x = rows[:3]
+            if rotating == half:
+                new = _rotated_rows(x, alpha, beta, gamma)
+            else:
+                # every pair is rotated, and a pair that does not rotate,
+                # which may divide zero by zero, gets its rows back
+                with np.errstate(all="ignore"):
+                    new = _rotated_rows(x, alpha, beta, gamma)
+                np.copyto(new, x[:2], where=~hit)
+            flat[pair] = new
         if not rotated:
             return True
     return False

@@ -1,7 +1,9 @@
 import functools
 import importlib
+import json
 import math
 import sys
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -50,6 +52,7 @@ from randic.linalg import (
     _one_sided_rounds,
     _prepared,
     _round_robin_schedule,
+    _strict_upper,
     product_over_root_rows,
     product_over_roots,
     singular_values,
@@ -205,17 +208,19 @@ class TestEigensolver:
 
     @pytest.mark.parametrize("k", [2, 3, 5, 6, T_LO + 1])
     def test_one_sided_rounds_are_cached_read_only(self, k):
-        lefts, rights = _one_sided_rounds(k)
+        index, pairs = _one_sided_rounds(k)
         again = _one_sided_rounds(k)
-        assert again[0] is lefts and again[1] is rights
-        # one row per round: the schedule's (p; q; p) and (p; q; q)
+        assert again[0] is index and again[1] is pairs
+        # one gather index per round, the schedule's (p; q; p; p; q; q), and
+        # its (p; q) third as the round's pair index
         ps, qs = _round_robin_schedule(k)
-        assert same_bits(lefts, np.hstack((ps, qs, ps)))
-        assert same_bits(rights, np.hstack((ps, qs, qs)))
-        for x in (lefts, rights):
+        assert same_bits(index, np.stack((ps, qs, ps, ps, qs, qs), axis=1))
+        assert same_bits(pairs, np.stack((ps, qs), axis=1))
+        assert pairs.shape == (len(ps), 2, k // 2)
+        for x in (index, pairs):
             assert not x.flags.writeable
             with pytest.raises(ValueError):
-                x[0, 0] = 0
+                x[0, 0, 0] = 0
         # bounded like the schedule's own cache, one entry per block height
         assert _one_sided_rounds.cache_info().maxsize == _round_robin_schedule.cache_info().maxsize == 64
 
@@ -466,6 +471,37 @@ class TestOneSidedStack:
         assert singular_values(np.zeros((0, 3, 5))).shape == (0, 3)
 
 
+def spy_rounds(monkeypatch, on_round) -> None:
+    """Call on_round(r, hit) for each round r that the one-sided kernel
+    runs, with the rule's verdict on its pairs, before the round writes."""
+    import randic.linalg as linalg
+
+    ran = []
+    rule, schedule = linalg._live_pairs, linalg._one_sided_rounds
+
+    class Logged(np.ndarray):
+        # a round reads its gather index as index[r], by its number
+        def __getitem__(self, key):
+            if isinstance(key, int):
+                ran.append(key)
+            return super().__getitem__(key)
+
+    def logged_schedule(k):
+        index, pairs = schedule(k)
+        return index.view(Logged), pairs
+
+    def round_rule(alpha, beta, gamma, *args):
+        hit = rule(alpha, beta, gamma, *args)
+        # a round passes its pairs as a (pairs, 1) column, a look-ahead as
+        # a (B, rounds, pairs) array
+        if gamma.ndim == 2:
+            on_round(ran[-1], hit)
+        return hit
+
+    monkeypatch.setattr(linalg, "_one_sided_rounds", logged_schedule)
+    monkeypatch.setattr(linalg, "_live_pairs", round_rule)
+
+
 class TestSweepLookAhead:
     """The one-sided kernel skips idle rounds by a look-ahead, one Gram
     ``einsum`` that decides every round of a sweep: after a sweep with an
@@ -500,6 +536,12 @@ class TestSweepLookAhead:
             assert same_bits(
                 np.diagonal(gram, axis1=1, axis2=2).ravel(), np.einsum("ij,ij->i", flat, flat)
             )
+            # a round's form: the (p; q; p) and (p; q; q) halves of a gather
+            rows = np.stack((rows_p, rows_q, rows_p, rows_p, rows_q, rows_q))
+            products = np.einsum("kij,kij->ki", rows[:3], rows[3:])
+            norms = np.diagonal(gram, axis1=1, axis2=2)
+            want = np.stack((norms[:, p], norms[:, q], gram[:, p, q])).reshape(3, -1)
+            assert same_bits(products, want)
 
     @staticmethod
     def capped_blocks():
@@ -535,35 +577,15 @@ class TestSweepLookAhead:
         its verdict on every round of a sweep."""
         import randic.linalg as linalg
 
-        steps, ran = [], []
-        rule, look, schedule = linalg._live_pairs, linalg._live_rounds, linalg._one_sided_rounds
-
-        class Logged(np.ndarray):
-            # a round reads its row indices as rights[r], by its number
-            def __getitem__(self, key):
-                if isinstance(key, int):
-                    ran.append(key)
-                return super().__getitem__(key)
-
-        def logged_schedule(k):
-            lefts, rights = schedule(k)
-            return lefts, rights.view(Logged)
-
-        def round_rule(alpha, beta, gamma, *args):
-            hit = rule(alpha, beta, gamma, *args)
-            # a round passes its pairs as rows, a look-ahead as a (B,
-            # rounds, pairs) array
-            if gamma.ndim == 1:
-                steps.append(("round", ran[-1], bool(hit.any())))
-            return hit
+        steps = []
+        look = linalg._live_rounds
+        spy_rounds(monkeypatch, lambda r, hit: steps.append(("round", r, bool(hit.any()))))
 
         def look_ahead(*args):
             flags = look(*args)
             steps.append(("look-ahead", flags.tolist()))
             return flags
 
-        monkeypatch.setattr(linalg, "_one_sided_rounds", logged_schedule)
-        monkeypatch.setattr(linalg, "_live_pairs", round_rule)
         monkeypatch.setattr(linalg, "_live_rounds", look_ahead)
         return steps
 
@@ -766,6 +788,129 @@ class TestLonePairRounds:
             assert same_bits(array, np.array(column))
         # the cases the kernel meets, a nonzero twice, give finite rotations
         assert np.isfinite(arrays[1]).all() and np.isfinite(arrays[2]).all()
+
+
+@functools.lru_cache(maxsize=1)
+def roster_blocks() -> tuple[np.ndarray, ...]:
+    """The blocks B of R(S(G)) and of every bipartite R(G) over the verify
+    rosters of seeds 1, 1404 and 7 in golden/verdicts.json, each once."""
+    table = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text())
+    blocks = {}
+    for seed in (1, 1404, 7):
+        for token in table["rosters"][str(seed)]:
+            g = load_graph(token)
+            for block in (_biadjacency(subdivision(g)), _biadjacency(g)):
+                if block is not None:
+                    blocks.setdefault((block.shape, block.tobytes()), block)
+    return tuple(blocks.values())
+
+
+def signed_zero_stacks():
+    """Blocks with -0.0 entries and two rows of -0.0 alone, and stacks of
+    such a block beside blocks that never rotate: -I, whose rows have equal
+    norms and a zero dot product, and -0.0 throughout."""
+    rng = np.random.default_rng(41)
+    for k, w in ((4, 6), (7, 9), (10, 15), (12, 21)):
+        block = rng.standard_normal((k, w))
+        block[rng.random((k, w)) < 0.3] = -0.0
+        block[-2:] = -0.0
+        yield block[None]
+        yield np.array([-np.eye(k, w), block, np.full((k, w), -0.0)])
+
+
+class TestRoundWrites:
+    """A one-sided round gathers its rows with one ``take`` and writes both
+    rows of all its pairs with one fancy assignment.  A round in which only
+    some pairs rotate computes every pair's rotation and gives the pairs
+    that do not rotate their rows back.  The kernel keeps the bits and
+    return values of the frozen single-block kernel on the blocks ``verify``
+    solves, the rows that do not rotate keep their bytes, and a pair that
+    cannot rotate warns of nothing."""
+
+    CAPS = [1, 2, 3, 100]
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_roster_blocks_keep_the_reference_bits(self, cap):
+        groups = {}
+        for block in roster_blocks():
+            want = block.copy()
+            outcome = reference_one_sided(want, cap)
+            got = block[None].copy()
+            assert _jacobi_one_sided(got, cap) == outcome, block.shape
+            assert got[0].tobytes() == want.tobytes(), block.shape
+            groups.setdefault(block.shape, []).append((block, want, outcome))
+        # the blocks of one shape as one stack, as a scan would solve them
+        for members in groups.values():
+            stack = np.array([block for block, _, _ in members])
+            assert _jacobi_one_sided(stack, cap) == all(outcome for _, _, outcome in members)
+            for got, (_, want, _) in zip(stack, members):
+                assert got.tobytes() == want.tobytes(), stack.shape
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_rows_that_do_not_rotate_keep_their_bytes(self, monkeypatch, cap):
+        # each round the kernel runs: its number, which of its pairs rotate,
+        # and the stack being solved as the round found it
+        rounds, watched = [], [None]
+        spy_rounds(monkeypatch, lambda r, hit: rounds.append((r, hit.ravel(), watched[0].copy())))
+        stacks = list(signed_zero_stacks()) + list(TestSweepLookAhead.random_stacks(cap, 30))
+        partial = kept_zeros = 0
+        for stack in stacks:
+            count, k, w = stack.shape
+            work = watched[0] = stack.copy()
+            rounds.clear()
+            returned = _jacobi_one_sided(work, cap)
+            # every block as the frozen kernel leaves it alone
+            outcomes = []
+            for block, got in zip(stack, work):
+                want = block.copy()
+                outcomes.append(reference_one_sided(want, cap))
+                assert got.tobytes() == want.tobytes(), stack.shape
+            assert returned == all(outcomes), stack.shape
+            # round by round: the rows outside the pairs that rotate are
+            # written with the bytes they had
+            _, pairs = _one_sided_rounds(k)
+            after = [snapshot for _, _, snapshot in rounds[1:]] + [work]
+            for (r, hit, before), later in zip(rounds, after):
+                rows = (pairs[r][:, None, :] + k * np.arange(count)[:, None]).reshape(2, -1)
+                moved = np.zeros(count * k, dtype=bool)
+                moved[rows[:, hit].ravel()] = True
+                old = before.reshape(count * k, w)[~moved]
+                assert old.tobytes() == later.reshape(count * k, w)[~moved].tobytes()
+                if 1 < hit.sum() < hit.size:
+                    partial += 1
+                    kept = before.reshape(count * k, w)[rows[:, ~hit].ravel()]
+                    kept_zeros += int(np.sum((kept == 0.0) & np.signbit(kept)))
+        # the array path's partial rounds ran, on rows holding -0.0
+        assert partial and kept_zeros
+
+    def test_null_pair_beside_rotating_pairs_warns_nothing(self, monkeypatch):
+        # two null rows meet in a round whose other pairs rotate: their
+        # rotation divides zero by zero, and it is dropped unseen
+        import randic.linalg as linalg
+
+        rotated = linalg._rotated_rows
+        null_pairs = []
+
+        def spied(x, alpha, beta, gamma):
+            null = (alpha == 0.0) & (beta == 0.0) & (gamma == 0.0)
+            null_pairs.append(int(null.sum()))
+            return rotated(x, alpha, beta, gamma)
+
+        monkeypatch.setattr(linalg, "_rotated_rows", spied)
+        rng = np.random.default_rng(43)
+        for k, w in ((6, 9), (8, 11), (11, 16)):
+            block = rng.standard_normal((k, w))
+            block[k - 2 :] = 0.0
+            for stack in (block[None], np.array([block, np.eye(k, w)])):
+                got = stack.copy()
+                with warnings.catch_warnings(), np.errstate(divide="warn", invalid="warn"):
+                    warnings.simplefilter("error")
+                    returned = _jacobi_one_sided(got, 100)
+                for block_in, block_out in zip(stack, got):
+                    want = block_in.copy()
+                    assert reference_one_sided(want, 100) and returned
+                    assert block_out.tobytes() == want.tobytes()
+        assert any(null_pairs)
 
 
 def reference_jacobi(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, int]:
@@ -1100,6 +1245,25 @@ class TestKernelBits:
             frozen = [math.sqrt(2.0 * float(np.sum(np.triu(m, 1) ** 2))) for m in stack]
             assert same_bits(got, np.array(frozen))
             assert same_bits(got, np.array([_off_norm(m) for m in stack]))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, T_LO + 1])
+    def test_off_norms_mask_has_the_bits_of_triu(self, n):
+        # the cached mask keeps what np.triu(m, 1) keeps and zeroes the rest
+        # with +0.0, whatever the lower triangle holds
+        rng = np.random.default_rng(50 + n)
+        lower = np.tri(n, k=-1, dtype=bool)
+        for fill in (None, np.nan, np.inf, -np.inf, -0.0):
+            stack = rng.standard_normal((3, n, n)) * 10.0 ** rng.integers(-100, 100, (3, n, n))
+            stack[rng.random((3, n, n)) < 0.2] = -0.0
+            if fill is not None:
+                stack[:, lower] = fill
+            upper = np.triu(stack, 1)
+            assert np.where(_strict_upper(n), stack, 0.0).tobytes() == upper.tobytes()
+            frozen = np.sqrt(2.0 * np.sum((upper**2).reshape(3, n * n), axis=1))
+            assert _off_norms(stack).tobytes() == frozen.tobytes()
+        mask = _strict_upper(n)
+        assert _strict_upper(n) is mask and not mask.flags.writeable
+        assert same_bits(mask, np.triu(np.ones((n, n), dtype=bool), 1))
 
     @pytest.mark.parametrize("n", [0, 1, 4, T_LO, T_HI + 1])
     def test_empty_stack(self, n):

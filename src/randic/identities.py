@@ -55,12 +55,12 @@ a bipartite R(G), and every R(S), is solved one-sided on its biadjacency
 block, and any other R(G) two-sided.  ``_verify`` routes R(G) as
 ``randic_eigenvalues`` does, and builds the block of R(S) straight from G
 (``spectra._subdivision_block``) with the bits of
-``randic_eigenvalues(subdivision(g))``.  On its stack of one, a helper
-whose numpy calls cost more than the arithmetic of one row takes a form
-on Python floats or 2-D arrays, pinned bit for bit to the stacked form:
-the charpoly expansion and residuals, the correspondence gap, the
-clustering, the rank-one product, and the strong-regularity test and the
-local conditions on small graphs.  A scan 2-colours
+``randic_eigenvalues(subdivision(g))``.  On its stack of one, two
+helpers take a form on Python floats, pinned bit for bit to the stacked
+form: the charpoly expansion and residuals, which save about 7 ms of a
+220 ms verify-cli pass, and the clustering, which saves about 1.3 ms and
+serves ``cluster_distinct``.  Every other check runs its stacked form on
+a stack of any size.  A scan 2-colours
 its masks with bitset operations, from the mask bits it builds its
 matrices from, and solves one stack of blocks per row count for R(G), and
 one per edge-count group for R(S), with the same bits.
@@ -92,7 +92,6 @@ from .graphs import (
 )
 from .linalg import (
     ROW_LIST_MAX_LENGTH,
-    ROW_PAIRS_MAX_ORDER,
     _charpoly_list,
     charpoly_coefficients,
     cluster_rows,
@@ -333,15 +332,11 @@ def _correspondence_residual(
     values of a row are then paired as they are paired in ascending order
     on its n + m values alone, with zeros paired to zeros in its padding,
     so the worst gap keeps its bits.  Sorting a padded row instead would
-    move its padding to its zeros, where the other row's padding is not.
-    A stack of one with at most ``ROW_LIST_MAX_LENGTH`` values of R(S) is
-    compared on Python floats, by ``_correspondence_row_residual``."""
+    move its padding to its zeros, where the other row's padding is not."""
     if np.any(2 * np.count_nonzero(theta, axis=1) > n + m):
         raise ConvergenceError(
             "spectrum of I + R has fewer zeros than the subdivision order requires"
         )
-    if len(theta) == 1 and rho_s.shape[1] <= ROW_LIST_MAX_LENGTH:
-        return np.array([_correspondence_row_residual(n, theta[0].tolist(), rho_s[0].tolist())])
     width = rho_s.shape[1]
     half = np.sort(np.sqrt(theta / 2.0), axis=1)
     # descending: half reversed, padding, -half; each zero of theta gives a
@@ -351,17 +346,6 @@ def _correspondence_residual(
     high, low = half[:, ::-1][:, : n - drop // 2], -half[:, (drop + 1) // 2 :]
     expected = np.hstack((high, np.zeros((len(theta), width - 2 * n + drop)), low))
     return np.max(np.abs(rho_s - expected), axis=1)
-
-
-def _correspondence_row_residual(n: int, theta: list[float], rho_s: list[float]) -> float:
-    """``_correspondence_residual`` of a stack of one, on Python floats:
-    the same expected row, the same gaps and their maximum."""
-    width = len(rho_s)
-    half = sorted([math.sqrt(t / 2.0) for t in theta])
-    drop = max(2 * n - width, 0)
-    expected = half[::-1][: n - drop // 2] + [0.0] * (width - 2 * n + drop)
-    expected += [-h for h in half[(drop + 1) // 2 :]]
-    return _max_gap([abs(x - y) for x, y in zip(rho_s, expected)])
 
 
 def verify_eigenvalue_correspondence(
@@ -441,15 +425,20 @@ def verify_k_distinct_identity(
     the damage.  The reported residuals include a minimality term that
     fails when the product is the zero matrix, i.e. when the root list is
     too long.  Only this negative control builds R(G) outside ``_verify``.
+    A root or a constant that is NaN or infinite raises ``ValueError``.
     """
     if not is_connected(g):
         raise PreconditionError("the rank-one identity needs a connected graph")
     if g.m == 0:
         raise PreconditionError("the rank-one identity needs at least one edge")
+    if constant is not None and not math.isfinite(constant):
+        raise ValueError(f"the constant must be finite, got {constant}")
     if roots is None:
         return _verify(g, ("identity",))[0]["identity"]
-    r = randic_matrix(g)
     given = np.array([[float(x) for x in roots]])
+    if not np.isfinite(given).all():
+        raise ValueError("the roots must be finite")
+    r = randic_matrix(g)
     degrees = (r != 0).sum(axis=1)[None]
     count = np.array([given.shape[1]])
     return _identity_checked(
@@ -459,7 +448,7 @@ def verify_k_distinct_identity(
 
 def _root_products(roots: np.ndarray) -> np.ndarray:
     """prod_j (1 - roots[b, j]) for each row b of a (B, j) array, one
-    column at a time from the left, as math.prod multiplies a row."""
+    column at a time from the left."""
     c = np.ones(len(roots))
     for column in (1.0 - roots).T:
         c = c * column
@@ -486,30 +475,15 @@ def _identity_checked(
     identity, peak, c = np.empty(b), np.empty(b), np.empty(b)
     alpha = np.sqrt(degrees.astype(np.float64))
     counts = sorted(set(count.tolist()))
-    if b == 1:
-        # one graph: the stacked operations on its 2-D arrays, and c by
-        # math.prod, which multiplies as ``_root_products`` does
-        factors = roots[0, : counts[0]]
-        eye = np.eye(n)
-        product = eye
-        for factor in r[0] - factors[:, None, None] * eye:
-            product = np.matmul(product, factor)
-        if constant is None:
-            constant = math.prod([1.0 - x for x in factors.tolist()]) / (2.0 * m[0])
-        c[0] = constant
-        gap = product - constant * (alpha[0, :, None] * alpha[0, None, :])
-        identity[0] = np.abs(gap).max()
-        peak[0] = np.abs(product).max()
-    else:
-        for j in counts:
-            # rows that all share a count are taken whole, as views
-            rows = np.flatnonzero(count == j) if len(counts) > 1 else slice(None)
-            factors = roots[rows, :j]
-            product = product_over_root_rows(r[rows], factors)
-            c[rows] = _root_products(factors) / (2.0 * m[rows]) if constant is None else constant
-            target = c[rows, None, None] * (alpha[rows, :, None] * alpha[rows, None, :])
-            identity[rows] = np.abs(product - target).max(axis=(1, 2))
-            peak[rows] = np.abs(product).max(axis=(1, 2))
+    for j in counts:
+        # rows that all share a count are taken whole, as views
+        rows = np.flatnonzero(count == j) if len(counts) > 1 else slice(None)
+        factors = roots[rows, :j]
+        product = product_over_root_rows(r[rows], factors)
+        c[rows] = _root_products(factors) / (2.0 * m[rows]) if constant is None else constant
+        target = c[rows, None, None] * (alpha[rows, :, None] * alpha[rows, None, :])
+        identity[rows] = np.abs(product - target).max(axis=(1, 2))
+        peak[rows] = np.abs(product).max(axis=(1, 2))
     # passed requires max|product| > tolerance, phrased as a residual so the
     # report invariant stays "all residuals below tolerance"
     short = 2.0 * tolerance - peak
@@ -566,11 +540,8 @@ def _strongly_regular(a: np.ndarray) -> list[SrgParameters | None]:
     rule out the edgeless and the complete graphs; a nonadjacent count
     mu > 0 then puts every vertex within distance 2 of every other, and
     a regular, non-complete connected graph has a nonadjacent pair at
-    distance 2, so mu > 0 is exactly connectivity.  A stack of one of
-    order n <= ROW_PAIRS_MAX_ORDER goes to ``_strongly_regular_row``."""
+    distance 2, so mu > 0 is exactly connectivity."""
     b, n = a.shape[:2]
-    if b == 1 and n <= ROW_PAIRS_MAX_ORDER:
-        return [_strongly_regular_row(a[0])]
     ones = a.astype(np.float64)
     common = np.matmul(ones, ones)
     nonadjacent = ~a
@@ -584,34 +555,6 @@ def _strongly_regular(a: np.ndarray) -> list[SrgParameters | None]:
         SrgParameters(n, int(degree[i]), int(lam[i]), int(mu[i])) if strong[i] else None
         for i in range(b)
     ]
-
-
-def _neighbourhoods_of(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
-    """Each vertex's neighbours, ascending, and its neighbourhood as a
-    bitset, from an adjacency (n, n) of booleans."""
-    neighbours: list[list[int]] = [[] for _ in range(len(a))]
-    for i, j in zip(*(ends.tolist() for ends in np.nonzero(a))):
-        neighbours[i].append(j)
-    return neighbours, [sum(1 << j for j in row) for row in neighbours]
-
-
-def _strongly_regular_row(a: np.ndarray) -> SrgParameters | None:
-    """``_strongly_regular`` of one graph's adjacency (n, n), symmetric
-    with a zero diagonal, on neighbourhood bitsets: the common-neighbour
-    count of a pair is the popcount of their intersection, the integer
-    that A^2 holds exactly, and the pairs are taken once each."""
-    n = len(a)
-    neighbours, masks = _neighbourhoods_of(a)
-    adjacent, nonadjacent = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = (masks[i] & masks[j]).bit_count()
-            (adjacent if masks[i] >> j & 1 else nonadjacent).append(common)
-    lam, lam_top = min(adjacent, default=n), max(adjacent, default=-1)
-    mu, mu_top = min(nonadjacent, default=n), max(nonadjacent, default=-1)
-    if lam == lam_top and mu == mu_top and mu > 0:
-        return SrgParameters(n, len(neighbours[0]), lam, mu)
-    return None
 
 
 @dataclass(frozen=True)
@@ -734,13 +677,7 @@ def _local_residuals(
     Every sum of 1 / d_k over a neighbourhood or a common neighbourhood is
     read off its count of members per degree: neighbours from A times the
     one-hot degree matrix H, common neighbours of i and j per degree value
-    d from A diag(H_d) A; both count exactly in floats.  A stack of one of
-    order n <= ROW_PAIRS_MAX_ORDER goes to ``_local_row_residuals``."""
-    if len(a) == 1 and n <= ROW_PAIRS_MAX_ORDER:
-        found = _local_row_residuals(
-            int(m[0]), a[0], degrees[0].tolist(), float(rho2[0]), float(rho3[0])
-        )
-        return {key: np.array([found[key]]) for key in _LOCAL_KEYS}
+    d from A diag(H_d) A; both count exactly in floats."""
     c = (1.0 - rho2) * (1.0 - rho3) / (2.0 * m)
     # the distinct degrees, ascending; the first np.unique call of a
     # process costs over a megabyte of resident memory
@@ -770,42 +707,6 @@ def _local_residuals(
             gap = np.where(where, np.abs(got - target), 0.0)
             worst[label] = np.max(gap, axis=1, initial=0.0)
     return {key: worst[key] for key in _LOCAL_KEYS}
-
-
-def _local_row_residuals(
-    m: int, a: np.ndarray, degrees: list[int], rho2: float, rho3: float
-) -> dict[str, float]:
-    """``_local_residuals`` of one graph, with adjacency a (n, n) as
-    booleans, on Python floats.  A sum of 1 / d_k over a vertex set is
-    ``math.fsum`` over its members, correctly rounded as the stacked sum
-    over the members' degree counts is; every target and gap is formed by
-    the stacked form's operations, in its order."""
-    neighbours, masks = _neighbourhoods_of(a)
-    w = [1.0 / d for d in degrees]
-    c = (1.0 - rho2) * (1.0 - rho3) / (2.0 * m)
-    degree_sums = [
-        abs(math.fsum([w[k] for k in row]) - (c * (d * d) - rho2 * rho3 * d))
-        for row, d in zip(neighbours, degrees)
-    ]
-    gaps: dict[str, list[float]] = {key: [0.0] for key in _LOCAL_KEYS[1:]}
-    n = len(degrees)
-    for i in range(n):
-        below, ci = neighbours[i], c * degrees[i]
-        for j in range(i + 1, n):
-            common = masks[i] & masks[j]
-            weighted = math.fsum([w[k] for k in below if common >> k & 1]) if common else 0.0
-            count = float(common.bit_count())
-            product = ci * degrees[j]
-            if masks[i] >> j & 1:
-                target = product + rho2 + rho3
-                gaps["adjacent_weighted"].append(abs(weighted - target))
-                gaps["count_adjacent"].append(abs(count - target))
-            else:
-                gaps["nonadjacent_weighted"].append(abs(weighted - product))
-                gaps["count_nonadjacent"].append(abs(count - product))
-    return {"degree_sums": _max_gap([0.0] + degree_sums)} | {
-        key: _max_gap(values) for key, values in gaps.items()
-    }
 
 
 _LOCAL_VERDICT_KEYS = ("degree_sums", "adjacent_weighted", "nonadjacent_weighted")

@@ -98,13 +98,14 @@ _SIGNS.setflags(write=False)
 # as fast, and a lower bound would change eigenvalue bits or leave the
 # lockstep stacks of scans
 ROUND_ROBIN_MIN_ORDER = 32
-# A helper on a stack of one, which is how ``verify`` checks a graph, works
-# on Python floats where that costs less than its numpy calls: on rows of
-# at most ROW_LIST_MAX_LENGTH values (roots, or a spectrum of R(S)), and on
-# the vertex pairs of graphs of order at most ROW_PAIRS_MAX_ORDER.  Both are
-# set from timings of both forms (CHANGES.md).
+# On a stack of one, which is how ``verify`` checks a graph, the charpoly
+# expansion and residuals work on Python floats for rows of at most
+# ROW_LIST_MAX_LENGTH values (roots, or a spectrum of R(S)), and the
+# clustering always does: per verify-cli pass of about 220 ms, the charpoly
+# forms save about 7 ms and the clustering about 1.3 ms (CHANGES.md).  The
+# other checks take their stacked form on any stack, as their Python-float
+# forms saved under 1 % in all.
 ROW_LIST_MAX_LENGTH = 40
-ROW_PAIRS_MAX_ORDER = 12
 
 
 def _off_norms(stack: np.ndarray) -> np.ndarray:

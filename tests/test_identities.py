@@ -219,6 +219,17 @@ class TestRankOneIdentity:
         assert not report.passed
         assert report.residuals["minimality"] > 0
 
+    @pytest.mark.parametrize(
+        "roots, constant",
+        [([math.inf], None), ([math.nan], None), ([-0.5, -math.inf], None), ([-0.5], math.nan),
+         ([-0.5], math.inf), (None, math.nan)],
+    )
+    def test_non_finite_roots_or_constant_rejected(self, roots, constant):
+        # raised before any arithmetic, so no RuntimeWarning (an error
+        # under the pytest settings) and no NaN residual
+        with pytest.raises(ValueError, match="must be finite"):
+            verify_k_distinct_identity(generate("complete", 3), roots=roots, constant=constant)
+
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             verify_k_distinct_identity(Graph.from_edges(4, [(0, 1), (2, 3)]))

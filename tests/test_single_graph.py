@@ -1,13 +1,14 @@
 """The stack-of-one forms of the check helpers, each pinned bit for bit to
 its stacked form, which a scan runs.
 
-``verify`` checks one graph as a stack of one.  Where a helper's numpy calls
-cost more than the interpreted arithmetic on one row, the helper selects a
-form on Python floats by stack size, as ``symmetric_eigenvalues`` selects
-its list kernel.  Each such form must give a row the bits the stacked form
-gives it: on every graph of the benchmark's three verify-cli rosters, whose
-graphs of one order are stacked here as a scan stacks a chunk, and on
-every chunk of the scans of orders 2-6.
+``verify`` checks one graph as a stack of one.  The charpoly expansion and
+residuals, and the clustering, select a form on Python floats by stack
+size, as ``symmetric_eigenvalues`` selects its list kernel; every other
+check runs its stacked form on a stack of one.  Either way a row must get
+the bits that a stack of several gives it: on every graph of the
+benchmark's three verify-cli rosters, whose graphs of one order are
+stacked here as a scan stacks a chunk, and on every chunk of the scans of
+orders 2-6.
 """
 
 import functools
@@ -19,14 +20,13 @@ import numpy as np
 import pytest
 
 from randic.cli import load_graph
-from randic.graphs import _connected_masks, edge_mask_count, generate, subdivision
+from randic.graphs import _connected_masks, edge_mask_count, subdivision
 from randic.identities import (
     SCAN_CHUNK,
     _charpoly_residuals,
     _charpoly_row_residuals,
     _clamp_small,
     _correspondence_residual,
-    _correspondence_row_residual,
     _identity_checked,
     _local_residuals,
     _scan_spectra,
@@ -34,7 +34,6 @@ from randic.identities import (
 )
 from randic.linalg import (
     ROW_LIST_MAX_LENGTH,
-    ROW_PAIRS_MAX_ORDER,
     _charpoly_list,
     _cluster_list,
     charpoly_coefficients,
@@ -174,38 +173,40 @@ class TestStackOfOneBits:
             assert [_strongly_regular(a[i : i + 1])[0] for i in range(len(a))] == stacked[: len(a)]
 
     def test_row_forms_are_selected(self, monkeypatch):
-        # a stack of one with at most ROW_LIST_MAX_LENGTH values of R(S),
-        # or of order at most ROW_PAIRS_MAX_ORDER, takes the row forms
+        # a stack of one with at most ROW_LIST_MAX_LENGTH values of R(S)
+        # takes the charpoly row forms, and any stack of one the clustering
+        # row form
         import randic.identities as identities
+        import randic.linalg as linalg
 
         calls = []
-        for name in (
-            "_charpoly_row_residuals",
-            "_correspondence_row_residual",
-            "_strongly_regular_row",
-            "_local_row_residuals",
+        for module, name in (
+            (identities, "_charpoly_row_residuals"),
+            (linalg, "_charpoly_list"),
+            (linalg, "_cluster_list"),
         ):
-            original = getattr(identities, name)
-            monkeypatch.setattr(identities, name, lambda *a, f=original: calls.append(f) or f(*a))
-        n, m, theta, _, rho_s, _ = stacks("rosters")[0]
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=original: calls.append(f) or f(*a))
+
+        def spied(call) -> list[str]:
+            calls.clear()
+            call()
+            return [f.__name__ for f in calls]
+
+        n, m, theta, rho, rho_s, _ = stacks("rosters")[0]
         alone = own_width(n, int(m[0]), rho_s[0])
-        _charpoly_residuals(n, m[:1], theta[:1], alone[None])
-        _correspondence_residual(n, m[:1], theta[:1], alone[None])
-        rho2, rho3 = np.array([0.5]), np.array([-0.5])
-        petersen = randic_matrix(generate("petersen"))[None] != 0
-        _strongly_regular(petersen)
-        _local_residuals(10, np.array([15]), petersen, np.full((1, 10), 3), rho2, rho3)
-        assert len(calls) == 4
-        # wider rows, and larger orders, take the stacked forms
+        assert spied(lambda: _charpoly_residuals(n, m[:1], theta[:1], alone[None])) == [
+            "_charpoly_row_residuals"
+        ]
+        assert spied(lambda: charpoly_coefficients(theta[:1])) == ["_charpoly_list"]
+        assert spied(lambda: cluster_rows(rho[:1])) == ["_cluster_list"]
+        # wider rows, and stacks of two, take the stacked forms; the
+        # stacked residuals still expand the n values of theta as a list
         wide = np.zeros((1, ROW_LIST_MAX_LENGTH + 1))
         width = np.array([wide.shape[1] - n])
-        _charpoly_residuals(n, width, theta[:1], wide)
-        _correspondence_residual(n, width, np.zeros((1, n)), wide)
-        order = ROW_PAIRS_MAX_ORDER + 1
-        cycle = randic_matrix(generate("cycle", order))[None] != 0
-        _strongly_regular(cycle)
-        _local_residuals(order, np.array([order]), cycle, np.full((1, order), 2), rho2, rho3)
-        assert len(calls) == 4
+        assert spied(lambda: _charpoly_residuals(n, width, theta[:1], wide)) == ["_charpoly_list"]
+        assert spied(lambda: charpoly_coefficients(wide)) == []
+        assert spied(lambda: cluster_rows(twice(rho[:1]))) == []
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_cluster_rows(self, source):
@@ -238,8 +239,8 @@ class TestStackOfOneBits:
             assert [same(x, stacked[key][0]) for x, key in zip(got, stacked)] == [True, True]
             finite = np.nan_to_num(theta, nan=1.0)
             stacked = _correspondence_residual(4, m, np.array([finite, finite]), rows)
-            got = _correspondence_row_residual(4, finite.tolist(), rho_s.tolist())
-            assert same(got, stacked[0])
+            got = _correspondence_residual(4, m[:1], finite[None], rho_s[None])
+            assert same(got[0], stacked[0])
             k, reps, sizes = cluster_rows(rows)
             means, counts = _cluster_list(rho_s.tolist())
             assert np.array(means).tobytes() == reps[0, : k[0]].tobytes()
